@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .constructions import (
+    ColoringCertificate,
     PartitionCertificate,
     blow_up,
     build_tight_partition,
@@ -135,6 +136,15 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
+def _read_certificate(path: str) -> PartitionCertificate | ColoringCertificate:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or not UTF-8
+            raise MalformedCertificate(f"{path} is not a JSON document: {exc}") from exc
+    return certificate_from_dict(doc)
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
@@ -197,9 +207,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    with open(cfg.path) as fh:
-        doc = json.load(fh)
-    cert = certificate_from_dict(doc)
+    cert = _read_certificate(cfg.path)
     if isinstance(cert, PartitionCertificate):
         rep = verify_partition_certificate(cert)
         what = f"partition of C({cert.params.n},{cert.params.k}) into {cert.num_families} families"
@@ -244,9 +252,7 @@ def cmd_chi(cfg: RunConfig) -> int:
 
 
 def cmd_blowup(cfg: RunConfig) -> int:
-    with open(cfg.path) as fh:
-        doc = json.load(fh)
-    cert = certificate_from_dict(doc)
+    cert = _read_certificate(cfg.path)
     if not isinstance(cert, PartitionCertificate):
         raise MalformedCertificate("blowup expects a partition certificate")
     coloring, bmap = blow_up(cert)
@@ -351,13 +357,29 @@ def _add_nkr(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("r", type=int)
 
 
+def _at_least(convert, low: float, strict: bool = False):
+    """argparse type: convert, then require value >= low (> low if strict)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in errors
+    return parse
+
+
 def _add_budget(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--timeout", type=float, default=None,
-                    help="wall clock limit in seconds")
-    sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-    sp.add_argument("--proof-cap", dest="proof_cap", type=int, default=40,
-                    help="max vertices for optimality proofs")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--timeout", type=_at_least(float, 0, strict=True),
+                    default=None, help="wall clock limit in seconds")
+    sp.add_argument("--max-nodes", dest="max_nodes", type=_at_least(int, 1),
+                    default=None)
+    sp.add_argument("--proof-cap", dest="proof_cap", type=_at_least(int, 0),
+                    default=40, help="max vertices for optimality proofs")
+    sp.add_argument("--workers", type=_at_least(int, 1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,7 @@ from .errors import (
     InvalidCertificate,
     InvalidParams,
     MalformedCertificate,
+    SoundnessError,
 )
 from .kneser import PartSpec, SizeLimits, build_partition_constrained
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets, is_s_stable
@@ -209,7 +210,8 @@ def build_tight_partition(p: GroundParams) -> PartitionCertificate:
     tail.sort(key=lambda f: f.bits)
     families.append(SetFamily(n, tuple(tail)))
     cert = PartitionCertificate(p, tuple(families))
-    assert cert.num_families == m
+    if cert.num_families != m:
+        raise SoundnessError(f"built {cert.num_families} families, expected {m}")
     return cert
 
 
@@ -274,14 +276,16 @@ def blow_up(
                     bits |= 1 << (b + off)
                 # a selection determines its source, so collisions can only
                 # come from a builder bug; fail loudly rather than tie-break
-                assert bits not in origin or origin[bits] == member
+                if bits in origin and origin[bits] != member:
+                    raise SoundnessError(f"selection {bits:#x} has two sources")
                 color_of[bits] = fi
                 origin[bits] = member
 
     big_p = GroundParams(big_n, k, r)
     spec = PartSpec(blocks)
     hyper = build_partition_constrained(big_p, spec, limits)
-    assert len(hyper.vertices) == len(color_of), "selections must cover all vertices"
+    if len(hyper.vertices) != len(color_of):
+        raise SoundnessError("selections must cover all vertices")
     colors = tuple(color_of[v.bits] for v in hyper.vertices)
 
     coloring = ColoringCertificate(

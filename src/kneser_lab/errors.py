@@ -39,3 +39,9 @@ class MalformedCertificate(KneserLabError):
 
 class LengthMismatch(KneserLabError):
     """A color list does not match the vertex count."""
+
+
+class SoundnessError(KneserLabError):
+    """An internal guard caught the program contradicting itself: a result
+    that failed its own re-check or broke an invariant.  It signals a bug,
+    never bad input, and is raised (not asserted) so it survives python -O."""

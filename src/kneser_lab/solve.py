@@ -2,12 +2,14 @@
 
 Both quantities reduce to the same decision problem: color vertices with m
 classes so that no constraint (hyperedge, or empty-intersection witness)
-ends up entirely in one class.  The engine below branches on the vertex
-with the fewest remaining candidate colors, propagates "last uncolored
-member of an all-same-colored constraint" blocking, breaks color symmetry
-by only ever opening one fresh color, and proves optimality by iterative
-deepening on the class count.  Closed-form values are never consulted, so
-agreement with the formulas is evidence, not circularity.
+ends up entirely in one class.  The engine below keeps two bitmasks per
+color, the vertices holding it and the uncolored vertices it would
+complete a constraint on, so an assignment touches one color's masks and
+undo restores them.  It branches on the vertex with the fewest
+remaining candidate colors, breaks color symmetry by only ever opening one
+fresh color, and proves optimality by iterative deepening on the class
+count.  Closed-form values are never consulted, so agreement with the
+formulas is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .constructions import ColoringCertificate, PartitionCertificate
-from .errors import InstanceTooLarge, InvalidParams
+from .errors import InstanceTooLarge, InvalidParams, SoundnessError
 from .kneser import Hypergraph, SizeLimits
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .verify import verify_coloring, verify_partition_certificate
@@ -70,10 +72,13 @@ class SolveResult:
     colors: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        assert self.lower <= self.upper
+        if self.lower > self.upper:
+            raise SoundnessError(f"lower bound {self.lower} above upper {self.upper}")
         if self.status == EXACT:
-            assert self.lower == self.upper
-            assert self.certificate is not None or self.colors is not None
+            if self.lower != self.upper:
+                raise SoundnessError(f"EXACT with bracket [{self.lower},{self.upper}]")
+            if self.certificate is None and self.colors is None:
+                raise SoundnessError("EXACT without a certificate or colors")
 
     def to_dict(self) -> dict:
         return {
@@ -155,110 +160,121 @@ class _Timeout(Exception):
 class _Engine:
     """Backtracking m-class feasibility checker over fixed constraints.
 
-    Per constraint it tracks how many members are colored and the single
-    color they all share (constraints with two colors can never become
-    monochromatic and are switched off).  When a constraint has exactly one
-    uncolored member left and the rest share color c, the engine forbids c
-    on that member; a vertex with every one of the m colors forbidden is a
-    wipeout.  All mutations go on a trail so backtracking is exact undo.
+    The state is one bitmask per color plus the mask `uncol` of uncolored
+    vertices: col[c] holds the vertices colored c, and forb[c] the vertices
+    on which c would complete a constraint because every other member of it
+    is already c.  forb[c] may keep the bits of vertices colored since, so
+    it is only ever read through `uncol`.  An uncolored vertex in forb[c]
+    for all m colors is a wipeout.  Assigning v color c touches only
+    col[c], forb[c] and `uncol`, so undo needs just (v, c, old forb[c]),
+    which each search frame keeps in its locals.
+
+    Propagation works per arity.  A pair ORs v's precomputed adjacency mask
+    into forb[c].  A triple walks only the partners of v already colored c
+    and ORs in their third members, so its cost scales with those partners
+    rather than with v's incidence.  A larger constraint keeps its members
+    other than v as a rest mask and forbids its one remaining member once
+    all the others are c.  The wipeout check looks only at the vertices
+    newly added to forb[c].
     """
 
     def __init__(self, nv: int, constraints: tuple[tuple[int, ...], ...]):
+        self.nv = nv
+        self.adj = [0] * nv
+        self.partners = [0] * nv
+        self.third: list[dict[int, int]] = [{} for _ in range(nv)]
+        self.rests: list[list[int]] = [[] for _ in range(nv)]
         for t in constraints:
             if len(t) < 2:
                 raise InvalidParams(f"constraint {t} has fewer than 2 members")
-        self.nv = nv
-        self.cons = constraints
-        self.size = [len(t) for t in constraints]
-        self.incident: list[list[int]] = [[] for _ in range(nv)]
-        for ci, t in enumerate(constraints):
+            mask = 0
+            for u in t:
+                mask |= 1 << u
             for v in t:
-                self.incident[v].append(ci)
+                rest = mask & ~(1 << v)
+                if len(t) == 2:
+                    self.adj[v] |= rest
+                elif len(t) == 3:
+                    for u in t:
+                        if u != v:
+                            w = rest & ~(1 << u)
+                            self.third[v][u] = self.third[v].get(u, 0) | w
+                            self.partners[v] |= 1 << u
+                else:
+                    self.rests[v].append(rest)
         self.nodes = 0
         self.deadline: float | None = None
         self.max_nodes: int | None = None
         self.shift = 0
 
-    # -- per-run state ----------------------------------------------------
-
     def _reset(self, m: int) -> None:
-        nc = len(self.cons)
         self.m = m
-        self.full = (1 << m) - 1
-        self.colors = [-1] * self.nv
-        self.count = [0] * nc
-        self.mono = [-1] * nc
-        self.active = [True] * nc
-        self.forbid = [[0] * m for _ in range(self.nv)]
-        self.fmask = [0] * self.nv
-        self.trail: list[tuple[int, int, int]] = []
+        self.col = [0] * m
+        self.forb = [0] * m
+        self.uncol = (1 << self.nv) - 1
 
     def _assign(self, v: int, c: int) -> bool:
-        colors = self.colors
-        trail = self.trail
-        colors[v] = c
-        trail.append((0, v, 0))
-        for ci in self.incident[v]:
-            if not self.active[ci]:
-                continue
-            cnt = self.count[ci]
-            mc = self.mono[ci]
-            if cnt == 0 or mc == c:
-                self.count[ci] = cnt + 1
-                self.mono[ci] = c
-                trail.append((1, ci, mc))
-                if cnt + 1 == self.size[ci] - 1:
-                    w = -1
-                    for u in self.cons[ci]:
-                        if colors[u] < 0:
-                            w = u
-                            break
-                    fb = self.forbid[w]
-                    fb[c] += 1
-                    trail.append((2, w, c))
-                    if fb[c] == 1:
-                        self.fmask[w] |= 1 << c
-                        if self.fmask[w] == self.full:
-                            return False
-                elif cnt + 1 == self.size[ci]:
-                    raise AssertionError("completed a monochromatic constraint")
-            else:
-                self.active[ci] = False
-                trail.append((3, ci, 0))
+        """Color v with c; False on a wipeout.  The caller undoes either way."""
+        forb = self.forb
+        old = forb[c]
+        cc = self.col[c] | 1 << v
+        self.col[c] = cc
+        self.uncol &= ~(1 << v)
+        f = old | self.adj[v]
+        x = self.partners[v] & cc
+        if x:
+            third = self.third[v]
+            while x:
+                low = x & -x
+                f |= third[low.bit_length() - 1]
+                x ^= low
+        for rest in self.rests[v]:
+            left = rest & ~cc
+            if left & (left - 1) == 0:
+                f |= left
+        forb[c] = f
+        new = f & ~old & self.uncol
+        if new:
+            for d, fd in enumerate(forb):
+                if d != c:
+                    new &= fd
+                    if not new:
+                        return True
+            return False
         return True
 
-    def _undo(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            tag, a, b = trail.pop()
-            if tag == 0:
-                self.colors[a] = -1
-            elif tag == 1:
-                self.count[a] -= 1
-                self.mono[a] = b
-            elif tag == 2:
-                fb = self.forbid[a]
-                fb[b] -= 1
-                if fb[b] == 0:
-                    self.fmask[a] &= ~(1 << b)
-            else:
-                self.active[a] = True
+    def _select(self, p: int) -> tuple[int, int]:
+        """The branching vertex and its allowed colors among the first p.
 
-    def _select(self, prefix: int) -> int:
-        best_v = -1
-        best = (self.m + 2, 0)
-        nv = self.nv
-        shift = self.shift
-        for v in range(nv):
-            if self.colors[v] < 0:
-                cnt = (prefix & ~self.fmask[v]).bit_count()
-                key = (cnt, (v - shift) % nv)
-                if key < best:
-                    best = key
-                    best_v = v
-                    if cnt == 0:
-                        break
-        return best_v
+        The key is (allowed colors, (v - shift) mod nv).  Bit-sliced
+        counters over forb[c] & uncol count each vertex's forbidden colors;
+        filtering from the top plane down leaves the vertices with the most.
+        """
+        uncol = self.uncol
+        prefix = self.forb[:p]
+        planes = [0] * p.bit_length()
+        for fc in prefix:
+            carry = fc & uncol
+            j = 0
+            while carry:
+                pj = planes[j]
+                planes[j] = pj ^ carry
+                carry &= pj
+                j += 1
+        best = uncol
+        for plane in reversed(planes):
+            if best & plane:
+                best &= plane
+        hi = best >> self.shift
+        if hi:
+            v = self.shift + (hi & -hi).bit_length() - 1
+        else:
+            v = (best & -best).bit_length() - 1
+        cand = 0
+        for c, fc in enumerate(prefix):
+            if not fc >> v & 1:
+                cand |= 1 << c
+        return v, cand
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -272,17 +288,29 @@ class _Engine:
         self._tick()
         if remaining == 0:
             return True
-        prefix = (1 << min(max_used + 2, self.m)) - 1
-        v = self._select(prefix)
-        cand = prefix & ~self.fmask[v]
+        v, cand = self._select(min(max_used + 2, self.m))
+        bit = 1 << v
+        col = self.col
+        forb = self.forb
         while cand:
             c = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            mark = len(self.trail)
+            old = forb[c]
             if self._assign(v, c) and self._dfs(remaining - 1, max(max_used, c)):
                 return True
-            self._undo(mark)
+            col[c] ^= bit
+            forb[c] = old
+            self.uncol |= bit
         return False
+
+    def _colors(self) -> list[int]:
+        colors = [-1] * self.nv
+        for c, mask in enumerate(self.col):
+            while mask:
+                low = mask & -mask
+                colors[low.bit_length() - 1] = c
+                mask ^= low
+        return colors
 
     def run(self, m: int, seed: list[int]) -> list[int] | None:
         """Decide m-class feasibility; returns a full coloring or None."""
@@ -294,36 +322,21 @@ class _Engine:
         for i, v in enumerate(seed):
             if not self._assign(v, i):
                 return None
-        max_used = len(seed) - 1
-        if self._dfs(self.nv - len(seed), max_used):
-            return list(self.colors)
+        if self._dfs(self.nv - len(seed), len(seed) - 1):
+            return self._colors()
         return None
 
-
-def _greedy_coloring(
-    nv: int, constraints: tuple[tuple[int, ...], ...], incident: list[list[int]]
-) -> list[int]:
-    """First-fit in id order: skip colors that would complete a constraint."""
-    colors = [-1] * nv
-    for v in range(nv):
-        blocked = 0
-        for ci in incident[v]:
-            shared = -1
-            for u in constraints[ci]:
-                if u == v:
-                    continue
-                cu = colors[u]
-                if cu < 0 or (shared >= 0 and cu != shared):
-                    shared = -2
-                    break
-                shared = cu
-            if shared >= 0:
-                blocked |= 1 << shared
-        c = 0
-        while blocked >> c & 1:
-            c += 1
-        colors[v] = c
-    return colors
+    def first_fit(self) -> list[int]:
+        """Greedy coloring in id order: each vertex takes the least color
+        that completes no constraint.  Never wipes out, since nv colors
+        leave one unused while any vertex is uncolored."""
+        self._reset(self.nv)
+        for v in range(self.nv):
+            c = 0
+            while self.forb[c] >> v & 1:
+                c += 1
+            self._assign(v, c)
+        return self._colors()
 
 
 def _greedy_disjoint_clique(masks: list[int]) -> list[int]:
@@ -384,7 +397,7 @@ def _search(
     if budget.max_seconds is not None:
         engine.deadline = time.monotonic() + budget.max_seconds
 
-    greedy = _greedy_coloring(nv, constraints, engine.incident)
+    greedy = engine.first_fit()
     ub = max(greedy) + 1
     lb = 1
     if constraints:
@@ -410,8 +423,8 @@ def _search(
         ub = answer
         if answer == initial_lb and answer >= 1:
             # first attempt already feasible: prove one class fewer fails
-            below = engine.run(answer - 1, clique)
-            assert below is None, "lower bound reasoning was wrong"
+            if engine.run(answer - 1, clique) is not None:
+                raise SoundnessError("lower bound reasoning was wrong")
     except _Timeout:
         return _SearchOutcome(TIMEOUT, lb, ub, best, engine.nodes)
     return _SearchOutcome(EXACT, answer, answer, best, engine.nodes)
@@ -477,9 +490,14 @@ def min_partition_number(
         colors = tuple(out.best)
         cert = _classes_to_partition(p, ch.base, out.best)
         rep = verify_partition_certificate(cert)
-        assert rep.ok, f"solver emitted an invalid partition: {rep.summary()}"
-        if out.status == EXACT:
-            assert cert.num_families == out.upper
+        if not rep.ok:
+            raise SoundnessError(
+                f"solver emitted an invalid partition: {rep.summary()}"
+            )
+        if out.status == EXACT and cert.num_families != out.upper:
+            raise SoundnessError(
+                f"EXACT value {out.upper} but {cert.num_families} families"
+            )
     return SolveResult(
         out.status, out.lower, out.upper, out.nodes, millis, cert, colors
     )
@@ -508,7 +526,10 @@ def chromatic_number(
     if out.best is not None:
         colors = tuple(out.best)
         rep = verify_coloring(h, list(colors))
-        assert rep.ok, f"solver emitted an improper coloring: {rep.summary()}"
+        if not rep.ok:
+            raise SoundnessError(
+                f"solver emitted an improper coloring: {rep.summary()}"
+            )
         if h.params is not None:
             cert = ColoringCertificate(
                 ground_n=h.params.n,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams, LengthMismatch, SoundnessError
 from .setsys import SetFamily
 
 # imported lazily in verify_partition_certificate to avoid an import cycle
@@ -35,7 +35,10 @@ class Report:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        assert self.ok == (not self.violations)
+        if self.ok != (not self.violations):
+            raise SoundnessError(
+                f"report ok={self.ok} with {len(self.violations)} violations"
+            )
 
     def summary(self) -> str:
         if self.ok:

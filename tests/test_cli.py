@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from kneser_lab.cli import main
 
 
@@ -72,6 +74,33 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_not_json_exits_2(tmp_path, capsys):
+    text = tmp_path / "text.json"
+    text.write_text("{not json")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for command in ("verify", "blowup"):
+        for path in (text, binary):
+            code, _, err = run(capsys, command, str(path))
+            assert code == 2, (command, path.name)
+            assert "not a JSON document" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--workers", "0"),
+    ("--workers", "-3"),
+    ("--timeout", "-1"),
+    ("--timeout", "0"),
+    ("--max-nodes", "0"),
+    ("--proof-cap", "-1"),
+])
+def test_bad_budget_flags_exit_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "5", "2", "2", *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_verify_missing_file_exits_2(tmp_path, capsys):

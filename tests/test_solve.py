@@ -1,19 +1,32 @@
 """Conflict extraction and the exact solver, cross-checked against brute force."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 
 import pytest
 
+import kneser_lab
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
-from kneser_lab.kneser import Hypergraph, SizeLimits, build_kneser_hypergraph
+from kneser_lab.kneser import (
+    Hypergraph,
+    PartSpec,
+    SizeLimits,
+    build_kneser_hypergraph,
+    build_partition_constrained,
+    build_stable_subhypergraph,
+)
 from kneser_lab.setsys import GroundParams, KSubset
 from kneser_lab.solve import (
     EXACT,
     INFEASIBLE,
     TIMEOUT,
     SolveBudget,
+    _search,
     brute_force_oracle,
     build_conflict_hypergraph,
     chromatic_number,
@@ -145,6 +158,73 @@ def test_solver_matches_brute_force():
         assert res.status == EXACT, trial
         # the oracle re-proves every count below the answer infeasible
         assert brute_force_oracle(h, res.upper) == res.upper, trial
+        # every rotation of the branching tie-break reaches the same value
+        for shift in range(nv):
+            out = _search(nv, h.edges, [], SolveBudget(), shift)
+            assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
+            assert verify_coloring(h, out.best).ok, (trial, shift)
+
+
+def test_search_tree_pinned():
+    """Node counts at workers=1 are deterministic; a change to the engine's
+    branching, propagation or tie-break moves them."""
+    p623 = GroundParams(6, 2, 3)
+    cases = [
+        (min_partition_number(p623), 5, 103),
+        (chromatic_number(build_kneser_hypergraph(p623)), 2, 4),
+        (chromatic_number(
+            build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 134),
+        (chromatic_number(build_partition_constrained(
+            p623, PartSpec(((1, 2), (3, 4), (5, 6))))), 2, 5),
+        (min_partition_number(GroundParams(7, 2, 2)), 5, 28),
+        (min_partition_number(GroundParams(8, 2, 3)), 7, 13978),
+    ]
+    for i, (res, value, nodes) in enumerate(cases):
+        assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
+
+
+def test_soundness_guards_survive_optimize():
+    """The self-checks raise SoundnessError even under python -O, where
+    assert statements are stripped."""
+    script = textwrap.dedent("""
+        from kneser_lab import solve
+        from kneser_lab.errors import SoundnessError
+        from kneser_lab.kneser import build_kneser_hypergraph
+        from kneser_lab.setsys import GroundParams
+        from kneser_lab.verify import Report, Violation
+        assert False, "asserts must be stripped"
+
+        petersen = build_kneser_hypergraph(GroundParams(5, 2, 2))
+
+        def improper_at_2(self, m, seed):  # feasible at m=2 only
+            return [0] * self.nv if m == 2 else None
+
+        def improper_always(self, m, seed):  # also "feasible" below the clique
+            return [0] * self.nv
+
+        cases = [
+            (improper_at_2, lambda: solve.chromatic_number(petersen)),
+            (improper_at_2, lambda: solve.min_partition_number(GroundParams(5, 2, 2))),
+            (improper_always, lambda: solve.chromatic_number(petersen)),
+            (None, lambda: Report(True, (Violation("x", (0,), "bad"),))),
+            (None, lambda: solve.SolveResult(solve.EXACT, 2, 3, 0, 0, colors=(0,))),
+        ]
+        for run, call in cases:
+            if run is not None:
+                solve._Engine.run = run
+            try:
+                call()
+            except SoundnessError:
+                print("raised")
+            else:
+                print("passed")
+    """)
+    src = os.path.dirname(os.path.dirname(kneser_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 5
 
 
 def test_partition_dominates_chromatic():
