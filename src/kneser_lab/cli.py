@@ -4,7 +4,7 @@ One subcommand per library entry point: bound (closed form), construct
 (tight partition to JSON), verify (any certificate file), solve (partition
 number), chi (chromatic number of a Kneser-type hypergraph), blowup
 (partition certificate to constrained coloring), table (grid agreement
-report).  Exit codes: 0 ok, 1 verification failure, 2 bad parameters,
+report with search nodes and millis per row).  Exit codes: 0 ok, 1 verification failure, 2 bad parameters,
 3 timeout, 4 size cap.
 """
 
@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .constructions import (
     ColoringCertificate,
@@ -56,60 +55,6 @@ from .solve import (
 from .verify import verify_coloring_certificate, verify_partition_certificate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus everything it may need."""
-
-    command: str
-    fmt: str = "text"
-    n: int | None = None
-    k: int | None = None
-    r: int | None = None
-    stable: int | None = None
-    parts: str | None = None
-    path: str | None = None
-    out: str | None = None
-    timeout: float | None = None
-    max_nodes: int | None = None
-    proof_cap: int = 40
-    workers: int = 1
-    r_range: str | None = None
-    k_range: str | None = None
-    n_range: str | None = None
-    span: int = 2
-
-    @classmethod
-    def from_args(cls, a: argparse.Namespace) -> "RunConfig":
-        get = lambda name, default=None: getattr(a, name, default)
-        return cls(
-            command=a.command,
-            fmt=get("format", "text"),
-            n=get("n"),
-            k=get("k"),
-            r=get("r"),
-            stable=get("stable"),
-            parts=get("parts"),
-            path=get("path"),
-            out=get("out"),
-            timeout=get("timeout"),
-            max_nodes=get("max_nodes"),
-            proof_cap=get("proof_cap", 40),
-            workers=get("workers", 1),
-            r_range=get("r_range"),
-            k_range=get("k_range"),
-            n_range=get("n_range"),
-            span=get("span", 2),
-        )
-
-    def budget(self) -> SolveBudget:
-        return SolveBudget(
-            max_seconds=self.timeout,
-            max_nodes=self.max_nodes,
-            proof_cap=self.proof_cap,
-            workers=self.workers,
-        )
-
-
 def _parse_parts(text: str) -> PartSpec:
     """Blocks as slash-separated comma lists, e.g. '1,2/3,4/5,6'."""
     try:
@@ -145,15 +90,24 @@ def _read_certificate(path: str) -> PartitionCertificate | ColoringCertificate:
     return certificate_from_dict(doc)
 
 
+def _budget(args: argparse.Namespace) -> SolveBudget:
+    return SolveBudget(
+        max_seconds=args.timeout,
+        max_nodes=args.max_nodes,
+        proof_cap=args.proof_cap,
+        workers=args.workers,
+    )
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_kv(cfg: RunConfig, doc: dict, text: str) -> None:
-    if cfg.fmt == "json":
+def _emit_kv(args: argparse.Namespace, doc: dict, text: str) -> None:
+    if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         flat = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
         w = csv.DictWriter(buf, fieldnames=list(flat))
@@ -172,8 +126,8 @@ def _solve_text(res: SolveResult) -> str:
     return f"{head} nodes={res.nodes} millis={res.millis}"
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    p = GroundParams(cfg.n, cfg.k, cfg.r)
+def cmd_bound(args: argparse.Namespace) -> int:
+    p = GroundParams(args.n, args.k, args.r)
     if not p.admissible:
         print(
             f"error: inadmissible parameters, r*k={p.r * p.k} exceeds "
@@ -184,21 +138,21 @@ def cmd_bound(cfg: RunConfig) -> int:
     m = tight_bound(p)
     s = tail_size(p.k, p.r)
     doc = {"n": p.n, "k": p.k, "r": p.r, "m": m, "s": s, "n_minus_s_plus_1": p.n - s + 1}
-    _emit_kv(cfg, doc, f"m={m} s={s} (n-s+1={p.n - s + 1}, admissible)")
+    _emit_kv(args, doc, f"m={m} s={s} (n-s+1={p.n - s + 1}, admissible)")
     return 0
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    p = GroundParams(cfg.n, cfg.k, cfg.r)
+def cmd_construct(args: argparse.Namespace) -> int:
+    p = GroundParams(args.n, args.k, args.r)
     cert = build_tight_partition(p)
     doc = cert.to_dict()
-    if cfg.out:
-        _write_json(cfg.out, doc)
+    if args.out:
+        _write_json(args.out, doc)
         _emit_kv(
-            cfg,
-            {"out": cfg.out, "families": cert.num_families,
+            args,
+            {"out": args.out, "families": cert.num_families,
              "sizes": list(cert.family_sizes())},
-            f"wrote {cfg.out}: {cert.num_families} families, "
+            f"wrote {args.out}: {cert.num_families} families, "
             f"sizes {list(cert.family_sizes())}",
         )
     else:
@@ -206,8 +160,8 @@ def cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    cert = _read_certificate(cfg.path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    cert = _read_certificate(args.path)
     if isinstance(cert, PartitionCertificate):
         rep = verify_partition_certificate(cert)
         what = f"partition of C({cert.params.n},{cert.params.k}) into {cert.num_families} families"
@@ -223,41 +177,41 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
         "stats": rep.stats,
     }
-    _emit_kv(cfg, out_doc, f"{rep.summary()} ({what})")
+    _emit_kv(args, out_doc, f"{rep.summary()} ({what})")
     return 0 if rep.ok else 1
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    p = GroundParams(cfg.n, cfg.k, cfg.r)
-    res = min_partition_number(p, cfg.budget())
-    if cfg.out:
-        _write_json(cfg.out, res.to_dict())
-    _emit_kv(cfg, res.to_dict(), _solve_text(res))
+def cmd_solve(args: argparse.Namespace) -> int:
+    p = GroundParams(args.n, args.k, args.r)
+    res = min_partition_number(p, _budget(args))
+    if args.out:
+        _write_json(args.out, res.to_dict())
+    _emit_kv(args, res.to_dict(), _solve_text(res))
     return 3 if res.status == TIMEOUT else 0
 
 
-def cmd_chi(cfg: RunConfig) -> int:
-    p = GroundParams(cfg.n, cfg.k, cfg.r)
-    if cfg.stable is not None:
-        h = build_stable_subhypergraph(p, cfg.stable)
-    elif cfg.parts is not None:
-        h = build_partition_constrained(p, _parse_parts(cfg.parts))
+def cmd_chi(args: argparse.Namespace) -> int:
+    p = GroundParams(args.n, args.k, args.r)
+    if args.stable is not None:
+        h = build_stable_subhypergraph(p, args.stable)
+    elif args.parts is not None:
+        h = build_partition_constrained(p, _parse_parts(args.parts))
     else:
         h = build_kneser_hypergraph(p)
-    res = chromatic_number(h, cfg.budget())
-    if cfg.out:
-        _write_json(cfg.out, res.to_dict())
-    _emit_kv(cfg, res.to_dict(), _solve_text(res))
+    res = chromatic_number(h, _budget(args))
+    if args.out:
+        _write_json(args.out, res.to_dict())
+    _emit_kv(args, res.to_dict(), _solve_text(res))
     return 3 if res.status == TIMEOUT else 0
 
 
-def cmd_blowup(cfg: RunConfig) -> int:
-    cert = _read_certificate(cfg.path)
+def cmd_blowup(args: argparse.Namespace) -> int:
+    cert = _read_certificate(args.path)
     if not isinstance(cert, PartitionCertificate):
         raise MalformedCertificate("blowup expects a partition certificate")
     coloring, bmap = blow_up(cert)
-    if cfg.out:
-        _write_json(cfg.out, coloring.to_dict())
+    if args.out:
+        _write_json(args.out, coloring.to_dict())
     rep = check_stable_embedding(bmap)
     out_doc = {
         "ground_n": coloring.ground_n,
@@ -265,10 +219,10 @@ def cmd_blowup(cfg: RunConfig) -> int:
         "colors": coloring.num_colors,
         "stable_vertices": rep.stats.get("stable_vertices"),
         "embedding_ok": rep.ok,
-        "out": cfg.out,
+        "out": args.out,
     }
     _emit_kv(
-        cfg,
+        args,
         out_doc,
         f"{coloring.num_colors} colors on {len(coloring.colors)} vertices "
         f"(ground {coloring.ground_n}); stable embedding "
@@ -278,19 +232,19 @@ def cmd_blowup(cfg: RunConfig) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    rs = _parse_range(cfg.r_range or "2..3")
-    ks = _parse_range(cfg.k_range or "1..3")
-    budget = cfg.budget()
+def cmd_table(args: argparse.Namespace) -> int:
+    rs = _parse_range(args.r_range)
+    ks = _parse_range(args.k_range)
+    budget = _budget(args)
     rows = []
     all_agree = True
     for r in rs:
         for k in ks:
-            if cfg.n_range in (None, "auto"):
+            if args.n_range == "auto":
                 start = -(-r * k // (r - 1))
-                ns = list(range(start, start + cfg.span))
+                ns = list(range(start, start + args.span))
             else:
-                ns = _parse_range(cfg.n_range)
+                ns = _parse_range(args.n_range)
             for n in ns:
                 if n < k or r * k > (r - 1) * n:
                     continue
@@ -317,13 +271,15 @@ def cmd_table(cfg: RunConfig) -> int:
                         else f"{res.lower}:{res.upper}",
                         "construction_families": cert.num_families,
                         "agree": agree,
+                        "nodes": res.nodes,
+                        "millis": res.millis,
                     }
                 )
     fields = [
         "n", "k", "r", "tight_bound", "solver_status", "solver_value",
-        "construction_families", "agree",
+        "construction_families", "agree", "nodes", "millis",
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         body = json.dumps({"rows": rows, "all_agree": all_agree}, indent=2)
     else:
         buf = io.StringIO()
@@ -331,10 +287,10 @@ def cmd_table(cfg: RunConfig) -> int:
         w.writeheader()
         w.writerows(rows)
         body = buf.getvalue().rstrip("\n")
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(body + "\n")
-        print(f"wrote {cfg.out}: {len(rows)} rows, all_agree={all_agree}")
+        print(f"wrote {args.out}: {len(rows)} rows, all_agree={all_agree}")
     else:
         print(body)
     return 0 if all_agree else 1
@@ -425,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", dest="k_range", default="1..3")
     sp.add_argument("--n", dest="n_range", default="auto",
                     help="explicit range like 4..7, or 'auto'")
-    sp.add_argument("--span", type=int, default=2,
+    sp.add_argument("--span", type=_at_least(int, 1), default=2,
                     help="rows per (r,k) when --n auto")
     _add_budget(sp)
     sp.add_argument("-o", "--out", default=None)
@@ -434,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (
         InvalidParams,
         InvalidPartSpec,

@@ -79,7 +79,6 @@ class Hypergraph:
 
     vertices: tuple[KSubset, ...]
     edges: tuple[tuple[int, ...], ...]
-    uniformity_hint: int | None = None
     params: GroundParams | None = None
     stability: int | None = None
     parts: PartSpec | None = None
@@ -135,6 +134,24 @@ def _guard_vertices(p: GroundParams, limits: SizeLimits) -> None:
         )
 
 
+def _induced_hypergraph(
+    p: GroundParams,
+    limits: SizeLimits,
+    keep=None,
+    stability: int | None = None,
+    parts: PartSpec | None = None,
+) -> Hypergraph:
+    """KG^r(k, n) induced on the colex k-subsets passing keep (all if None)."""
+    _guard_vertices(p, limits)
+    vertices = enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
+    if keep is not None:
+        vertices = [v for v in vertices if keep(v)]
+    edges = _disjoint_tuples([v.bits for v in vertices], p.r, limits.max_edges)
+    return Hypergraph(
+        tuple(vertices), tuple(edges), params=p, stability=stability, parts=parts
+    )
+
+
 def build_kneser_hypergraph(
     p: GroundParams, limits: SizeLimits = SizeLimits()
 ) -> Hypergraph:
@@ -144,21 +161,13 @@ def build_kneser_hypergraph(
     returns the vertex-only instance with a warning instead of erroring,
     which the conflict-hypergraph pipeline relies on.
     """
-    _guard_vertices(p, limits)
+    h = _induced_hypergraph(p, limits)
     if p.n < p.r * p.k:
         warnings.warn(
             f"n={p.n} < r*k={p.r * p.k}: Kneser hypergraph has no edges",
             stacklevel=2,
         )
-    vertices = enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
-    masks = [v.bits for v in vertices]
-    edges = _disjoint_tuples(masks, p.r, limits.max_edges)
-    return Hypergraph(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        uniformity_hint=p.r,
-        params=p,
-    )
+    return h
 
 
 def build_stable_subhypergraph(
@@ -171,20 +180,8 @@ def build_stable_subhypergraph(
     """
     if s < 1:
         raise InvalidParams(f"need s >= 1, got s={s}")
-    _guard_vertices(p, limits)
-    vertices = [
-        v
-        for v in enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
-        if is_s_stable(v, s)
-    ]
-    masks = [v.bits for v in vertices]
-    edges = _disjoint_tuples(masks, p.r, limits.max_edges)
-    return Hypergraph(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        uniformity_hint=p.r,
-        params=p,
-        stability=s,
+    return _induced_hypergraph(
+        p, limits, lambda v: is_s_stable(v, s), stability=s
     )
 
 
@@ -193,20 +190,11 @@ def build_partition_constrained(
 ) -> Hypergraph:
     """Induced sub-hypergraph on vertices meeting each block in <= 1 element."""
     spec.validate(p.n, p.r)
-    _guard_vertices(p, limits)
     part_masks = spec.masks()
-    vertices = [
-        v
-        for v in enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
-        if all((v.bits & pm).bit_count() <= 1 for pm in part_masks)
-    ]
-    masks = [v.bits for v in vertices]
-    edges = _disjoint_tuples(masks, p.r, limits.max_edges)
-    return Hypergraph(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        uniformity_hint=p.r,
-        params=p,
+    return _induced_hypergraph(
+        p,
+        limits,
+        lambda v: all((v.bits & pm).bit_count() <= 1 for pm in part_masks),
         parts=spec,
     )
 
@@ -267,7 +255,6 @@ def hypergraph_from_dict(doc: dict) -> Hypergraph:
     return Hypergraph(
         vertices=vertices,
         edges=edges,
-        uniformity_hint=p.r,
         params=p,
         stability=stability,
         parts=parts,

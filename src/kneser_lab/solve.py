@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph, SizeLimits
+from .kneser import Hypergraph, SizeLimits, _guard_vertices
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .verify import verify_coloring, verify_partition_certificate
 
@@ -105,11 +105,7 @@ def build_conflict_hypergraph(
     witness exactly once, and filters non-minimal dead ends afterwards.
     Chains die after at most k shrinks, so the depth is min(r, k+1).
     """
-    if p.num_vertices > limits.max_vertices:
-        raise InstanceTooLarge(
-            f"C({p.n},{p.k}) = {p.num_vertices} vertices exceeds limit "
-            f"{limits.max_vertices}"
-        )
+    _guard_vertices(p, limits)
     vertices = enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
     masks = [v.bits for v in vertices]
     nv = len(masks)
@@ -543,42 +539,3 @@ def chromatic_number(
         out.status, out.lower, out.upper, out.nodes, millis, cert, colors
     )
 
-
-def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
-    """Exhaustive reference answer for tiny instances.
-
-    Enumerates every assignment whose used colors form a prefix (the one
-    safe reduction) and checks all edges at the leaves.  Deliberately
-    shares nothing with the engine above so the two can cross-check.
-    """
-    nv = len(h.vertices)
-    if nv > 16:
-        raise InstanceTooLarge(f"oracle capped at 16 vertices, got {nv}")
-    if max_colors < 1:
-        raise InvalidParams(f"need max_colors >= 1, got {max_colors}")
-    if nv == 0:
-        return 0
-    edges = h.edges
-
-    def proper(assign: list[int]) -> bool:
-        for e in edges:
-            first = assign[e[0]]
-            if all(assign[u] == first for u in e[1:]):
-                return False
-        return True
-
-    def exists(limit: int, assign: list[int], used: int) -> bool:
-        if len(assign) == nv:
-            return proper(assign)
-        for col in range(min(used + 1, limit - 1) + 1):
-            assign.append(col)
-            found = exists(limit, assign, max(used, col))
-            assign.pop()
-            if found:
-                return True
-        return False
-
-    for limit in range(1, max_colors + 1):
-        if exists(limit, [], -1):
-            return limit
-    return INFEASIBLE

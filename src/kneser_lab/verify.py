@@ -269,6 +269,29 @@ def verify_coloring(h, colors: list[int] | tuple[int, ...]) -> Report:
     )
 
 
+def _block_masks(parts, n: int, r: int) -> list[int]:
+    """Bitmasks of parts, which must partition [n] into blocks of 1..r-1 points."""
+    masks = []
+    covered = 0
+    for part in parts:
+        if not 1 <= len(part) <= r - 1:
+            raise InvalidParams(
+                f"bad descriptor: block {list(part)} needs 1..{r - 1} points"
+            )
+        m = 0
+        for e in part:
+            if not 1 <= e <= n:
+                raise InvalidParams(f"bad descriptor: point {e} outside [1, {n}]")
+            if (covered | m) >> (e - 1) & 1:
+                raise InvalidParams(f"bad descriptor: point {e} in two blocks")
+            m |= 1 << (e - 1)
+        covered |= m
+        masks.append(m)
+    if covered != (1 << n) - 1:
+        raise InvalidParams(f"bad descriptor: parts do not cover [1, {n}]")
+    return masks
+
+
 def verify_coloring_certificate(cert) -> Report:
     """Recheck a descriptor-backed coloring without trusting any generator.
 
@@ -277,6 +300,8 @@ def verify_coloring_certificate(cert) -> Report:
     parts) is rebuilt here from plain combinations and sorted into colex
     order, and properness is established by scanning the r-tuples inside
     each color class for pairwise disjointness.  No edge list is consumed.
+    A descriptor naming no hypergraph (s < 1, or parts that do not
+    partition [ground_n] into blocks of 1..r-1 points) is InvalidParams.
     """
     from .constructions import ColoringCertificate  # local: avoids cycle
 
@@ -285,14 +310,9 @@ def verify_coloring_certificate(cert) -> Report:
     n, k, r = cert.ground_n, cert.k, cert.r
     if not (1 <= k <= n and r >= 2):
         raise InvalidParams(f"bad descriptor n={n} k={k} r={r}")
-
-    part_masks = []
-    if cert.parts is not None:
-        for part in cert.parts:
-            m = 0
-            for e in part:
-                m |= 1 << (e - 1)
-            part_masks.append(m)
+    if cert.stability is not None and cert.stability < 1:
+        raise InvalidParams(f"bad descriptor s={cert.stability}, need s >= 1")
+    part_masks = [] if cert.parts is None else _block_masks(cert.parts, n, r)
 
     verts: list[int] = []
     for els in combinations(range(n), k):

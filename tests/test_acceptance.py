@@ -28,7 +28,6 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily
 from kneser_lab.solve import (
     EXACT,
-    brute_force_oracle,
     chromatic_number,
     min_partition_number,
 )
@@ -38,6 +37,8 @@ from kneser_lab.verify import (
     verify_coloring_certificate,
     verify_partition_certificate,
 )
+
+from oracle import brute_force_oracle
 
 
 def test_criterion_01_pair_ladder():

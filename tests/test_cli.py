@@ -186,6 +186,10 @@ def test_blowup_rejects_coloring_input(tmp_path, capsys):
 def test_table_default_all_agree(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
+    assert out.splitlines()[0] == (
+        "n,k,r,tight_bound,solver_status,solver_value,"
+        "construction_families,agree,nodes,millis"
+    )
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 12
     assert all(row["agree"] == "True" for row in rows)
@@ -204,11 +208,42 @@ def test_table_json_explicit_range(capsys):
     assert doc["all_agree"] is True
     assert [row["n"] for row in doc["rows"]] == [4, 5, 6]
     assert [row["tight_bound"] for row in doc["rows"]] == [2, 3, 4]
+    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 5]  # workers=1
+    assert all(
+        isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
+    )
 
 
 def test_table_bad_range_exits_2(capsys):
     code, _, err = run(capsys, "table", "--r", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("span", ["0", "-1"])
+def test_table_span_below_one_exits_2(capsys, span):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--span", span])
+    assert exc.value.code == 2
+    assert "--span" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("s", 0),
+    ("s", -5),
+    ("parts", [[1], [2], [3], [4], [5], [6], [99], [1]]),
+])
+def test_verify_bad_coloring_descriptor_exits_2(tmp_path, capsys, field, value):
+    result = tmp_path / "result.json"
+    run(capsys, "chi", "6", "2", "2", "-o", str(result))
+    doc = json.loads(result.read_text())["certificate"]  # a KG(6,2) 4-coloring
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path))[0] == 0
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "bad descriptor" in err
 
 
 def test_repeat_invocations_identical(tmp_path, capsys):

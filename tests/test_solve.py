@@ -27,12 +27,13 @@ from kneser_lab.solve import (
     TIMEOUT,
     SolveBudget,
     _search,
-    brute_force_oracle,
     build_conflict_hypergraph,
     chromatic_number,
     min_partition_number,
 )
 from kneser_lab.verify import verify_coloring, verify_partition_certificate
+
+from oracle import brute_force_oracle
 
 
 def colex_pairs(n):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kneser_lab.constructions import (
     ColoringCertificate,
     PartitionCertificate,
+    blow_up,
     build_tight_partition,
 )
 from kneser_lab.errors import InvalidParams, LengthMismatch
@@ -270,3 +271,25 @@ def test_coloring_certificate_checker_variants():
                 ground_n=7, k=2, r=2, colors=cert.colors + (0,), stability=2
             )
         )
+
+
+@pytest.mark.parametrize("parts", [
+    (),                                        # covers nothing
+    ((1,), (2,), (3,), (4,), (5,)),            # 6 missing
+    ((1,), (2,), (3,), (4,), (5,), (6,), (6,)),
+    ((1, 2), (3,), (4,), (5,), (6,)),          # block above r-1 = 1
+    ((1,), (2,), (3,), (4,), (5,), (6,), ()),
+])
+def test_coloring_certificate_rejects_non_partition_parts(parts):
+    # s < 1 and out-of-range points: test_verify_bad_coloring_descriptor_exits_2
+    res = chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 2)))
+    cert = ColoringCertificate(ground_n=6, k=2, r=2, colors=res.colors, parts=parts)
+    with pytest.raises(InvalidParams):
+        verify_coloring_certificate(cert)
+
+
+@pytest.mark.parametrize("n,k,r", [(4, 2, 3), (5, 2, 4), (6, 3, 3)])
+def test_coloring_certificate_accepts_blow_up_blocks(n, k, r):
+    coloring, _ = blow_up(build_tight_partition(GroundParams(n, k, r)))
+    assert all(len(block) == r - 1 for block in coloring.parts)
+    assert verify_coloring_certificate(coloring).ok
