@@ -13,15 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .errors import (
+    CapExceeded,
     InadmissibleParams,
+    InstanceTooLarge,
     InvalidCertificate,
     InvalidParams,
     MalformedCertificate,
     SoundnessError,
 )
-from .kneser import PartSpec, SizeLimits, build_partition_constrained
+# blow_up lists the constrained vertices itself; build_partition_constrained
+# stays bound here for tools that wrap this module's names from outside
+from .kneser import SizeLimits, build_partition_constrained  # noqa: F401
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets, is_s_stable
 from .verify import Report, Violation, verify_partition_certificate
 
@@ -128,7 +133,9 @@ class ColoringCertificate:
             "ground_n": self.ground_n,
             "k": self.k,
             "r": self.r,
-            "parts": [list(p) for p in self.parts] if self.parts else None,
+            "parts": (
+                [list(p) for p in self.parts] if self.parts is not None else None
+            ),
             "colors": list(self.colors),
         }
         if self.stability is not None:
@@ -254,6 +261,12 @@ def blow_up(
     sources with a common element i, and their r points inside C_i cannot
     all differ since |C_i| = r-1.
 
+    The selections are the vertices, so no hypergraph is built: colors are
+    listed in ascending bitmask (colex) order of the selections.  A lift of
+    more than limits.max_vertices = C(n,k) * (r-1)^k vertices raises
+    InstanceTooLarge, and a ground set (r-1)n above limits.ground_cap raises
+    CapExceeded, both before any selection is made.
+
     For r=2 blocks are singletons and the lift is the identity relabeling.
     """
     pre = verify_partition_certificate(cert)
@@ -264,6 +277,14 @@ def blow_up(
     w = r - 1
     blocks = _blowup_blocks(n, r)
     big_n = w * n
+    if big_n > limits.ground_cap:
+        raise CapExceeded(f"ground set size {big_n} exceeds cap {limits.ground_cap}")
+    num_vertices = comb(n, k) * w**k
+    if num_vertices > limits.max_vertices:
+        raise InstanceTooLarge(
+            f"lift has C({n},{k}) * {w}^{k} = {num_vertices} vertices, "
+            f"exceeds limit {limits.max_vertices}"
+        )
 
     color_of: dict[int, int] = {}
     origin: dict[int, KSubset] = {}
@@ -281,12 +302,11 @@ def blow_up(
                 color_of[bits] = fi
                 origin[bits] = member
 
-    big_p = GroundParams(big_n, k, r)
-    spec = PartSpec(blocks)
-    hyper = build_partition_constrained(big_p, spec, limits)
-    if len(hyper.vertices) != len(color_of):
+    # the selections are distinct constrained vertices, so equal counts
+    # mean they are all of them
+    if len(color_of) != num_vertices:
         raise SoundnessError("selections must cover all vertices")
-    colors = tuple(color_of[v.bits] for v in hyper.vertices)
+    colors = tuple(color_of[bits] for bits in sorted(color_of))
 
     coloring = ColoringCertificate(
         ground_n=big_n, k=k, r=r, colors=colors, parts=blocks

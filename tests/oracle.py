@@ -1,12 +1,17 @@
-"""Exhaustive reference colorer for tiny hypergraphs, used by the tests.
+"""Exhaustive references for tiny instances, used by the tests.
 
-It shares no code with the search engine in kneser_lab.solve, so the two
-can cross-check each other.
+brute_force_oracle colors a hypergraph and shares no code with the search
+engine in kneser_lab.solve; brute_force_monochromatic lists a coloring's
+monochromatic edges and shares no code with the chain search in
+kneser_lab.verify.  Each pair can cross-check the other.
 """
+
+from itertools import combinations
 
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
 from kneser_lab.kneser import Hypergraph
 from kneser_lab.solve import INFEASIBLE
+from kneser_lab.verify import Violation
 
 
 def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
@@ -47,3 +52,36 @@ def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
         if exists(limit, [], -1):
             return limit
     return INFEASIBLE
+
+
+def brute_force_monochromatic(
+    verts: list[int], colors: list[int] | tuple[int, ...], r: int
+) -> list[Violation]:
+    """Every monochromatic edge of a coloring of the Kneser-type hypergraph on
+    the vertex bitmasks verts, uncapped.
+
+    Scans all r-subsets of each color class, classes in increasing color
+    order and r-subsets in lexicographic order, and keeps those whose
+    members are pairwise disjoint, recorded as verify_coloring_certificate
+    records them.
+    """
+    classes: dict[int, list[int]] = {}
+    for vid, c in enumerate(colors):
+        classes.setdefault(c, []).append(vid)
+    out = []
+    for c, ids in sorted(classes.items()):
+        for tup in combinations(ids, r):
+            union = 0
+            total = 0
+            for vid in tup:
+                union |= verts[vid]
+                total += verts[vid].bit_count()
+            if total == union.bit_count():
+                out.append(
+                    Violation(
+                        "monochromatic_edge",
+                        tup,
+                        f"color {c}: vertices {list(tup)} are pairwise disjoint",
+                    )
+                )
+    return out

@@ -1,12 +1,17 @@
 """End-to-end command line behavior, including exit codes and file round trips."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneser_lab.cli import main
+from kneser_lab.constructions import blow_up, build_tight_partition
+from kneser_lab.setsys import GroundParams
 
 
 def run(capsys, *argv):
@@ -173,6 +178,19 @@ def test_blowup_pipeline(tmp_path, capsys):
     assert out.startswith("ok")
 
 
+def test_blowup_pipeline_10_3_3(tmp_path, capsys):
+    # 960 lifted vertices on ground 20, past the old edge cap
+    src = tmp_path / "partition.json"
+    out_path = tmp_path / "coloring.json"
+    assert run(capsys, "construct", "10", "3", "3", "-o", str(src))[0] == 0
+    code, out, _ = run(capsys, "blowup", str(src), "-o", str(out_path))
+    assert code == 0
+    assert "7 colors on 960 vertices (ground 20)" in out
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 0
+    assert out.startswith("ok")
+
+
 def test_blowup_rejects_coloring_input(tmp_path, capsys):
     src = tmp_path / "partition.json"
     col = tmp_path / "coloring.json"
@@ -254,3 +272,55 @@ def test_repeat_invocations_identical(tmp_path, capsys):
     run(capsys, "construct", "6", "2", "3", "-o", str(a))
     run(capsys, "construct", "6", "2", "3", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+_PARTITION = build_tight_partition(GroundParams(5, 2, 2)).to_dict()
+_COLORING = blow_up(build_tight_partition(GroundParams(4, 2, 3)))[0].to_dict()
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-3, 12) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 12), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _mutated_certificate(draw):
+    """A small valid certificate document with one to three mutations."""
+    doc = json.loads(json.dumps(draw(st.sampled_from([_PARTITION, _COLORING]))))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(
+            ["retype", "drop", "stray", "truncate", "parts", "element"]))
+        key = draw(st.sampled_from(sorted(doc))) if doc else "format"
+        if how == "retype":
+            doc[key] = draw(_junk)
+        elif how == "drop":
+            doc.pop(key, None)
+        elif how == "stray":
+            doc[draw(st.text(max_size=4))] = draw(_junk)
+        elif how == "truncate" and isinstance(doc.get(key), list):
+            doc[key] = doc[key][: draw(st.integers(0, len(doc[key])))]
+        elif how == "parts":
+            doc["parts"] = draw(st.lists(
+                st.lists(st.integers(-1, 9), max_size=3), max_size=5))
+        elif how == "element":
+            seq = doc.get("colors") or doc.get("families")
+            if isinstance(seq, list) and seq:
+                seq[draw(st.integers(0, len(seq) - 1))] = draw(_junk)
+    return doc
+
+
+@given(doc=_mutated_certificate())
+@settings(max_examples=300, deadline=None)
+def test_verify_fuzz_exit_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])  # an uncaught exception fails here
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

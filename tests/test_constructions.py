@@ -18,12 +18,14 @@ from kneser_lab.constructions import (
     tight_bound,
 )
 from kneser_lab.errors import (
+    CapExceeded,
     InadmissibleParams,
+    InstanceTooLarge,
     InvalidCertificate,
     InvalidParams,
     MalformedCertificate,
 )
-from kneser_lab.kneser import PartSpec, build_partition_constrained
+from kneser_lab.kneser import PartSpec, SizeLimits, build_partition_constrained
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, is_s_stable
 from kneser_lab.verify import (
     is_r_wise_intersecting,
@@ -148,6 +150,19 @@ def test_coloring_json_roundtrip():
     assert isinstance(certificate_from_dict(doc), ColoringCertificate)
 
 
+def test_coloring_empty_parts_survive_roundtrip():
+    # parts=() names no hypergraph; JSON must not turn it into parts=None
+    cert = ColoringCertificate(ground_n=4, k=1, r=2, colors=(0, 1, 2, 3), parts=())
+    with pytest.raises(InvalidParams):
+        verify_coloring_certificate(cert)
+    doc = json.loads(json.dumps(cert.to_dict()))
+    assert doc["parts"] == []
+    back = certificate_from_dict(doc)
+    assert back.parts == ()
+    with pytest.raises(InvalidParams):
+        verify_coloring_certificate(back)
+
+
 def test_malformed_documents_rejected():
     good = build_tight_partition(GroundParams(5, 2, 2)).to_dict()
     for breakage in (
@@ -215,15 +230,41 @@ def test_blow_up_covers_constrained_vertices():
 
 
 def test_blow_up_colors_follow_source_family():
-    src = build_tight_partition(GroundParams(4, 2, 3))
-    coloring, bmap = blow_up(src)
-    fam_of = {}
-    for fi, fam in enumerate(src.families):
-        for m in fam.members:
-            fam_of[m.bits] = fi
-    h = build_partition_constrained(GroundParams(8, 2, 3), PartSpec(bmap.blocks))
-    for v, c in zip(h.vertices, coloring.colors):
-        assert c == fam_of[bmap.vertex_origin[v.bits].bits]
+    # colors[i] belongs to the i-th vertex in the builder's (colex) order
+    for n, k, r in [(5, 2, 2), (4, 2, 3), (6, 3, 3), (4, 2, 4)]:
+        src = build_tight_partition(GroundParams(n, k, r))
+        coloring, bmap = blow_up(src)
+        fam_of = {}
+        for fi, fam in enumerate(src.families):
+            for m in fam.members:
+                fam_of[m.bits] = fi
+        h = build_partition_constrained(
+            GroundParams(bmap.big_n, k, r), PartSpec(bmap.blocks)
+        )
+        assert len(h.vertices) == len(coloring.colors)
+        for v, c in zip(h.vertices, coloring.colors):
+            assert c == fam_of[bmap.vertex_origin[v.bits].bits]
+
+
+@pytest.mark.parametrize("n,k,r", [(7, 2, 4), (9, 2, 4), (10, 3, 3), (12, 4, 3)])
+def test_blow_up_large_lifts(n, k, r):
+    # each of these once failed its edge cap while building an edge list
+    # that blow_up never read; (12,4,3) lifts to 7,920 vertices
+    p = GroundParams(n, k, r)
+    coloring, bmap = blow_up(build_tight_partition(p))
+    assert len(coloring.colors) == comb(n, k) * (r - 1) ** k
+    assert coloring.num_colors == tight_bound(p)
+    assert check_stable_embedding(bmap).ok
+
+
+def test_blow_up_size_limits():
+    src = build_tight_partition(GroundParams(4, 2, 3))  # 24 lifted vertices
+    with pytest.raises(InstanceTooLarge):
+        blow_up(src, SizeLimits(max_vertices=23))
+    coloring, _ = blow_up(src, SizeLimits(max_vertices=24))
+    assert len(coloring.colors) == 24
+    with pytest.raises(CapExceeded):
+        blow_up(src, SizeLimits(ground_cap=7))  # ground 8
 
 
 def test_blow_up_identity_at_r2():

@@ -1,10 +1,11 @@
 """The verifiers against naive exhaustive scans and hand-built failures."""
 
 import random
+import warnings
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kneser_lab.constructions import (
@@ -14,7 +15,12 @@ from kneser_lab.constructions import (
     build_tight_partition,
 )
 from kneser_lab.errors import InvalidParams, LengthMismatch
-from kneser_lab.kneser import build_kneser_hypergraph
+from kneser_lab.kneser import (
+    PartSpec,
+    build_kneser_hypergraph,
+    build_partition_constrained,
+    build_stable_subhypergraph,
+)
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
@@ -23,6 +29,8 @@ from kneser_lab.verify import (
     verify_coloring_certificate,
     verify_partition_certificate,
 )
+
+from oracle import brute_force_monochromatic
 
 
 def family(n, *element_tuples):
@@ -288,8 +296,90 @@ def test_coloring_certificate_rejects_non_partition_parts(parts):
         verify_coloring_certificate(cert)
 
 
-@pytest.mark.parametrize("n,k,r", [(4, 2, 3), (5, 2, 4), (6, 3, 3)])
+@pytest.mark.parametrize("n,k,r", [
+    (4, 2, 3), (5, 2, 4), (6, 3, 3), (7, 2, 4), (9, 2, 4), (10, 3, 3),
+])
 def test_coloring_certificate_accepts_blow_up_blocks(n, k, r):
     coloring, _ = blow_up(build_tight_partition(GroundParams(n, k, r)))
     assert all(len(block) == r - 1 for block in coloring.parts)
     assert verify_coloring_certificate(coloring).ok
+
+
+@st.composite
+def small_colorings(draw):
+    """A small descriptor (full, s-stable or parts), its vertex masks from the
+    kneser builders, and a random or a merged-class coloring of them."""
+    r = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 8 if k < 3 else 7))
+    p = GroundParams(n, k, r)
+    variant = draw(st.sampled_from(["full", "stable", "parts"]))
+    stability = parts = None
+    if variant == "stable":
+        stability = draw(st.integers(1, 3))
+        h = build_stable_subhypergraph(p, stability)
+    elif variant == "parts":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, min(r - 1, n - sum(sizes)))))
+        points = draw(st.permutations(range(1, n + 1)))
+        cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        parts = tuple(
+            tuple(sorted(points[a:b])) for a, b in zip(cuts, cuts[1:])
+        )
+        h = build_partition_constrained(p, PartSpec(parts))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n < r*k: no edges, still valid
+            h = build_kneser_hypergraph(p)
+    nv = h.num_vertices
+    assume(0 < nv <= 36)
+    if draw(st.booleans()):
+        # a proper coloring with two classes merged onto one label
+        base = list(chromatic_number(h).colors)
+        m = max(base) + 1
+        if m >= 2:
+            a, b = draw(st.permutations(range(m)))[:2]
+            labels = {c: i for i, c in enumerate(c for c in range(m) if c != b)}
+            labels[b] = labels[a]
+            colors = [labels[c] for c in base]
+        else:
+            colors = base
+    else:
+        m = draw(st.integers(1, min(3, nv)))
+        raw = draw(st.lists(st.integers(0, m - 1), min_size=nv, max_size=nv))
+        labels = {c: i for i, c in enumerate(sorted(set(raw)))}
+        colors = [labels[c] for c in raw]
+    cert = ColoringCertificate(
+        ground_n=n, k=k, r=r, colors=tuple(colors),
+        parts=parts, stability=stability,
+    )
+    return cert, [v.bits for v in h.vertices]
+
+
+def _one_class(n, k, r):
+    """Every vertex of KG^r(k, n) in one class: every edge is monochromatic."""
+    h = build_kneser_hypergraph(GroundParams(n, k, r))
+    cert = ColoringCertificate(ground_n=n, k=k, r=r, colors=(0,) * h.num_vertices)
+    return cert, [v.bits for v in h.vertices]
+
+
+@given(small_colorings())
+@example(_one_class(8, 2, 2))
+@example(_one_class(7, 2, 3))
+@example(_one_class(6, 1, 3))  # exactly 20 edges: no summary record
+@settings(max_examples=150, deadline=None)
+def test_coloring_certificate_matches_brute_force(case):
+    cert, verts = case
+    rep = verify_coloring_certificate(cert)
+    want = brute_force_monochromatic(verts, cert.colors, cert.r)
+    assert rep.ok == (not want)
+    assert rep.stats["disjoint_tuples"] == len(want)
+    assert rep.violations[:20] == tuple(want[:20])
+    if len(want) > 20:
+        assert len(rep.violations) == 21
+        tail = rep.violations[20]
+        assert tail.kind == "monochromatic_edge" and tail.indices == ()
+        assert tail.reason.startswith(f"{len(want) - 20} further")
+    else:
+        assert len(rep.violations) == len(want)
