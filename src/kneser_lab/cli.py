@@ -118,12 +118,17 @@ def _emit_kv(args: argparse.Namespace, doc: dict, text: str) -> None:
         print(text)
 
 
-def _solve_text(res: SolveResult) -> str:
+def _report_solve(args: argparse.Namespace, res: SolveResult) -> int:
+    """Write --out, print the result, exit 3 on TIMEOUT."""
+    doc = res.to_dict()
+    if args.out:
+        _write_json(args.out, doc)
     if res.status == EXACT:
         head = f"EXACT value={res.upper}"
     else:
         head = f"{res.status} lower={res.lower} upper={res.upper}"
-    return f"{head} nodes={res.nodes} millis={res.millis}"
+    _emit_kv(args, doc, f"{head} nodes={res.nodes} millis={res.millis}")
+    return 3 if res.status == TIMEOUT else 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -165,9 +170,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(cert, PartitionCertificate):
         rep = verify_partition_certificate(cert)
         what = f"partition of C({cert.params.n},{cert.params.k}) into {cert.num_families} families"
+        uncovered = rep.stats["expected_members"] - rep.stats["members"]
+        if uncovered:
+            what += f"; {uncovered} subsets uncovered"
     else:
         rep = verify_coloring_certificate(cert)
         what = f"coloring with {cert.num_colors} colors on ground {cert.ground_n}"
+        if rep.stats["disjoint_tuples"]:
+            what += f"; {rep.stats['disjoint_tuples']} monochromatic edges"
     out_doc = {
         "ok": rep.ok,
         "kind": "partition" if isinstance(cert, PartitionCertificate) else "coloring",
@@ -183,11 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     p = GroundParams(args.n, args.k, args.r)
-    res = min_partition_number(p, _budget(args))
-    if args.out:
-        _write_json(args.out, res.to_dict())
-    _emit_kv(args, res.to_dict(), _solve_text(res))
-    return 3 if res.status == TIMEOUT else 0
+    return _report_solve(args, min_partition_number(p, _budget(args)))
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
@@ -198,11 +204,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
         h = build_partition_constrained(p, _parse_parts(args.parts))
     else:
         h = build_kneser_hypergraph(p)
-    res = chromatic_number(h, _budget(args))
-    if args.out:
-        _write_json(args.out, res.to_dict())
-    _emit_kv(args, res.to_dict(), _solve_text(res))
-    return 3 if res.status == TIMEOUT else 0
+    return _report_solve(args, chromatic_number(h, _budget(args)))
 
 
 def cmd_blowup(args: argparse.Namespace) -> int:

@@ -239,19 +239,24 @@ def hypergraph_from_dict(doc: dict) -> Hypergraph:
             KSubset.from_elements(els, p.n) for els in doc["vertices"]
         )
         edges = tuple(tuple(int(i) for i in e) for e in doc["edges"])
+        stability = int(doc["s"]) if "s" in doc else None
+        parts = (
+            PartSpec(tuple(tuple(int(x) for x in part) for part in doc["parts"]))
+            if "parts" in doc
+            else None
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"bad hypergraph document: {exc}") from exc
+    for v in vertices:
+        if v.size != p.k:
+            raise InvalidParams(f"vertex {v!r} has {v.size} elements, need k={p.k}")
     for e in edges:
+        if len(e) < 2:
+            raise InvalidParams(f"edge {e} has fewer than 2 vertex ids")
         if any(not (0 <= i < len(vertices)) for i in e):
             raise InvalidParams(f"edge {e} references a missing vertex")
         if len(set(e)) != len(e):
             raise InvalidParams(f"edge {e} repeats a vertex id")
-    stability = int(doc["s"]) if "s" in doc else None
-    parts = (
-        PartSpec(tuple(tuple(int(x) for x in part) for part in doc["parts"]))
-        if "parts" in doc
-        else None
-    )
     return Hypergraph(
         vertices=vertices,
         edges=edges,

@@ -100,10 +100,6 @@ class SetFamily:
                 raise InvalidParams(f"duplicate member {m!r}")
             seen.add(m.bits)
 
-    @classmethod
-    def from_bitmasks(cls, masks, n: int) -> "SetFamily":
-        return cls(n, tuple(KSubset(b, n) for b in masks))
-
     def masks(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.members)
 

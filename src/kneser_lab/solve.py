@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
@@ -63,6 +63,9 @@ class ConflictHypergraph:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The one record of a search: `_search` fills the bracket, nodes and
+    colors, and each entry point adds millis and the certificate."""
+
     status: str
     lower: int
     upper: int
@@ -322,6 +325,26 @@ class _Engine:
             return self._colors()
         return None
 
+    def pair_clique(self) -> list[int]:
+        """Vertices in id order, each paired with every one taken before.
+
+        A 2-member constraint forces its members apart whatever the other
+        constraints say, so the result needs pairwise distinct colors.  On
+        the conflict hypergraph the pairs are the disjoint k-subsets, which
+        makes this the greedy disjoint-member clique.  Empty when no
+        constraint is a pair.
+        """
+        adj = self.adj
+        if not any(adj):
+            return []
+        chosen: list[int] = []
+        common = (1 << self.nv) - 1
+        for v in range(self.nv):
+            if common >> v & 1:
+                chosen.append(v)
+                common &= adj[v]
+        return chosen
+
     def first_fit(self) -> list[int]:
         """Greedy coloring in id order: each vertex takes the least color
         that completes no constraint.  Never wipes out, since nv colors
@@ -335,57 +358,25 @@ class _Engine:
         return self._colors()
 
 
-def _greedy_disjoint_clique(masks: list[int]) -> list[int]:
-    """Vertices added in colex order when disjoint from all chosen so far."""
-    chosen: list[int] = []
-    union = 0
-    for i, mk in enumerate(masks):
-        if union & mk == 0:
-            chosen.append(i)
-            union |= mk
-    return chosen
-
-
-def _greedy_edge_clique(nv: int, edges: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Pairwise-adjacent vertex set read off the actual 2-edges."""
-    adj: list[set[int]] = [set() for _ in range(nv)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    chosen: list[int] = []
-    for v in range(nv):
-        if all(v in adj[u] for u in chosen):
-            chosen.append(v)
-    return chosen
-
-
-@dataclass
-class _SearchOutcome:
-    status: str
-    lower: int
-    upper: int
-    best: list[int] | None
-    nodes: int
-
-
 def _search(
     nv: int,
     constraints: tuple[tuple[int, ...], ...],
-    clique: list[int],
     budget: SolveBudget,
     shift: int = 0,
-) -> _SearchOutcome:
+) -> SolveResult:
     """Shared solve loop: greedy bracket, then iterative deepening.
 
-    The clique seed (when nonempty) is a set of vertices that must take
-    pairwise distinct colors in every solution, so pinning them to colors
-    0..q-1 loses no solutions and its size is a true lower bound.  Every
-    completed infeasible run raises the proven lower bound by one; an
-    exact answer additionally requires the run one class below the answer
-    to have terminated infeasible.
+    The clique seed is read off the pair constraints (`pair_clique`); its
+    vertices take pairwise distinct colors in every solution whatever the
+    other constraints are, so pinning them to colors 0..q-1 loses no
+    solutions and its size is a true lower bound.  Every completed
+    infeasible run raises the proven lower bound by one; an exact answer
+    additionally requires the run one class below the answer to have
+    terminated infeasible.  The result carries the best coloring and no
+    certificate, with millis left at 0 for the caller to fill in.
     """
     if nv == 0:
-        return _SearchOutcome(EXACT, 0, 0, [], 0)
+        return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
     engine = _Engine(nv, constraints)
     engine.shift = shift % nv
@@ -393,41 +384,35 @@ def _search(
     if budget.max_seconds is not None:
         engine.deadline = time.monotonic() + budget.max_seconds
 
-    greedy = engine.first_fit()
-    ub = max(greedy) + 1
-    lb = 1
-    if constraints:
-        lb = 2
-    lb = max(lb, len(clique))
+    clique = engine.pair_clique()
+    best = engine.first_fit()
+    ub = max(best) + 1
+    lb = max(2 if constraints else 1, len(clique))
 
     if nv > budget.proof_cap:
-        if lb == ub:
-            return _SearchOutcome(EXACT, lb, ub, greedy, 0)
-        return _SearchOutcome(BOUNDS, lb, ub, greedy, 0)
+        status = EXACT if lb == ub else BOUNDS
+        return SolveResult(status, lb, ub, 0, 0, colors=tuple(best))
 
     initial_lb = lb
-    answer = ub
-    best = greedy
     try:
         for m in range(lb, ub):
             cols = engine.run(m, clique)
             if cols is not None:
-                answer = m
+                ub = m
                 best = cols
                 break
             lb = m + 1
-        ub = answer
-        if answer == initial_lb and answer >= 1:
+        if ub == initial_lb:
             # first attempt already feasible: prove one class fewer fails
-            if engine.run(answer - 1, clique) is not None:
+            if engine.run(ub - 1, clique) is not None:
                 raise SoundnessError("lower bound reasoning was wrong")
     except _Timeout:
-        return _SearchOutcome(TIMEOUT, lb, ub, best, engine.nodes)
-    return _SearchOutcome(EXACT, answer, answer, best, engine.nodes)
+        return SolveResult(TIMEOUT, lb, ub, engine.nodes, 0, colors=tuple(best))
+    return SolveResult(EXACT, ub, ub, engine.nodes, 0, colors=tuple(best))
 
 
 def _classes_to_partition(
-    p: GroundParams, base: tuple[KSubset, ...], cols: list[int]
+    p: GroundParams, base: tuple[KSubset, ...], cols: tuple[int, ...]
 ) -> PartitionCertificate:
     m = max(cols) + 1
     groups: list[list[KSubset]] = [[] for _ in range(m)]
@@ -437,31 +422,26 @@ def _classes_to_partition(
     return PartitionCertificate(p, families)
 
 
-def _portfolio(args) -> tuple[int, _SearchOutcome]:
-    nv, constraints, clique, budget, shift = args
-    return shift, _search(nv, constraints, clique, budget, shift)
+def _portfolio(args) -> SolveResult:
+    return _search(*args)
 
 
 def _run_search(
-    nv: int,
-    constraints: tuple[tuple[int, ...], ...],
-    clique: list[int],
-    budget: SolveBudget,
-) -> _SearchOutcome:
+    nv: int, constraints: tuple[tuple[int, ...], ...], budget: SolveBudget
+) -> SolveResult:
     if budget.workers <= 1 or nv == 0:
-        return _search(nv, constraints, clique, budget)
+        return _search(nv, constraints, budget)
     shifts = [w * nv // budget.workers for w in range(budget.workers)]
-    tasks = [(nv, constraints, clique, budget, s) for s in shifts]
-    outcomes: list[_SearchOutcome] = []
+    tasks = [(nv, constraints, budget, s) for s in shifts]
+    outcomes: list[SolveResult] = []
     with multiprocessing.Pool(budget.workers) as pool:
-        for _, out in pool.imap_unordered(_portfolio, tasks):
+        for out in pool.imap_unordered(_portfolio, tasks):
             if out.status == EXACT:
                 pool.terminate()
                 return out
             outcomes.append(out)
-    lower = max(o.lower for o in outcomes)
     pick = min(outcomes, key=lambda o: o.upper)
-    return _SearchOutcome(pick.status, lower, pick.upper, pick.best, pick.nodes)
+    return replace(pick, lower=max(o.lower for o in outcomes))
 
 
 def min_partition_number(
@@ -476,27 +456,18 @@ def min_partition_number(
     """
     t0 = time.monotonic()
     ch = build_conflict_hypergraph(p)
-    clique = _greedy_disjoint_clique([v.bits for v in ch.base])
-    out = _run_search(len(ch.base), ch.witnesses, clique, budget)
+    out = _run_search(len(ch.base), ch.witnesses, budget)
     millis = int((time.monotonic() - t0) * 1000)
 
-    cert = None
-    colors = None
-    if out.best is not None:
-        colors = tuple(out.best)
-        cert = _classes_to_partition(p, ch.base, out.best)
-        rep = verify_partition_certificate(cert)
-        if not rep.ok:
-            raise SoundnessError(
-                f"solver emitted an invalid partition: {rep.summary()}"
-            )
-        if out.status == EXACT and cert.num_families != out.upper:
-            raise SoundnessError(
-                f"EXACT value {out.upper} but {cert.num_families} families"
-            )
-    return SolveResult(
-        out.status, out.lower, out.upper, out.nodes, millis, cert, colors
-    )
+    cert = _classes_to_partition(p, ch.base, out.colors)
+    rep = verify_partition_certificate(cert)
+    if not rep.ok:
+        raise SoundnessError(f"solver emitted an invalid partition: {rep.summary()}")
+    if out.status == EXACT and cert.num_families != out.upper:
+        raise SoundnessError(
+            f"EXACT value {out.upper} but {cert.num_families} families"
+        )
+    return replace(out, millis=millis, certificate=cert)
 
 
 def chromatic_number(
@@ -504,38 +475,26 @@ def chromatic_number(
 ) -> SolveResult:
     """Fewest colors with no monochromatic hyperedge, proved by search.
 
-    The clique lower bound is read off the edge list and only applied when
-    every edge is a pair (only then does an edge force two colors apart).
-    The certificate is descriptor-backed when the hypergraph knows its own
+    The clique lower bound is read off the pair edges (`_Engine.pair_clique`),
+    which force two colors apart whatever the other edges are.  The
+    certificate is descriptor-backed when the hypergraph knows its own
     parameters; raw colors are attached either way.
     """
     t0 = time.monotonic()
-    nv = len(h.vertices)
-    clique: list[int] = []
-    if h.edges and all(len(e) == 2 for e in h.edges):
-        clique = _greedy_edge_clique(nv, h.edges)
-    out = _run_search(nv, h.edges, clique, budget)
+    out = _run_search(len(h.vertices), h.edges, budget)
     millis = int((time.monotonic() - t0) * 1000)
 
+    rep = verify_coloring(h, out.colors)
+    if not rep.ok:
+        raise SoundnessError(f"solver emitted an improper coloring: {rep.summary()}")
     cert = None
-    colors = None
-    if out.best is not None:
-        colors = tuple(out.best)
-        rep = verify_coloring(h, list(colors))
-        if not rep.ok:
-            raise SoundnessError(
-                f"solver emitted an improper coloring: {rep.summary()}"
-            )
-        if h.params is not None:
-            cert = ColoringCertificate(
-                ground_n=h.params.n,
-                k=h.params.k,
-                r=h.params.r,
-                colors=colors,
-                parts=h.parts.parts if h.parts is not None else None,
-                stability=h.stability,
-            )
-    return SolveResult(
-        out.status, out.lower, out.upper, out.nodes, millis, cert, colors
-    )
-
+    if h.params is not None:
+        cert = ColoringCertificate(
+            ground_n=h.params.n,
+            k=h.params.k,
+            r=h.params.r,
+            colors=out.colors,
+            parts=h.parts.parts if h.parts is not None else None,
+            stability=h.stability,
+        )
+    return replace(out, millis=millis, certificate=cert)

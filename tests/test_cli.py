@@ -73,6 +73,35 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert "FAILED" in out
 
 
+def test_verify_text_states_edge_total(tmp_path, capsys):
+    """The text summary lists five records but states the exact total."""
+    coloring, _ = blow_up(build_tight_partition(GroundParams(8, 2, 3)))
+    doc = coloring.to_dict()
+    doc["colors"] = [max(c - 1, 0) for c in doc["colors"]]  # merge classes 0, 1
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("FAILED") and "(+16 more)" in out
+    assert out.rstrip().endswith("; 5808 monochromatic edges)")
+    code, out, _ = run(capsys, "--format", "json", "verify", str(path))
+    assert code == 1
+    assert json.loads(out)["stats"]["disjoint_tuples"] == 5808
+
+
+def test_verify_text_states_uncovered_total(tmp_path, capsys):
+    path = tmp_path / "partition.json"
+    run(capsys, "construct", "8", "2", "3", "-o", str(path))
+    doc = json.loads(path.read_text())
+    for fi in (0, 1):  # sizes 7 and 6: drop 6 + 5 members
+        doc["families"][fi] = doc["families"][fi][:1]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "(+6 more)" in out
+    assert out.rstrip().endswith("into 7 families; 11 subsets uncovered)")
+
+
 def test_verify_malformed_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"format": "kneser-lab/1"}))

@@ -175,6 +175,23 @@ def test_json_rejects_garbage():
         hypergraph_from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(s="x"),
+        lambda doc: doc.update(parts=5),
+        lambda doc: doc["vertices"][0].append(5),  # {1,2,5} when k = 2
+        lambda doc: doc["edges"].append([0]),
+    ],
+    ids=["s-not-int", "parts-not-list", "vertex-wrong-size", "edge-single-id"],
+)
+def test_json_rejects_malformed_fields(mutate):
+    doc = hypergraph_to_dict(build_kneser_hypergraph(GroundParams(5, 2, 2)))
+    mutate(doc)
+    with pytest.raises(InvalidParams):
+        hypergraph_from_dict(doc)
+
+
 def test_serialize_requires_params():
     h = build_kneser_hypergraph(GroundParams(5, 2, 2))
     anon = Hypergraph(vertices=h.vertices, edges=h.edges)

@@ -161,9 +161,9 @@ def test_solver_matches_brute_force():
         assert brute_force_oracle(h, res.upper) == res.upper, trial
         # every rotation of the branching tie-break reaches the same value
         for shift in range(nv):
-            out = _search(nv, h.edges, [], SolveBudget(), shift)
+            out = _search(nv, h.edges, SolveBudget(), shift)
             assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
-            assert verify_coloring(h, out.best).ok, (trial, shift)
+            assert verify_coloring(h, out.colors).ok, (trial, shift)
 
 
 def test_search_tree_pinned():
@@ -179,6 +179,8 @@ def test_search_tree_pinned():
             p623, PartSpec(((1, 2), (3, 4), (5, 6))))), 2, 5),
         (min_partition_number(GroundParams(7, 2, 2)), 5, 28),
         (min_partition_number(GroundParams(8, 2, 3)), 7, 13978),
+        # n < 2k: no disjoint pair, so no clique is pinned
+        (min_partition_number(GroundParams(7, 4, 3)), 3, 65),
     ]
     for i, (res, value, nodes) in enumerate(cases):
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
@@ -278,6 +280,35 @@ def test_worker_portfolio_agrees():
     )
     assert multi.status == EXACT
     assert multi.upper == single.upper == 4
+
+
+@pytest.mark.parametrize(
+    "budget, status",
+    [
+        (SolveBudget(workers=2, proof_cap=10), "BOUNDS"),
+        (SolveBudget(workers=2, max_nodes=3), TIMEOUT),
+        (SolveBudget(workers=2, max_nodes=20), TIMEOUT),  # workers disagree
+    ],
+    ids=["bounds", "timeout", "timeout-split"],
+)
+def test_worker_portfolio_merges_brackets(budget, status):
+    """Without an EXACT worker the portfolio keeps the best lower bound and
+    the coloring of the best upper bound; value 7 sits inside both."""
+    p = GroundParams(9, 2, 2)
+    h = build_kneser_hypergraph(p)
+    part = min_partition_number(p, budget)
+    chi = chromatic_number(h, budget)
+    for res, constraints in [(part, build_conflict_hypergraph(p).witnesses),
+                             (chi, h.edges)]:
+        assert res.status == status
+        assert res.lower <= 7 <= res.upper
+        singles = [_search(36, constraints, budget, shift) for shift in (0, 18)]
+        assert res.lower == max(o.lower for o in singles)
+        assert res.upper == min(o.upper for o in singles)
+    assert verify_partition_certificate(part.certificate).ok
+    assert part.certificate.num_families == part.upper
+    assert verify_coloring(h, chi.colors).ok
+    assert max(chi.colors) + 1 == chi.upper
 
 
 def test_solve_result_json_shape():

@@ -1,0 +1,38 @@
+"""The benchmark's tracer wraps kneser_lab names from outside; keep them there."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import kneser_lab.solve as solve
+from kneser_lab.setsys import GroundParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_resolve():
+    """A rename or deletion of any wrapped name would break `--trace 1`."""
+    tracing = load_tracing()
+    assert tracing.WRAPS
+    for mod, name, layer, _ in tracing.WRAPS:
+        module = importlib.import_module(f"kneser_lab.{mod}")
+        assert callable(getattr(module, name, None)), (mod, name)
+        assert layer in tracing.LAYERS, (mod, name, layer)
+
+
+def test_traced_pass_counts_nodes_and_restores_names():
+    tracing = load_tracing()
+    before = solve.min_partition_number
+    untraced = before(GroundParams(6, 2, 3))
+    tracer = tracing.Tracer()
+    traced, wall = tracer.run(lambda: solve.min_partition_number(GroundParams(6, 2, 3)))
+    assert solve.min_partition_number is before
+    assert traced.nodes == untraced.nodes == tracer.counts["solve.engine.nodes"]
+    assert wall >= 0
