@@ -16,7 +16,6 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import (
-    CapExceeded,
     InadmissibleParams,
     InstanceTooLarge,
     InvalidCertificate,
@@ -27,7 +26,8 @@ from .errors import (
 # blow_up lists the constrained vertices itself; build_partition_constrained
 # stays bound here for tools that wrap this module's names from outside
 from .kneser import SizeLimits, build_partition_constrained  # noqa: F401
-from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets, is_s_stable
+from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
+from .setsys import guard_subsets, is_s_stable
 from .verify import Report, Violation, verify_partition_certificate
 
 FORMAT_TAG = "kneser-lab/1"
@@ -91,8 +91,6 @@ class PartitionCertificate:
                 )
                 for fam in doc["families"]
             )
-        except MalformedCertificate:
-            raise
         except Exception as exc:
             raise MalformedCertificate(f"bad partition certificate: {exc}") from exc
         return cls(p, families)
@@ -118,7 +116,7 @@ class ColoringCertificate:
     def __post_init__(self) -> None:
         if self.colors:
             used = set(self.colors)
-            if min(used) < 0 or used != set(range(max(used) + 1)):
+            if min(used) < 0 or len(used) != max(used) + 1:
                 raise InvalidCertificate(
                     f"color ids must be exactly 0..{max(used)}, got {sorted(used)}"
                 )
@@ -159,8 +157,6 @@ class ColoringCertificate:
                 ),
                 stability=int(doc["s"]) if doc.get("s") is not None else None,
             )
-        except MalformedCertificate:
-            raise
         except InvalidCertificate:
             raise
         except Exception as exc:
@@ -197,9 +193,11 @@ def build_tight_partition(p: GroundParams) -> PartitionCertificate:
     is i; the last family holds all k-subsets of the tail S = {n-s+1..n}
     with s = tail_size(k, r).  Stars share their minimum point, and any r
     k-subsets of the s tail points have a common point because r*k > (r-1)*s.
-    Members are stored in colex order.
+    Members are stored in colex order.  More than DEFAULT_GROUND_CAP points
+    (CapExceeded) or MAX_SUBSETS k-subsets (InstanceTooLarge) are refused.
     """
     m = tight_bound(p)  # raises on inadmissible params
+    guard_subsets(p.n, p.k)
     s = tail_size(p.k, p.r)
     n, k = p.n, p.k
     families = []
@@ -263,9 +261,9 @@ def blow_up(
 
     The selections are the vertices, so no hypergraph is built: colors are
     listed in ascending bitmask (colex) order of the selections.  A lift of
-    more than limits.max_vertices = C(n,k) * (r-1)^k vertices raises
-    InstanceTooLarge, and a ground set (r-1)n above limits.ground_cap raises
-    CapExceeded, both before any selection is made.
+    more than limits.max_vertices = C(n,k) * (r-1)^k vertices or MAX_SUBSETS
+    ground k-subsets raises InstanceTooLarge, and a ground set (r-1)n above
+    limits.ground_cap raises CapExceeded, all before any block is made.
 
     For r=2 blocks are singletons and the lift is the identity relabeling.
     """
@@ -275,16 +273,15 @@ def blow_up(
     p = cert.params
     n, k, r = p.n, p.k, p.r
     w = r - 1
-    blocks = _blowup_blocks(n, r)
     big_n = w * n
-    if big_n > limits.ground_cap:
-        raise CapExceeded(f"ground set size {big_n} exceeds cap {limits.ground_cap}")
+    guard_subsets(big_n, k, limits.ground_cap)
     num_vertices = comb(n, k) * w**k
     if num_vertices > limits.max_vertices:
         raise InstanceTooLarge(
             f"lift has C({n},{k}) * {w}^{k} = {num_vertices} vertices, "
             f"exceeds limit {limits.max_vertices}"
         )
+    blocks = _blowup_blocks(n, r)
 
     color_of: dict[int, int] = {}
     origin: dict[int, KSubset] = {}

@@ -72,9 +72,9 @@ class Hypergraph:
     """Explicit vertex list plus hyperedges as sorted vertex-id tuples.
 
     In a pure Kneser hypergraph every edge has exactly r ids and its member
-    subsets are pairwise disjoint.  The optional stability / parts fields
-    record which induced variant was generated, so instances serialize to a
-    self-describing document.
+    subsets are pairwise disjoint.  The optional params / stability / parts
+    fields record which induced variant was generated, so chromatic_number
+    can attach a certificate that names the instance by that descriptor.
     """
 
     vertices: tuple[KSubset, ...]
@@ -208,59 +208,3 @@ def formula_chi(p: GroundParams) -> int:
     num = p.n - p.r * (p.k - 1)
     den = p.r - 1
     return -(-num // den)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-#
-# {"n", "k", "r", "s"?, "parts"?, "vertices": [[elements]...],
-#  "edges": [[ids]...]} with 1-based elements in increasing order, vertices
-# in colex order, edges as sorted id tuples in generation order.
-# ---------------------------------------------------------------------------
-
-
-def hypergraph_to_dict(h: Hypergraph) -> dict:
-    if h.params is None:
-        raise InvalidParams("cannot serialize a hypergraph without parameters")
-    doc: dict = {"n": h.params.n, "k": h.params.k, "r": h.params.r}
-    if h.stability is not None:
-        doc["s"] = h.stability
-    if h.parts is not None:
-        doc["parts"] = [list(part) for part in h.parts.parts]
-    doc["vertices"] = [list(v.elements()) for v in h.vertices]
-    doc["edges"] = [list(e) for e in h.edges]
-    return doc
-
-
-def hypergraph_from_dict(doc: dict) -> Hypergraph:
-    try:
-        p = GroundParams(int(doc["n"]), int(doc["k"]), int(doc["r"]))
-        vertices = tuple(
-            KSubset.from_elements(els, p.n) for els in doc["vertices"]
-        )
-        edges = tuple(tuple(int(i) for i in e) for e in doc["edges"])
-        stability = int(doc["s"]) if "s" in doc else None
-        parts = (
-            PartSpec(tuple(tuple(int(x) for x in part) for part in doc["parts"]))
-            if "parts" in doc
-            else None
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParams(f"bad hypergraph document: {exc}") from exc
-    for v in vertices:
-        if v.size != p.k:
-            raise InvalidParams(f"vertex {v!r} has {v.size} elements, need k={p.k}")
-    for e in edges:
-        if len(e) < 2:
-            raise InvalidParams(f"edge {e} has fewer than 2 vertex ids")
-        if any(not (0 <= i < len(vertices)) for i in e):
-            raise InvalidParams(f"edge {e} references a missing vertex")
-        if len(set(e)) != len(e):
-            raise InvalidParams(f"edge {e} repeats a vertex id")
-    return Hypergraph(
-        vertices=vertices,
-        edges=edges,
-        params=p,
-        stability=stability,
-        parts=parts,
-    )

@@ -11,12 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceeded, EmptyInput, InvalidParams
+from .errors import CapExceeded, EmptyInput, InstanceTooLarge, InvalidParams
 
 # Ground sets above this size are rejected unless the caller raises the cap
 # explicitly.  Python ints are arbitrary width, so the cap is a sanity guard
 # against runaway instance sizes rather than a word-size limit.
 DEFAULT_GROUND_CAP = 64
+
+# The verifiers and the constructions walk all C(n, k) k-subsets and refuse
+# above this many.  It admits the lift of every tight partition under the
+# default SizeLimits: the largest ground walk is C(36, 5) = 376,992.
+MAX_SUBSETS = 1_000_000
+
+
+def guard_subsets(n: int, k: int, cap: int = DEFAULT_GROUND_CAP) -> None:
+    """Refuse a walk over all k-subsets of [n] before it starts."""
+    if n > cap:
+        raise CapExceeded(f"ground set size {n} exceeds cap {cap}")
+    if comb(n, k) > MAX_SUBSETS:
+        raise InstanceTooLarge(f"C({n},{k}) exceeds {MAX_SUBSETS} k-subsets")
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,6 @@ from .verify import verify_coloring, verify_partition_certificate
 EXACT = "EXACT"
 BOUNDS = "BOUNDS"
 TIMEOUT = "TIMEOUT"
-INFEASIBLE = "INFEASIBLE"
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +36,8 @@ class SolveBudget:
     proof_cap bounds the vertex count for which optimality proofs are
     attempted; larger instances get honest brackets only.  workers > 1
     runs a portfolio of tie-breaking orders and keeps the first exact
-    answer, which never changes the value, only the wall time.
+    answer (and its nodes), which never changes the value, only the wall
+    time; without an exact answer, nodes is the sum over all workers.
     """
 
     max_seconds: float | None = None
@@ -441,7 +441,8 @@ def _run_search(
                 return out
             outcomes.append(out)
     pick = min(outcomes, key=lambda o: o.upper)
-    return replace(pick, lower=max(o.lower for o in outcomes))
+    lower = max(o.lower for o in outcomes)
+    return replace(pick, lower=lower, nodes=sum(o.nodes for o in outcomes))
 
 
 def min_partition_number(

@@ -13,10 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidParams, LengthMismatch, SoundnessError
-from .setsys import SetFamily
-
-# imported lazily in verify_partition_certificate to avoid an import cycle
-# (constructions imports this module for its pre-flight checks)
+from .setsys import SetFamily, guard_subsets
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,13 +151,16 @@ def verify_partition_certificate(cert) -> Report:
 
     ok iff (a) the families' disjoint union is exactly all C(n,k) k-subsets
     of [n], (b) every family is nonempty, and (c) every family passes
-    is_r_wise_intersecting at the certificate's r.
+    is_r_wise_intersecting at the certificate's r.  More than
+    DEFAULT_GROUND_CAP points (CapExceeded) or MAX_SUBSETS k-subsets
+    (InstanceTooLarge) are refused before any member is read.
     """
     from .constructions import PartitionCertificate  # local: avoids cycle
 
     if not isinstance(cert, PartitionCertificate):
         raise InvalidParams("expected a PartitionCertificate")
     p = cert.params
+    guard_subsets(p.n, p.k)
     violations: list[Violation] = []
     tuples_examined = 0
 
@@ -344,7 +344,9 @@ def verify_coloring_certificate(cert) -> Report:
     lexicographic order (color, then vertex ids) and, past that, one record
     with empty indices counting the rest; stats["disjoint_tuples"] holds the
     exact total.  A descriptor naming no hypergraph (s < 1, or parts that do
-    not partition [ground_n] into blocks of 1..r-1 points) is InvalidParams.
+    not partition [ground_n] into blocks of 1..r-1 points) is InvalidParams;
+    one above DEFAULT_GROUND_CAP points is CapExceeded, and one above
+    MAX_SUBSETS k-subsets is InstanceTooLarge.
     """
     from .constructions import ColoringCertificate  # local: avoids cycle
 
@@ -355,6 +357,7 @@ def verify_coloring_certificate(cert) -> Report:
         raise InvalidParams(f"bad descriptor n={n} k={k} r={r}")
     if cert.stability is not None and cert.stability < 1:
         raise InvalidParams(f"bad descriptor s={cert.stability}, need s >= 1")
+    guard_subsets(n, k)
     part_masks = [] if cert.parts is None else _block_masks(cert.parts, n, r)
 
     verts: list[int] = []

@@ -10,8 +10,10 @@ from itertools import combinations
 
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
 from kneser_lab.kneser import Hypergraph
-from kneser_lab.solve import INFEASIBLE
 from kneser_lab.verify import Violation
+
+# brute_force_oracle's answer when no coloring within max_colors exists
+INFEASIBLE = "INFEASIBLE"
 
 
 def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +304,40 @@ def test_repeat_invocations_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+_HUGE_PARTITION = {"format": "kneser-lab/1", "n": 60, "k": 30, "r": 2,
+                   "families": [[[1]]]}
+_HUGE_COLORING = {"format": "kneser-lab/1", "ground_n": 60, "k": 30, "r": 2,
+                  "parts": None, "colors": [0]}
+# only C(10**6, 1) k-subsets, but each one is 999,999 points to walk
+_WIDE_PARTITION = {"format": "kneser-lab/1", "n": 10**6, "k": 10**6 - 1,
+                   "r": 2, "families": []}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["construct", "60", "30", "2"], None),
+        (["verify"], _HUGE_PARTITION),
+        (["verify"], _HUGE_COLORING),
+        (["blowup"], _HUGE_PARTITION),
+        (["verify"], _WIDE_PARTITION),
+    ],
+    ids=["construct", "verify-partition", "verify-coloring", "blowup", "wide"],
+)
+def test_oversized_descriptor_exits_4_fast(tmp_path, capsys, argv, doc):
+    """C(60,30) ~ 1.2e17 k-subsets, or 10**6 ground points: refused before
+    any enumeration."""
+    if doc is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 4
+    assert "exceeds 1000000 k-subsets" in err or "exceeds cap 64" in err
+
+
 _PARTITION = build_tight_partition(GroundParams(5, 2, 2)).to_dict()
 _COLORING = blow_up(build_tight_partition(GroundParams(4, 2, 3)))[0].to_dict()
 
@@ -353,3 +388,73 @@ def test_verify_fuzz_exit_codes(tmp_path_factory, doc):
         code = main(["verify", str(path)])  # an uncaught exception fails here
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def _run_quiet(command, path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])  # an uncaught exception fails here
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, err.getvalue()
+
+
+@given(doc=_mutated_certificate())
+@settings(max_examples=300, deadline=None)
+def test_blowup_fuzz_exit_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_quiet("blowup", path)
+    assert code in (0, 1, 2, 3, 4), (code, err)
+
+
+# Any JSON value, with a few integers far beyond every cap.
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-10**6, 10**6) | st.sampled_from([10**18, -(2**70)])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# Certificate fields of the right shape but arbitrary content; n and k reach
+# far enough to name instances on both sides of MAX_SUBSETS and of the
+# ground cap.
+_size = st.integers(1, 8) | st.integers(-2, 24) | st.sampled_from([60, 65, 10**18])
+_point = st.integers(1, 8) | st.integers(-1, 12)
+_FIELDS = {
+    "n": _size, "k": _size, "r": _size, "ground_n": _size, "s": _size,
+    "parts": st.none() | st.lists(st.lists(_point, max_size=3), max_size=6),
+    "families": st.lists(st.lists(
+        st.lists(_point, min_size=1, max_size=4), max_size=4), max_size=4),
+    "colors": st.lists(st.integers(0, 3) | st.integers(-1, 5), max_size=12),
+}
+_KINDS = [["n", "k", "r", "families"], ["ground_n", "k", "r", "parts", "colors"],
+          ["ground_n", "k", "r", "parts", "colors", "s"]]
+
+
+@st.composite
+def _junk_document(draw):
+    """Arbitrary JSON, or an object with the keys of one certificate kind,
+    one of them sometimes dropped, each value arbitrary one time in sixteen
+    and well shaped otherwise."""
+    def rarely_junk(strategy):
+        return draw(_json_value if draw(st.integers(0, 15)) == 0 else strategy)
+
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_json_value)
+    keys = list(draw(st.sampled_from(_KINDS)))
+    if draw(st.integers(0, 3)) == 0:
+        keys.remove(draw(st.sampled_from(keys)))
+    doc = {key: rarely_junk(_FIELDS[key]) for key in keys}
+    doc["format"] = rarely_junk(st.just("kneser-lab/1"))
+    return doc
+
+
+@given(doc=_junk_document())
+@settings(max_examples=300, deadline=None)
+def test_junk_json_fuzz_exit_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("junk") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "blowup"):
+        code, err = _run_quiet(command, path)
+        assert code in (0, 1, 2, 3, 4), (command, code, err)

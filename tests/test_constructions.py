@@ -26,7 +26,7 @@ from kneser_lab.errors import (
     MalformedCertificate,
 )
 from kneser_lab.kneser import PartSpec, SizeLimits, build_partition_constrained
-from kneser_lab.setsys import GroundParams, KSubset, SetFamily, is_s_stable
+from kneser_lab.setsys import MAX_SUBSETS, GroundParams, KSubset, SetFamily, is_s_stable
 from kneser_lab.verify import (
     is_r_wise_intersecting,
     verify_coloring_certificate,
@@ -185,6 +185,12 @@ def test_coloring_certificate_requires_contiguous_colors():
         ColoringCertificate(ground_n=4, k=1, r=2, colors=(1, 1, 1, 1))
 
 
+def test_huge_color_id_is_rejected_without_listing_ids():
+    # checking ids against range(max + 1) element by element would not end
+    with pytest.raises(InvalidCertificate):
+        ColoringCertificate(ground_n=4, k=1, r=2, colors=(0, 10**18))
+
+
 def test_blow_up_4_2_3():
     src = build_tight_partition(GroundParams(4, 2, 3))
     coloring, bmap = blow_up(src)
@@ -265,6 +271,51 @@ def test_blow_up_size_limits():
     assert len(coloring.colors) == 24
     with pytest.raises(CapExceeded):
         blow_up(src, SizeLimits(ground_cap=7))  # ground 8
+
+
+def test_max_subsets_admits_every_tight_lift():
+    """Verifying a lift walks all C((r-1)n, k) ground k-subsets; MAX_SUBSETS
+    must admit that walk for every tight partition the default limits lift."""
+    limits = SizeLimits()
+    walks = {}
+    for r in range(2, limits.ground_cap + 2):
+        for n in range(1, limits.ground_cap // (r - 1) + 1):
+            for k in range(1, n + 1):
+                lifted = comb(n, k) * (r - 1) ** k
+                if r * k <= (r - 1) * n and lifted <= limits.max_vertices:
+                    walks[(n, k, r)] = comb((r - 1) * n, k)
+    worst = max(walks, key=walks.get)
+    assert (worst, walks[worst]) == ((6, 5, 7), comb(36, 5))
+    assert walks[worst] <= MAX_SUBSETS
+    coloring, _ = blow_up(build_tight_partition(GroundParams(*worst)))
+    assert len(coloring.colors) == 6 * 6**5
+
+
+def test_oversized_instances_raise_before_enumerating():
+    p = GroundParams(60, 30, 2)  # C(60,30) ~ 1.2e17 k-subsets
+    with pytest.raises(InstanceTooLarge):
+        build_tight_partition(p)
+    one = PartitionCertificate(p, (SetFamily(60, (KSubset(1, 60),)),))
+    with pytest.raises(InstanceTooLarge):
+        verify_partition_certificate(one)
+    with pytest.raises(InstanceTooLarge):
+        blow_up(one)
+    with pytest.raises(InstanceTooLarge):
+        verify_coloring_certificate(ColoringCertificate(60, 30, 2, (0,)))
+    # r - 1 = 10**18 - 1 points per block: refused before any block is built
+    wide = PartitionCertificate(
+        GroundParams(1, 1, 10**18), (SetFamily(1, (KSubset(1, 1),)),)
+    )
+    with pytest.raises(CapExceeded):
+        blow_up(wide)
+    # an inadmissible source whose lift is small enough but whose ground
+    # walk C(28, 7) = 1,184,040 is not
+    single = PartitionCertificate(
+        GroundParams(7, 7, 5), (SetFamily(7, (KSubset(0x7F, 7),)),)
+    )
+    assert verify_partition_certificate(single).ok
+    with pytest.raises(InstanceTooLarge):
+        blow_up(single)
 
 
 def test_blow_up_identity_at_r2():

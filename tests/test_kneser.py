@@ -1,6 +1,5 @@
 """Hypergraph generators checked against independent edge predicates."""
 
-import json
 import warnings
 from itertools import combinations
 from math import comb
@@ -9,15 +8,12 @@ import pytest
 
 from kneser_lab.errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
 from kneser_lab.kneser import (
-    Hypergraph,
     PartSpec,
     SizeLimits,
     build_kneser_hypergraph,
     build_partition_constrained,
     build_stable_subhypergraph,
     formula_chi,
-    hypergraph_from_dict,
-    hypergraph_to_dict,
 )
 from kneser_lab.setsys import GroundParams, enumerate_k_subsets, is_s_stable
 from kneser_lab.verify import check_edges_pairwise_disjoint
@@ -144,56 +140,3 @@ def test_size_guards():
     with pytest.raises(InstanceTooLarge):
         build_kneser_hypergraph(GroundParams(6, 2, 2), limits)
 
-
-def test_json_roundtrip():
-    for h in [
-        build_kneser_hypergraph(GroundParams(6, 2, 3)),
-        build_stable_subhypergraph(GroundParams(7, 2, 2), 2),
-        build_partition_constrained(
-            GroundParams(6, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6)))
-        ),
-    ]:
-        doc = json.loads(json.dumps(hypergraph_to_dict(h)))
-        back = hypergraph_from_dict(doc)
-        assert back.vertices == h.vertices
-        assert back.edges == h.edges
-        assert back.stability == h.stability
-        assert back.parts == h.parts
-
-
-def test_json_rejects_garbage():
-    with pytest.raises(InvalidParams):
-        hypergraph_from_dict({"n": 5, "k": 2})
-    good = hypergraph_to_dict(build_kneser_hypergraph(GroundParams(5, 2, 2)))
-    bad = dict(good)
-    bad["edges"] = [[0, 99]]
-    with pytest.raises(InvalidParams):
-        hypergraph_from_dict(bad)
-    bad = dict(good)
-    bad["edges"] = [[1, 1]]
-    with pytest.raises(InvalidParams):
-        hypergraph_from_dict(bad)
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda doc: doc.update(s="x"),
-        lambda doc: doc.update(parts=5),
-        lambda doc: doc["vertices"][0].append(5),  # {1,2,5} when k = 2
-        lambda doc: doc["edges"].append([0]),
-    ],
-    ids=["s-not-int", "parts-not-list", "vertex-wrong-size", "edge-single-id"],
-)
-def test_json_rejects_malformed_fields(mutate):
-    doc = hypergraph_to_dict(build_kneser_hypergraph(GroundParams(5, 2, 2)))
-    mutate(doc)
-    with pytest.raises(InvalidParams):
-        hypergraph_from_dict(doc)
-
-
-def test_serialize_requires_params():
-    h = build_kneser_hypergraph(GroundParams(5, 2, 2))
-    anon = Hypergraph(vertices=h.vertices, edges=h.edges)
-    with pytest.raises(InvalidParams):
-        hypergraph_to_dict(anon)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneser_lab.errors import CapExceeded, EmptyInput, InvalidParams
+from kneser_lab.errors import CapExceeded, EmptyInput, InstanceTooLarge, InvalidParams
 from kneser_lab.setsys import (
+    MAX_SUBSETS,
     GroundParams,
     KSubset,
     SetFamily,
@@ -17,6 +18,7 @@ from kneser_lab.setsys import (
     common_intersection,
     cyclic_distance,
     enumerate_k_subsets,
+    guard_subsets,
     is_s_stable,
 )
 
@@ -152,3 +154,33 @@ def test_common_intersection():
         common_intersection(
             [KSubset.from_elements((1,), 4), KSubset.from_elements((1,), 5)]
         )
+
+
+@pytest.mark.parametrize(
+    "n, k, error",
+    [
+        (22, 11, None),  # 705,432 k-subsets
+        (23, 11, InstanceTooLarge),  # 1,352,078
+        (64, 1, None),
+        (64, 4, None),  # 635,376
+        (64, 5, InstanceTooLarge),  # 7,624,512
+        (64, 64, None),
+        (65, 65, CapExceeded),  # one k-subset, but each walk step costs n
+        (10**18, 10**18, CapExceeded),
+    ],
+)
+def test_guard_subsets(n, k, error):
+    if error is None:
+        guard_subsets(n, k)
+    else:
+        with pytest.raises(error):
+            guard_subsets(n, k)
+
+
+def test_guard_subsets_cap():
+    with pytest.raises(CapExceeded):
+        guard_subsets(100, 1)
+    guard_subsets(100, 1, cap=100)
+    guard_subsets(MAX_SUBSETS, 1, cap=MAX_SUBSETS)
+    with pytest.raises(InstanceTooLarge):
+        guard_subsets(MAX_SUBSETS + 1, 1, cap=MAX_SUBSETS + 1)

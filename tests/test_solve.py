@@ -7,10 +7,12 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import kneser_lab
+from kneser_lab.constructions import tight_bound
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
 from kneser_lab.kneser import (
     Hypergraph,
@@ -23,7 +25,6 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset
 from kneser_lab.solve import (
     EXACT,
-    INFEASIBLE,
     TIMEOUT,
     SolveBudget,
     _search,
@@ -33,7 +34,7 @@ from kneser_lab.solve import (
 )
 from kneser_lab.verify import verify_coloring, verify_partition_certificate
 
-from oracle import brute_force_oracle
+from oracle import INFEASIBLE, brute_force_oracle
 
 
 def colex_pairs(n):
@@ -164,6 +165,27 @@ def test_solver_matches_brute_force():
             out = _search(nv, h.edges, SolveBudget(), shift)
             assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
             assert verify_coloring(h, out.colors).ok, (trial, shift)
+
+
+def test_partition_solver_matches_brute_force():
+    """The partition number colors the conflict hypergraph; the oracle does
+    that with no engine code.  C(n, k) <= 8 keeps it exhaustive, and k = n
+    gives one vertex for every n, so n stops at 10: 72 instances."""
+    checked = 0
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            if comb(n, k) > 8:
+                continue
+            for r in range(2, 5):
+                p = GroundParams(n, k, r)
+                ch = build_conflict_hypergraph(p)
+                res = min_partition_number(p)
+                best = brute_force_oracle(Hypergraph(ch.base, ch.witnesses), comb(n, k))
+                assert (res.status, res.upper) == (EXACT, best), (n, k, r)
+                if p.admissible:
+                    assert best == tight_bound(p), (n, k, r)
+                checked += 1
+    assert checked == 72
 
 
 def test_search_tree_pinned():
@@ -305,6 +327,7 @@ def test_worker_portfolio_merges_brackets(budget, status):
         singles = [_search(36, constraints, budget, shift) for shift in (0, 18)]
         assert res.lower == max(o.lower for o in singles)
         assert res.upper == min(o.upper for o in singles)
+        assert res.nodes == sum(o.nodes for o in singles)
     assert verify_partition_certificate(part.certificate).ok
     assert part.certificate.num_families == part.upper
     assert verify_coloring(h, chi.colors).ok

@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps kneser_lab names from outside; keep them there."""
+"""Names that tools outside the library rely on: the benchmark tracer's
+wrapped attributes and the package's exports."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import kneser_lab
 import kneser_lab.solve as solve
 from kneser_lab.setsys import GroundParams
 
@@ -36,3 +38,14 @@ def test_traced_pass_counts_nodes_and_restores_names():
     assert solve.min_partition_number is before
     assert traced.nodes == untraced.nodes == tracer.counts["solve.engine.nodes"]
     assert wall >= 0
+
+
+def test_package_exports_resolve():
+    """A deleted or renamed name must leave __all__ with it."""
+    names = kneser_lab.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    missing = [name for name in names if not hasattr(kneser_lab, name)]
+    assert not missing
+    namespace = {}
+    exec("from kneser_lab import *", namespace)
+    assert set(names) <= set(namespace)
