@@ -28,7 +28,6 @@ from .constructions import (
 )
 from .errors import (
     CapExceeded,
-    EmptyInput,
     InadmissibleParams,
     InstanceTooLarge,
     InvalidCertificate,
@@ -399,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidPartSpec,
         InadmissibleParams,
         MalformedCertificate,
-        EmptyInput,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

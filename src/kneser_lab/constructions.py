@@ -17,7 +17,6 @@ from math import comb
 
 from .errors import (
     InadmissibleParams,
-    InstanceTooLarge,
     InvalidCertificate,
     InvalidParams,
     MalformedCertificate,
@@ -25,9 +24,9 @@ from .errors import (
 )
 # blow_up lists the constrained vertices itself; build_partition_constrained
 # stays bound here for tools that wrap this module's names from outside
-from .kneser import SizeLimits, build_partition_constrained  # noqa: F401
+from .kneser import build_partition_constrained  # noqa: F401
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
-from .setsys import guard_subsets, is_s_stable
+from .setsys import guard_subsets, guard_vertices, is_s_stable
 from .verify import Report, Violation, verify_partition_certificate
 
 FORMAT_TAG = "kneser-lab/1"
@@ -84,6 +83,12 @@ class PartitionCertificate:
         _check_format(doc, ("n", "k", "r", "families"))
         try:
             p = GroundParams(int(doc["n"]), int(doc["k"]), int(doc["r"]))
+        except Exception as exc:
+            raise MalformedCertificate(f"bad partition certificate: {exc}") from exc
+        # a member's bit vector is as wide as its largest element, so refuse
+        # an oversized ground set before reading any member
+        guard_subsets(p.n, p.k)
+        try:
             families = tuple(
                 SetFamily(
                     p.n,
@@ -246,9 +251,7 @@ def _blowup_blocks(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def blow_up(
-    cert: PartitionCertificate, limits: SizeLimits = SizeLimits()
-) -> tuple[ColoringCertificate, BlowupMap]:
+def blow_up(cert: PartitionCertificate) -> tuple[ColoringCertificate, BlowupMap]:
     """Lift a verified partition to a coloring of the constrained hypergraph.
 
     Each source k-subset F = {i_1..i_k} becomes the (r-1)^k transversal
@@ -261,9 +264,9 @@ def blow_up(
 
     The selections are the vertices, so no hypergraph is built: colors are
     listed in ascending bitmask (colex) order of the selections.  A lift of
-    more than limits.max_vertices = C(n,k) * (r-1)^k vertices or MAX_SUBSETS
+    more than MAX_VERTICES = C(n,k) * (r-1)^k vertices or MAX_SUBSETS
     ground k-subsets raises InstanceTooLarge, and a ground set (r-1)n above
-    limits.ground_cap raises CapExceeded, all before any block is made.
+    DEFAULT_GROUND_CAP raises CapExceeded, all before any block is made.
 
     For r=2 blocks are singletons and the lift is the identity relabeling.
     """
@@ -274,13 +277,9 @@ def blow_up(
     n, k, r = p.n, p.k, p.r
     w = r - 1
     big_n = w * n
-    guard_subsets(big_n, k, limits.ground_cap)
+    guard_subsets(big_n, k)
     num_vertices = comb(n, k) * w**k
-    if num_vertices > limits.max_vertices:
-        raise InstanceTooLarge(
-            f"lift has C({n},{k}) * {w}^{k} = {num_vertices} vertices, "
-            f"exceeds limit {limits.max_vertices}"
-        )
+    guard_vertices(num_vertices, f"lift has C({n},{k}) * {w}^{k}")
     blocks = _blowup_blocks(n, r)
 
     color_of: dict[int, int] = {}
@@ -331,7 +330,7 @@ def check_stable_embedding(bmap: BlowupMap) -> Report:
 
     violations = []
     stable_count = 0
-    for v in enumerate_k_subsets(big_n, k, cap=max(big_n, 64)):
+    for v in enumerate_k_subsets(big_n, k):
         if not is_s_stable(v, r):
             continue
         stable_count += 1

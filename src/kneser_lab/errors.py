@@ -10,15 +10,11 @@ class InvalidParams(KneserLabError):
 
 
 class CapExceeded(KneserLabError):
-    """Ground set larger than the configured bit-width cap."""
+    """Ground set larger than DEFAULT_GROUND_CAP points."""
 
 
 class InstanceTooLarge(KneserLabError):
-    """Generated object would exceed a configured size limit."""
-
-
-class EmptyInput(KneserLabError):
-    """An operation that needs at least one item received none."""
+    """An instance or walk would exceed one of the size limits in setsys."""
 
 
 class InvalidPartSpec(KneserLabError):

@@ -15,21 +15,13 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
 from .setsys import (
-    DEFAULT_GROUND_CAP,
+    MAX_EDGES,
     GroundParams,
     KSubset,
     enumerate_k_subsets,
+    guard_vertices,
     is_s_stable,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class SizeLimits:
-    """Fail-fast guards for generated instances."""
-
-    max_vertices: int = 100_000
-    max_edges: int = 10_000_000
-    ground_cap: int = DEFAULT_GROUND_CAP
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +84,7 @@ class Hypergraph:
         return len(self.edges)
 
 
-def _disjoint_tuples(
-    masks: list[int], r: int, max_edges: int
-) -> list[tuple[int, ...]]:
+def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
     """All r-tuples of pairwise disjoint masks, as increasing index tuples.
 
     Ordered backtracking over colex-increasing ids with a running union
@@ -108,9 +98,9 @@ def _disjoint_tuples(
         depth = len(tup)
         if depth == r:
             out.append(tuple(tup))
-            if len(out) > max_edges:
+            if len(out) > MAX_EDGES:
                 raise InstanceTooLarge(
-                    f"edge count exceeds configured limit {max_edges}"
+                    f"edge count exceeds configured limit {MAX_EDGES}"
                 )
             return
         for j in range(start, nv - (r - depth) + 1):
@@ -126,42 +116,31 @@ def _disjoint_tuples(
     return out
 
 
-def _guard_vertices(p: GroundParams, limits: SizeLimits) -> None:
-    if p.num_vertices > limits.max_vertices:
-        raise InstanceTooLarge(
-            f"C({p.n},{p.k}) = {p.num_vertices} vertices exceeds limit "
-            f"{limits.max_vertices}"
-        )
-
-
 def _induced_hypergraph(
     p: GroundParams,
-    limits: SizeLimits,
     keep=None,
     stability: int | None = None,
     parts: PartSpec | None = None,
 ) -> Hypergraph:
     """KG^r(k, n) induced on the colex k-subsets passing keep (all if None)."""
-    _guard_vertices(p, limits)
-    vertices = enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
+    guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
+    vertices = enumerate_k_subsets(p.n, p.k)
     if keep is not None:
         vertices = [v for v in vertices if keep(v)]
-    edges = _disjoint_tuples([v.bits for v in vertices], p.r, limits.max_edges)
+    edges = _disjoint_tuples([v.bits for v in vertices], p.r)
     return Hypergraph(
         tuple(vertices), tuple(edges), params=p, stability=stability, parts=parts
     )
 
 
-def build_kneser_hypergraph(
-    p: GroundParams, limits: SizeLimits = SizeLimits()
-) -> Hypergraph:
+def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
     """The Kneser hypergraph KG^r(k, n).
 
     For n < r*k no r pairwise disjoint k-subsets exist; the builder then
     returns the vertex-only instance with a warning instead of erroring,
     which the conflict-hypergraph pipeline relies on.
     """
-    h = _induced_hypergraph(p, limits)
+    h = _induced_hypergraph(p)
     if p.n < p.r * p.k:
         warnings.warn(
             f"n={p.n} < r*k={p.r * p.k}: Kneser hypergraph has no edges",
@@ -170,9 +149,7 @@ def build_kneser_hypergraph(
     return h
 
 
-def build_stable_subhypergraph(
-    p: GroundParams, s: int, limits: SizeLimits = SizeLimits()
-) -> Hypergraph:
+def build_stable_subhypergraph(p: GroundParams, s: int) -> Hypergraph:
     """Induced sub-hypergraph of KG^r(k, n) on the s-stable vertices.
 
     Vertex order is inherited from colex; edge ids are remapped to the
@@ -180,20 +157,15 @@ def build_stable_subhypergraph(
     """
     if s < 1:
         raise InvalidParams(f"need s >= 1, got s={s}")
-    return _induced_hypergraph(
-        p, limits, lambda v: is_s_stable(v, s), stability=s
-    )
+    return _induced_hypergraph(p, lambda v: is_s_stable(v, s), stability=s)
 
 
-def build_partition_constrained(
-    p: GroundParams, spec: PartSpec, limits: SizeLimits = SizeLimits()
-) -> Hypergraph:
+def build_partition_constrained(p: GroundParams, spec: PartSpec) -> Hypergraph:
     """Induced sub-hypergraph on vertices meeting each block in <= 1 element."""
     spec.validate(p.n, p.r)
     part_masks = spec.masks()
     return _induced_hypergraph(
         p,
-        limits,
         lambda v: all((v.bits & pm).bit_count() <= 1 for pm in part_masks),
         parts=spec,
     )

@@ -11,25 +11,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceeded, EmptyInput, InstanceTooLarge, InvalidParams
+from .errors import CapExceeded, InstanceTooLarge, InvalidParams
 
-# Ground sets above this size are rejected unless the caller raises the cap
-# explicitly.  Python ints are arbitrary width, so the cap is a sanity guard
-# against runaway instance sizes rather than a word-size limit.
+# The size policy: only small instances can be checked exactly, and these
+# four limits say how small.  Python ints are arbitrary width, so the ground
+# cap is a sanity guard against runaway instance sizes rather than a
+# word-size limit.
 DEFAULT_GROUND_CAP = 64
-
 # The verifiers and the constructions walk all C(n, k) k-subsets and refuse
-# above this many.  It admits the lift of every tight partition under the
-# default SizeLimits: the largest ground walk is C(36, 5) = 376,992.
+# above this many.  It admits the lift of every tight partition that
+# MAX_VERTICES admits: the largest ground walk is C(36, 5) = 376,992.
 MAX_SUBSETS = 1_000_000
+# Vertices of a generated instance: solve, chi and the blow-up lift.
+MAX_VERTICES = 100_000
+# Edges of a Kneser hypergraph, or witnesses of a conflict hypergraph.
+MAX_EDGES = 10_000_000
 
 
-def guard_subsets(n: int, k: int, cap: int = DEFAULT_GROUND_CAP) -> None:
+def guard_subsets(n: int, k: int) -> None:
     """Refuse a walk over all k-subsets of [n] before it starts."""
-    if n > cap:
-        raise CapExceeded(f"ground set size {n} exceeds cap {cap}")
+    if n > DEFAULT_GROUND_CAP:
+        raise CapExceeded(f"ground set size {n} exceeds cap {DEFAULT_GROUND_CAP}")
     if comb(n, k) > MAX_SUBSETS:
         raise InstanceTooLarge(f"C({n},{k}) exceeds {MAX_SUBSETS} k-subsets")
+
+
+def guard_vertices(count: int, what: str) -> None:
+    """Refuse an instance of more than MAX_VERTICES vertices before building it."""
+    if count > MAX_VERTICES:
+        raise InstanceTooLarge(
+            f"{what} = {count} vertices exceeds limit {MAX_VERTICES}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +132,8 @@ class SetFamily:
         return len(self.members)
 
 
-def enumerate_k_subsets(n: int, k: int, cap: int = DEFAULT_GROUND_CAP) -> list[KSubset]:
-    """All k-subsets of [n] in colexicographic order.
+def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
+    """All k-subsets of [n] in colexicographic order, under guard_subsets.
 
     Colex order on k-subsets coincides with ascending numeric order of the
     bit patterns, so the list is produced by Gosper's hack and is
@@ -129,8 +141,7 @@ def enumerate_k_subsets(n: int, k: int, cap: int = DEFAULT_GROUND_CAP) -> list[K
     """
     if n < 0 or k < 0 or k > n:
         raise InvalidParams(f"need 0 <= k <= n, got n={n}, k={k}")
-    if n > cap:
-        raise CapExceeded(f"ground set size {n} exceeds cap {cap}")
+    guard_subsets(n, k)
     if k == 0:
         return [KSubset(0, n)]
     out = []
@@ -142,37 +153,6 @@ def enumerate_k_subsets(n: int, k: int, cap: int = DEFAULT_GROUND_CAP) -> list[K
         ripple = m + low
         m = ((m ^ ripple) >> (low.bit_length() + 1)) | ripple
     return out
-
-
-def colex_rank(f: KSubset) -> int:
-    """Position of a k-subset in the colex enumeration of all k-subsets."""
-    rank = 0
-    i = 1
-    for pos in range(f.n):
-        if f.bits >> pos & 1:
-            rank += comb(pos, i)
-            i += 1
-    return rank
-
-
-def colex_unrank(n: int, k: int, rank: int) -> KSubset:
-    """Inverse of colex_rank for the (n, k) system."""
-    if n < 0 or k < 0 or k > n:
-        raise InvalidParams(f"need 0 <= k <= n, got n={n}, k={k}")
-    if not (0 <= rank < comb(n, k)):
-        raise InvalidParams(f"rank {rank} outside [0, {comb(n, k)})")
-    bits = 0
-    remaining = rank
-    upper = n
-    for i in range(k, 0, -1):
-        # largest position c < upper with comb(c, i) <= remaining
-        c = upper - 1
-        while comb(c, i) > remaining:
-            c -= 1
-        bits |= 1 << c
-        remaining -= comb(c, i)
-        upper = c
-    return KSubset(bits, n)
 
 
 def cyclic_distance(a: int, b: int, n: int) -> int:
@@ -198,16 +178,3 @@ def is_s_stable(f: KSubset, s: int) -> bool:
             if cyclic_distance(els[i], els[j], f.n) < s:
                 return False
     return True
-
-
-def common_intersection(fam: list[KSubset] | tuple[KSubset, ...]) -> KSubset:
-    """Bitwise intersection of all members (possibly the empty set)."""
-    if not fam:
-        raise EmptyInput("common_intersection of an empty collection")
-    n = fam[0].n
-    acc = fam[0].bits
-    for f in fam[1:]:
-        if f.n != n:
-            raise InvalidParams("members over different ground sets")
-        acc &= f.bits
-    return KSubset(acc, n)

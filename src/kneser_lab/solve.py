@@ -20,9 +20,14 @@ from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph, SizeLimits, _guard_vertices
-from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
-from .verify import verify_coloring, verify_partition_certificate
+from .kneser import Hypergraph
+from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
+from .setsys import guard_vertices
+from .verify import (
+    verify_coloring,
+    verify_coloring_certificate,
+    verify_partition_certificate,
+)
 
 EXACT = "EXACT"
 BOUNDS = "BOUNDS"
@@ -96,9 +101,7 @@ class SolveResult:
         }
 
 
-def build_conflict_hypergraph(
-    p: GroundParams, limits: SizeLimits = SizeLimits()
-) -> ConflictHypergraph:
+def build_conflict_hypergraph(p: GroundParams) -> ConflictHypergraph:
     """Enumerate the minimal witnesses by strict-shrink DFS.
 
     Every inclusion-minimal empty-intersection subfamily, listed in vertex
@@ -108,8 +111,8 @@ def build_conflict_hypergraph(
     witness exactly once, and filters non-minimal dead ends afterwards.
     Chains die after at most k shrinks, so the depth is min(r, k+1).
     """
-    _guard_vertices(p, limits)
-    vertices = enumerate_k_subsets(p.n, p.k, cap=limits.ground_cap)
+    guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
+    vertices = enumerate_k_subsets(p.n, p.k)
     masks = [v.bits for v in vertices]
     nv = len(masks)
     r = p.r
@@ -137,9 +140,9 @@ def build_conflict_hypergraph(
                 w = tuple(chosen)
                 if minimal(w):
                     out.append(w)
-                    if len(out) > limits.max_edges:
+                    if len(out) > MAX_EDGES:
                         raise InstanceTooLarge(
-                            f"witness count exceeds limit {limits.max_edges}"
+                            f"witness count exceeds limit {MAX_EDGES}"
                         )
             elif len(chosen) < r:
                 grow(j + 1, nxt)
@@ -479,7 +482,9 @@ def chromatic_number(
     The clique lower bound is read off the pair edges (`_Engine.pair_clique`),
     which force two colors apart whatever the other edges are.  The
     certificate is descriptor-backed when the hypergraph knows its own
-    parameters; raw colors are attached either way.
+    parameters, and is then re-verified from the descriptor alone, so an
+    edge list that misses edges cannot pass; raw colors are attached
+    either way.
     """
     t0 = time.monotonic()
     out = _run_search(len(h.vertices), h.edges, budget)
@@ -498,4 +503,9 @@ def chromatic_number(
             parts=h.parts.parts if h.parts is not None else None,
             stability=h.stability,
         )
+        rep = verify_coloring_certificate(cert)
+        if not rep.ok:
+            raise SoundnessError(
+                f"solver emitted an invalid certificate: {rep.summary()}"
+            )
     return replace(out, millis=millis, certificate=cert)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,9 @@ _HUGE_COLORING = {"format": "kneser-lab/1", "ground_n": 60, "k": 30, "r": 2,
 # only C(10**6, 1) k-subsets, but each one is 999,999 points to walk
 _WIDE_PARTITION = {"format": "kneser-lab/1", "n": 10**6, "k": 10**6 - 1,
                    "r": 2, "families": []}
+# 75 bytes, but its one member is a 10**8-bit integer once parsed
+_WIDE_MEMBER = {"format": "kneser-lab/1", "n": 10**8, "k": 1, "r": 2,
+                "families": [[[10**8]]]}
 
 
 @pytest.mark.parametrize(
@@ -321,21 +325,34 @@ _WIDE_PARTITION = {"format": "kneser-lab/1", "n": 10**6, "k": 10**6 - 1,
         (["verify"], _HUGE_COLORING),
         (["blowup"], _HUGE_PARTITION),
         (["verify"], _WIDE_PARTITION),
+        (["verify"], _WIDE_MEMBER),
+        (["blowup"], _WIDE_MEMBER),
+        (["solve", "20", "10", "3"], None),
+        (["chi", "20", "10", "2"], None),
     ],
-    ids=["construct", "verify-partition", "verify-coloring", "blowup", "wide"],
+    ids=["construct", "verify-partition", "verify-coloring", "blowup", "wide",
+         "verify-wide-member", "blowup-wide-member", "solve", "chi"],
 )
 def test_oversized_descriptor_exits_4_fast(tmp_path, capsys, argv, doc):
-    """C(60,30) ~ 1.2e17 k-subsets, or 10**6 ground points: refused before
-    any enumeration."""
+    """C(60,30) ~ 1.2e17 k-subsets, 10**6 or 10**8 ground points, or
+    C(20,10) = 184,756 vertices: refused before anything is enumerated or
+    parsed to its full width."""
     if doc is not None:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         argv = argv + [str(path)]
     start = time.monotonic()
-    code, _, err = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.monotonic() - start < 1
+    assert peak < 2 * 2**20
     assert code == 4
-    assert "exceeds 1000000 k-subsets" in err or "exceeds cap 64" in err
+    assert any(msg in err for msg in (
+        "exceeds 1000000 k-subsets", "exceeds cap 64", "vertices exceeds limit 100000"))
 
 
 _PARTITION = build_tight_partition(GroundParams(5, 2, 2)).to_dict()

@@ -25,8 +25,16 @@ from kneser_lab.errors import (
     InvalidParams,
     MalformedCertificate,
 )
-from kneser_lab.kneser import PartSpec, SizeLimits, build_partition_constrained
-from kneser_lab.setsys import MAX_SUBSETS, GroundParams, KSubset, SetFamily, is_s_stable
+from kneser_lab.kneser import PartSpec, build_partition_constrained
+from kneser_lab.setsys import (
+    DEFAULT_GROUND_CAP,
+    MAX_SUBSETS,
+    MAX_VERTICES,
+    GroundParams,
+    KSubset,
+    SetFamily,
+    is_s_stable,
+)
 from kneser_lab.verify import (
     is_r_wise_intersecting,
     verify_coloring_certificate,
@@ -264,25 +272,23 @@ def test_blow_up_large_lifts(n, k, r):
 
 
 def test_blow_up_size_limits():
-    src = build_tight_partition(GroundParams(4, 2, 3))  # 24 lifted vertices
-    with pytest.raises(InstanceTooLarge):
-        blow_up(src, SizeLimits(max_vertices=23))
-    coloring, _ = blow_up(src, SizeLimits(max_vertices=24))
-    assert len(coloring.colors) == 24
-    with pytest.raises(CapExceeded):
-        blow_up(src, SizeLimits(ground_cap=7))  # ground 8
+    # C(16,4) * 4^4 = 465,920 lifted vertices over a C(64,4) ground walk
+    src = build_tight_partition(GroundParams(16, 4, 5))
+    with pytest.raises(InstanceTooLarge, match="vertices exceeds limit 100000"):
+        blow_up(src)
+    with pytest.raises(CapExceeded, match="exceeds cap 64"):
+        blow_up(build_tight_partition(GroundParams(33, 1, 3)))  # ground 66
 
 
 def test_max_subsets_admits_every_tight_lift():
     """Verifying a lift walks all C((r-1)n, k) ground k-subsets; MAX_SUBSETS
-    must admit that walk for every tight partition the default limits lift."""
-    limits = SizeLimits()
+    must admit that walk for every tight partition that blow_up lifts."""
     walks = {}
-    for r in range(2, limits.ground_cap + 2):
-        for n in range(1, limits.ground_cap // (r - 1) + 1):
+    for r in range(2, DEFAULT_GROUND_CAP + 2):
+        for n in range(1, DEFAULT_GROUND_CAP // (r - 1) + 1):
             for k in range(1, n + 1):
                 lifted = comb(n, k) * (r - 1) ** k
-                if r * k <= (r - 1) * n and lifted <= limits.max_vertices:
+                if r * k <= (r - 1) * n and lifted <= MAX_VERTICES:
                     walks[(n, k, r)] = comb((r - 1) * n, k)
     worst = max(walks, key=walks.get)
     assert (worst, walks[worst]) == ((6, 5, 7), comb(36, 5))

@@ -6,10 +6,10 @@ from math import comb
 
 import pytest
 
+from kneser_lab import kneser
 from kneser_lab.errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
 from kneser_lab.kneser import (
     PartSpec,
-    SizeLimits,
     build_kneser_hypergraph,
     build_partition_constrained,
     build_stable_subhypergraph,
@@ -82,7 +82,7 @@ def test_stable_subhypergraph_counts():
 
 def test_stable_filter_matches_naive():
     p = GroundParams(8, 3, 2)
-    h = build_stable_subhypergraph(p, 2, SizeLimits())
+    h = build_stable_subhypergraph(p, 2)
     expected = [v for v in enumerate_k_subsets(8, 3) if is_s_stable(v, 2)]
     assert list(h.vertices) == expected
     masks = [v.bits for v in h.vertices]
@@ -132,11 +132,11 @@ def test_formula_chi_values():
         formula_chi(GroundParams(5, 2, 3))  # below n = r*k
 
 
-def test_size_guards():
-    limits = SizeLimits(max_vertices=10)
+def test_size_guards(monkeypatch):
+    for r in (2, 3):  # C(20,10) = 184,756 vertices
+        with pytest.raises(InstanceTooLarge, match="vertices exceeds limit 100000"):
+            build_kneser_hypergraph(GroundParams(20, 10, r))
+    monkeypatch.setattr(kneser, "MAX_EDGES", 3)
     with pytest.raises(InstanceTooLarge):
-        build_kneser_hypergraph(GroundParams(7, 2, 2), limits)
-    limits = SizeLimits(max_edges=3)
-    with pytest.raises(InstanceTooLarge):
-        build_kneser_hypergraph(GroundParams(6, 2, 2), limits)
+        build_kneser_hypergraph(GroundParams(6, 2, 2))
 

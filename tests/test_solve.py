@@ -12,12 +12,12 @@ from math import comb
 import pytest
 
 import kneser_lab
+from kneser_lab import kneser, solve
 from kneser_lab.constructions import tight_bound
-from kneser_lab.errors import InstanceTooLarge, InvalidParams
+from kneser_lab.errors import InstanceTooLarge, InvalidParams, SoundnessError
 from kneser_lab.kneser import (
     Hypergraph,
     PartSpec,
-    SizeLimits,
     build_kneser_hypergraph,
     build_partition_constrained,
     build_stable_subhypergraph,
@@ -105,15 +105,12 @@ def test_witness_invariants():
                 assert inter != 0
 
 
-def test_conflict_size_caps():
+def test_conflict_size_caps(monkeypatch):
+    with pytest.raises(InstanceTooLarge, match="vertices exceeds limit 100000"):
+        build_conflict_hypergraph(GroundParams(20, 10, 3))  # 184,756 vertices
+    monkeypatch.setattr(solve, "MAX_EDGES", 10)
     with pytest.raises(InstanceTooLarge):
-        build_conflict_hypergraph(
-            GroundParams(6, 2, 3), SizeLimits(max_edges=10)
-        )
-    with pytest.raises(InstanceTooLarge):
-        build_conflict_hypergraph(
-            GroundParams(6, 2, 3), SizeLimits(max_vertices=10)
-        )
+        build_conflict_hypergraph(GroundParams(6, 2, 3))
 
 
 def test_min_partition_r2_ladder():
@@ -250,6 +247,16 @@ def test_soundness_guards_survive_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised"] * 5
+
+
+def test_chromatic_certificate_rechecked_from_descriptor(monkeypatch):
+    """A builder that drops edges cannot make an improper coloring pass:
+    the certificate is re-verified from its descriptor alone."""
+    monkeypatch.setattr(kneser, "_disjoint_tuples", lambda *args: [])
+    h = build_kneser_hypergraph(GroundParams(5, 2, 2))
+    assert h.num_edges == 0
+    with pytest.raises(SoundnessError, match="invalid certificate"):
+        chromatic_number(h)
 
 
 def test_partition_dominates_chromatic():

@@ -1,12 +1,15 @@
 """Names that tools outside the library rely on: the benchmark tracer's
-wrapped attributes and the package's exports."""
+wrapped attributes, the package's exports and the CLI's exit codes."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import kneser_lab
 import kneser_lab.solve as solve
+from kneser_lab import cli, errors
 from kneser_lab.setsys import GroundParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +52,35 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from kneser_lab import *", namespace)
     assert set(names) <= set(namespace)
+
+
+# the exit codes the CLI documents; SoundnessError signals a bug, not bad
+# input, so it is left to surface as a traceback
+EXIT_CODES = {
+    errors.InvalidParams: 2,
+    errors.InvalidPartSpec: 2,
+    errors.InadmissibleParams: 2,
+    errors.MalformedCertificate: 2,
+    errors.InvalidCertificate: 1,
+    errors.LengthMismatch: 1,
+    errors.CapExceeded: 4,
+    errors.InstanceTooLarge: 4,
+}
+
+
+def test_exit_codes_cover_every_error():
+    subclasses = set(errors.KneserLabError.__subclasses__())
+    assert subclasses - {errors.SoundnessError} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES.items(),
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_error_maps_to_its_exit_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc("stub")
+
+    monkeypatch.setitem(cli._DISPATCH, "bound", fail)
+    assert cli.main(["bound", "6", "2", "3"]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error: stub")
+    assert "Traceback" not in out + err
