@@ -81,11 +81,16 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _read_certificate(path: str) -> PartitionCertificate | ColoringCertificate:
+    """A certificate file, or the certificate of a `solve`/`chi -o` result."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or not UTF-8
             raise MalformedCertificate(f"{path} is not a JSON document: {exc}") from exc
+    if isinstance(doc, dict) and "certificate" in doc:
+        doc = doc["certificate"]
+        if doc is None:
+            raise MalformedCertificate(f"{path} is a result without a certificate")
     return certificate_from_dict(doc)
 
 

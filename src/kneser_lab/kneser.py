@@ -111,8 +111,13 @@ def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
             extend(j + 1, used | mj)
             tup.pop()
 
-    if r >= 1 and nv >= r:
-        extend(0, 0)
+    try:
+        if r >= 1 and nv >= r:
+            extend(0, 0)
+    finally:
+        # extend reaches itself through its closure; without this the cycle
+        # keeps every edge alive until the next full garbage collection
+        del extend
     return out
 
 

@@ -159,6 +159,32 @@ def test_solve_writes_result_file(tmp_path, capsys):
     assert doc["certificate"]["format"] == "kneser-lab/1"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "6", "2", "3"], ["chi", "6", "2", "3", "--parts", "1,2/3,4/5,6"]],
+    ids=["solve", "chi-parts"],
+)
+def test_result_file_verifies(tmp_path, capsys, command):
+    """verify and blowup read the certificate inside a -o result document."""
+    path = tmp_path / "result.json"
+    assert run(capsys, *command, "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("ok")
+    if command[0] == "solve":
+        code, out, _ = run(capsys, "blowup", str(path))
+        assert code == 0 and "stable embedding ok" in out
+
+
+def test_result_without_certificate_exits_2(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    run(capsys, "solve", "5", "2", "2", "-o", str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, certificate=None)))
+    for command in ("verify", "blowup"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and "without a certificate" in err, command
+
+
 def test_solve_timeout_exits_3(capsys):
     code, out, _ = run(capsys, "solve", "7", "2", "2", "--max-nodes", "1")
     assert code == 3
@@ -257,7 +283,7 @@ def test_table_json_explicit_range(capsys):
     assert doc["all_agree"] is True
     assert [row["n"] for row in doc["rows"]] == [4, 5, 6]
     assert [row["tight_bound"] for row in doc["rows"]] == [2, 3, 4]
-    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 5]  # workers=1
+    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 3]  # workers=1
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )

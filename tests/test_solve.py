@@ -1,11 +1,13 @@
 """Conflict extraction and the exact solver, cross-checked against brute force."""
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -113,6 +115,22 @@ def test_conflict_size_caps(monkeypatch):
         build_conflict_hypergraph(GroundParams(6, 2, 3))
 
 
+def test_builders_leave_no_cyclic_garbage():
+    """The recursive builders free their witnesses and edges on return, not
+    at the next full collection: repeated solves kept them and grew RSS."""
+    gc.collect()
+    gc.disable()
+    try:
+        build_conflict_hypergraph(GroundParams(6, 2, 3))
+        build_kneser_hypergraph(GroundParams(6, 2, 2))
+        build_partition_constrained(
+            GroundParams(6, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6))))
+        min_partition_number(GroundParams(6, 2, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_min_partition_r2_ladder():
     for n, want in [(4, 2), (5, 3), (6, 4), (7, 5)]:
         res = min_partition_number(GroundParams(n, 2, 2))
@@ -140,6 +158,27 @@ def test_chromatic_known_values():
         assert verify_coloring(h, list(res.colors)).ok
 
 
+def twin_cells(nv, edges):
+    """Point classes of a hypergraph on the 1-subsets of [nv]: i and j share
+    a class when the transposition (i j) maps the edge set to itself.  That
+    relation is an equivalence (conjugating a transposition by another gives
+    the third), so every permutation inside the classes is a symmetry."""
+    edge_set = set(edges)
+
+    def swapped(e, i, j):
+        return tuple(sorted(j if x == i else i if x == j else x for x in e))
+
+    classes = []
+    for i in range(nv):
+        for cls in classes:
+            if all(swapped(e, i, cls[0]) in edge_set for e in edges):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(sum(1 << i for i in cls) for cls in classes)
+
+
 def test_solver_matches_brute_force():
     rng = random.Random(20240817)
     for trial in range(200):
@@ -157,11 +196,15 @@ def test_solver_matches_brute_force():
         assert res.status == EXACT, trial
         # the oracle re-proves every count below the answer infeasible
         assert brute_force_oracle(h, res.upper) == res.upper, trial
-        # every rotation of the branching tie-break reaches the same value
+        # every rotation of the branching tie-break reaches the same value,
+        # with and without orbital pruning over the point classes
+        points = tuple(1 << i for i in range(nv))
+        cells = twin_cells(nv, h.edges)
         for shift in range(nv):
-            out = _search(nv, h.edges, SolveBudget(), shift)
-            assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
-            assert verify_coloring(h, out.colors).ok, (trial, shift)
+            for pruning in [(), (points, cells)]:
+                out = _search(nv, h.edges, SolveBudget(), shift, *pruning)
+                assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
+                assert verify_coloring(h, out.colors).ok, (trial, shift)
 
 
 def test_partition_solver_matches_brute_force():
@@ -187,21 +230,193 @@ def test_partition_solver_matches_brute_force():
 
 def test_search_tree_pinned():
     """Node counts at workers=1 are deterministic; a change to the engine's
-    branching, propagation or tie-break moves them."""
+    branching, propagation, tie-break or orbital pruning moves them."""
     p623 = GroundParams(6, 2, 3)
     cases = [
-        (min_partition_number(p623), 5, 103),
+        (min_partition_number(p623), 5, 41),
         (chromatic_number(build_kneser_hypergraph(p623)), 2, 4),
+        # s-stable: no cells, so no orbital pruning
         (chromatic_number(
             build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 134),
         (chromatic_number(build_partition_constrained(
             p623, PartSpec(((1, 2), (3, 4), (5, 6))))), 2, 5),
-        (min_partition_number(GroundParams(7, 2, 2)), 5, 28),
-        (min_partition_number(GroundParams(8, 2, 3)), 7, 13978),
+        (min_partition_number(GroundParams(7, 2, 2)), 5, 23),
+        (min_partition_number(GroundParams(8, 2, 3)), 7, 3467),
         # n < 2k: no disjoint pair, so no clique is pinned
-        (min_partition_number(GroundParams(7, 4, 3)), 3, 65),
+        (min_partition_number(GroundParams(7, 4, 3)), 3, 50),
     ]
     for i, (res, value, nodes) in enumerate(cases):
+        assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
+
+
+def consecutive_blocks(n, size):
+    """[n] cut into runs of `size` points, the last one possibly shorter."""
+    return tuple(tuple(range(i, min(i + size, n + 1)))
+                 for i in range(1, n + 1, size))
+
+
+def cell_instances():
+    """Every instance the sweep checks, with the cells its descriptor gives:
+    conflict hypergraphs (n <= 8, r <= 4, at most 40 vertices), full KG^r
+    and block-constrained KG^r (at most 60 vertices)."""
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            if comb(n, k) > 40:
+                continue
+            for r in range(2, 5):
+                ch = build_conflict_hypergraph(GroundParams(n, k, r))
+                yield (n, k, r), Hypergraph(ch.base, ch.witnesses), ((1 << n) - 1,)
+    for n in range(2, 11):
+        for k in range(1, n):
+            for r in range(2, 5):
+                if n < r * k or comb(n, k) > 60:
+                    continue
+                p = GroundParams(n, k, r)
+                yield (n, k, r), build_kneser_hypergraph(p), ((1 << n) - 1,)
+                if r == 2:
+                    continue  # blocks of one point: no cells
+                blocks = consecutive_blocks(n, r - 1)
+                h = build_partition_constrained(p, PartSpec(blocks))
+                if h.num_vertices <= 60:
+                    yield (n, k, r, blocks), h, h.parts.masks()
+
+
+def test_orbital_pruning_keeps_every_decision():
+    """run(m) decides the same with the descriptor's cells as without, from
+    the clique size up to the first feasible m, at two tie-break shifts;
+    every coloring found with cells is proper."""
+    decisions = 0
+    for name, h, cells in cell_instances():
+        nv = h.num_vertices
+        points = tuple(v.bits for v in h.vertices)
+        for shift in {0, nv // 2}:
+            plain = solve._Engine(nv, h.edges)
+            pruned = solve._Engine(nv, h.edges, points, cells)
+            plain.shift = pruned.shift = shift
+            clique = plain.pair_clique()
+            m = max(1, len(clique))
+            while True:
+                want, got = plain.run(m, clique), pruned.run(m, clique)
+                assert (want is None) == (got is None), (name, shift, m)
+                decisions += 1
+                if got is not None:
+                    assert verify_coloring(h, got).ok, (name, shift, m)
+                    break
+                m += 1
+    assert decisions == 612
+
+
+def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
+    """White-box checks at every prune, since extra pruning seldom flips a
+    decision: each colored vertex is a union of cells and outside points
+    (so the cell group fixes it), the orbit is the naive one, and a node
+    that fails leaves forb, col and uncol as it found them."""
+    orbit_fn, dfs_fn = solve._Engine._orbit, solve._Engine._dfs_cells
+    sizes = []
+
+    def orbit(self, v, cells):
+        out = orbit_fn(self, v, cells)
+        pts, covered = self.points, sum(cells)
+        for w in range(self.nv):
+            if not self.uncol >> w & 1:
+                assert all(pts[w] & cell in (0, cell) for cell in cells)
+        naive = {
+            u for u in range(self.nv)
+            if self.uncol >> u & 1
+            and pts[u] & ~covered == pts[v] & ~covered
+            and all((pts[u] & cell).bit_count() == (pts[v] & cell).bit_count()
+                    for cell in cells)
+        }
+        assert out == sum(1 << u for u in naive)
+        sizes.append(len(naive))
+        return out
+
+    def dfs_cells(self, remaining, max_used, cells):
+        before = (list(self.forb), list(self.col), self.uncol)
+        found = dfs_fn(self, remaining, max_used, cells)
+        assert found or (list(self.forb), list(self.col), self.uncol) == before
+        return found
+
+    monkeypatch.setattr(solve._Engine, "_orbit", orbit)
+    monkeypatch.setattr(solve._Engine, "_dfs_cells", dfs_cells)
+    p623 = GroundParams(6, 2, 3)
+    assert min_partition_number(p623).upper == 5
+    assert min_partition_number(GroundParams(7, 2, 3)).upper == 6
+    assert min_partition_number(GroundParams(7, 3, 3)).upper == 4
+    assert chromatic_number(build_kneser_hypergraph(GroundParams(8, 2, 2))).upper == 6
+    assert chromatic_number(build_kneser_hypergraph(GroundParams(9, 3, 3))).upper == 2
+    parts = build_partition_constrained(
+        GroundParams(8, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8))))
+    assert chromatic_number(parts).upper == 3
+    assert len(sizes) > 50 and max(sizes) > 1, sizes
+
+
+def transposition_images(h, within):
+    """For each transposition of two points of the mask `within`, whether it
+    maps the vertex set and the edge set to themselves."""
+    index = {v.bits: i for i, v in enumerate(h.vertices)}
+    edges = set(h.edges)
+    out = {}
+    for i, j in combinations(range(h.params.n), 2):
+        if not (within >> i & 1 and within >> j & 1):
+            continue
+        swap = (1 << i) | (1 << j)
+
+        def image(bits):
+            moved = bits & swap
+            return bits if moved in (0, swap) else bits ^ swap
+
+        ids = [index.get(image(v.bits)) for v in h.vertices]
+        out[i + 1, j + 1] = None not in ids and all(
+            tuple(sorted(ids[u] for u in e)) in edges for e in h.edges
+        )
+    return out
+
+
+@pytest.mark.parametrize("nkr", [(6, 2, 3), (7, 3, 3), (8, 2, 4), (7, 2, 2)])
+def test_point_transpositions_are_symmetries(nkr):
+    """The cells handed to the engine are sound: every transposition of [n]
+    fixes the conflict witnesses and the KG^r edges, and every transposition
+    inside a block fixes a block-constrained instance."""
+    p = GroundParams(*nkr)
+    ch = build_conflict_hypergraph(p)
+    conflict = Hypergraph(ch.base, ch.witnesses, params=p)
+    everything = (1 << p.n) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kg = build_kneser_hypergraph(p)
+    for h in (conflict, kg):
+        images = transposition_images(h, everything)
+        assert len(images) == comb(p.n, 2) and all(images.values()), nkr
+    h = build_partition_constrained(p, PartSpec(consecutive_blocks(p.n, p.r - 1)))
+    for block in h.parts.masks():
+        assert all(transposition_images(h, block).values()), (nkr, block)
+
+
+def test_stable_instances_get_no_cells():
+    """Some transposition breaks an s-stable instance, so S_n is not its
+    symmetry group; chromatic_number gives it no cells and its search tree
+    is the plain engine's."""
+    p = GroundParams(8, 2, 2)
+    h = build_stable_subhypergraph(p, 2)
+    assert not all(transposition_images(h, (1 << p.n) - 1).values())
+    res = chromatic_number(h)
+    plain = _search(h.num_vertices, h.edges, SolveBudget())
+    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 134)
+
+
+def test_hand_built_hypergraph_gets_no_cells():
+    """Cells come only from a generated descriptor: the same vertices and
+    constraints without params search the plain tree."""
+    kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
+    ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
+    cases = [
+        (Hypergraph(kg.vertices, kg.edges), 6, 183),
+        (kg, 6, 85),
+        (Hypergraph(ch.base, ch.witnesses), 5, 103),
+    ]
+    for i, (h, value, nodes) in enumerate(cases):
+        res = chromatic_number(h)
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
 
 
@@ -312,26 +527,32 @@ def test_worker_portfolio_agrees():
 
 
 @pytest.mark.parametrize(
-    "budget, status",
+    "budget, status, lowers",
     [
-        (SolveBudget(workers=2, proof_cap=10), "BOUNDS"),
-        (SolveBudget(workers=2, max_nodes=3), TIMEOUT),
-        (SolveBudget(workers=2, max_nodes=20), TIMEOUT),  # workers disagree
+        (SolveBudget(workers=2, proof_cap=10), "BOUNDS", 1),
+        (SolveBudget(workers=2, max_nodes=3), TIMEOUT, 1),
+        (SolveBudget(workers=2, max_nodes=20), TIMEOUT, 2),  # workers disagree
     ],
     ids=["bounds", "timeout", "timeout-split"],
 )
-def test_worker_portfolio_merges_brackets(budget, status):
+def test_worker_portfolio_merges_brackets(budget, status, lowers):
     """Without an EXACT worker the portfolio keeps the best lower bound and
-    the coloring of the best upper bound; value 7 sits inside both."""
+    the coloring of the best upper bound; value 7 sits inside both.  Each
+    worker searches with the cells of [9]; `lowers` is how many distinct
+    lower bounds the two workers reach."""
     p = GroundParams(9, 2, 2)
     h = build_kneser_hypergraph(p)
     part = min_partition_number(p, budget)
     chi = chromatic_number(h, budget)
-    for res, constraints in [(part, build_conflict_hypergraph(p).witnesses),
-                             (chi, h.edges)]:
+    ch = build_conflict_hypergraph(p)
+    for res, constraints, vertices in [(part, ch.witnesses, ch.base),
+                                       (chi, h.edges, h.vertices)]:
+        points = tuple(v.bits for v in vertices)
         assert res.status == status
         assert res.lower <= 7 <= res.upper
-        singles = [_search(36, constraints, budget, shift) for shift in (0, 18)]
+        singles = [_search(36, constraints, budget, shift, points, (2**9 - 1,))
+                   for shift in (0, 18)]
+        assert len({o.lower for o in singles}) == lowers
         assert res.lower == max(o.lower for o in singles)
         assert res.upper == min(o.upper for o in singles)
         assert res.nodes == sum(o.nodes for o in singles)
@@ -368,6 +589,12 @@ def test_brute_force_oracle_examples():
 
     h = build_stable_subhypergraph(GroundParams(8, 2, 4), 4)
     assert brute_force_oracle(h, 4) == 2
+
+
+@pytest.mark.parametrize("constraint", [(), (0,)])
+def test_engine_rejects_short_constraints(constraint):
+    with pytest.raises(InvalidParams, match="fewer than 2 members"):
+        solve._Engine(3, ((0, 1), (0, 1, 2), constraint))
 
 
 def test_brute_force_oracle_guards():
