@@ -11,7 +11,7 @@ sub-hypergraph keeps only subsets meeting each block of a given partition of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
 from .setsys import (
@@ -67,6 +67,12 @@ class Hypergraph:
     subsets are pairwise disjoint.  The optional params / stability / parts
     fields record which induced variant was generated, so chromatic_number
     can attach a certificate that names the instance by that descriptor.
+
+    `cells` are point masks whose permutations map the edge set to itself;
+    chromatic_number prunes point orbits with them.  Only the builders in
+    this module set them: the field takes no constructor argument, so a
+    hand-built Hypergraph, or one made by dataclasses.replace from a
+    generated one, has none, whatever its params say.
     """
 
     vertices: tuple[KSubset, ...]
@@ -74,6 +80,7 @@ class Hypergraph:
     params: GroundParams | None = None
     stability: int | None = None
     parts: PartSpec | None = None
+    cells: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -126,16 +133,20 @@ def _induced_hypergraph(
     keep=None,
     stability: int | None = None,
     parts: PartSpec | None = None,
+    cells: tuple[int, ...] = (),
 ) -> Hypergraph:
-    """KG^r(k, n) induced on the colex k-subsets passing keep (all if None)."""
+    """KG^r(k, n) induced on the colex k-subsets passing keep (all if None),
+    with `cells` recorded as its point symmetry."""
     guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
     vertices = enumerate_k_subsets(p.n, p.k)
     if keep is not None:
         vertices = [v for v in vertices if keep(v)]
     edges = _disjoint_tuples([v.bits for v in vertices], p.r)
-    return Hypergraph(
+    h = Hypergraph(
         tuple(vertices), tuple(edges), params=p, stability=stability, parts=parts
     )
+    object.__setattr__(h, "cells", cells)
+    return h
 
 
 def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
@@ -143,9 +154,10 @@ def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
 
     For n < r*k no r pairwise disjoint k-subsets exist; the builder then
     returns the vertex-only instance with a warning instead of erroring,
-    which the conflict-hypergraph pipeline relies on.
+    which the conflict-hypergraph pipeline relies on.  Every permutation
+    of [n] maps disjoint r-tuples to disjoint r-tuples, so [n] is its cell.
     """
-    h = _induced_hypergraph(p)
+    h = _induced_hypergraph(p, cells=((1 << p.n) - 1,))
     if p.n < p.r * p.k:
         warnings.warn(
             f"n={p.n} < r*k={p.r * p.k}: Kneser hypergraph has no edges",
@@ -158,7 +170,8 @@ def build_stable_subhypergraph(p: GroundParams, s: int) -> Hypergraph:
     """Induced sub-hypergraph of KG^r(k, n) on the s-stable vertices.
 
     Vertex order is inherited from colex; edge ids are remapped to the
-    surviving vertex list.
+    surviving vertex list.  It gets no cells: a transposition of [n] can
+    break s-stability, and its symmetry is only dihedral.
     """
     if s < 1:
         raise InvalidParams(f"need s >= 1, got s={s}")
@@ -166,13 +179,18 @@ def build_stable_subhypergraph(p: GroundParams, s: int) -> Hypergraph:
 
 
 def build_partition_constrained(p: GroundParams, spec: PartSpec) -> Hypergraph:
-    """Induced sub-hypergraph on vertices meeting each block in <= 1 element."""
+    """Induced sub-hypergraph on vertices meeting each block in <= 1 element.
+
+    A permutation inside the blocks keeps every vertex's block counts, so
+    the blocks are its cells.
+    """
     spec.validate(p.n, p.r)
     part_masks = spec.masks()
     return _induced_hypergraph(
         p,
         lambda v: all((v.bits & pm).bit_count() <= 1 for pm in part_masks),
         parts=spec,
+        cells=part_masks,
     )
 
 

@@ -18,7 +18,8 @@ inside given cells.  The conflict hypergraph and KG^r(k, n) keep their
 constraints under every permutation of [n], and the block-constrained
 variant under every permutation inside the blocks, so those are the
 starting cells; the s-stable variant is only dihedrally symmetric and gets
-none.  Cells come only from descriptors this package generated.
+none.  Cells come only from this package's builders, never from a
+caller's Hypergraph fields.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ class _Engine:
     too.  If child (v, c) fails, a solution coloring some σv with c would
     give, through σ^-1 in G, one coloring v with c, so the orbit of v joins
     forb[c] for the remaining children.  A node restores every forb entry
-    it pruned before it returns.  Once no cell is left the node runs the
-    plain `_dfs`.
+    it pruned before it returns.  Once no cell is left, a node only
+    branches and propagates.
     """
 
     def __init__(
@@ -396,27 +397,8 @@ class _Engine:
             off ^= low
         return orbit
 
-    def _dfs(self, remaining: int, max_used: int) -> bool:
-        self._tick()
-        if remaining == 0:
-            return True
-        v, cand = self._select(min(max_used + 2, self.m))
-        bit = 1 << v
-        col = self.col
-        forb = self.forb
-        while cand:
-            c = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            old = forb[c]
-            if self._assign(v, c) and self._dfs(remaining - 1, max(max_used, c)):
-                return True
-            col[c] ^= bit
-            forb[c] = old
-            self.uncol |= bit
-        return False
-
-    def _dfs_cells(self, remaining: int, max_used: int, cells: list[int]) -> bool:
-        """`_dfs` with orbital pruning over the cell group of `cells`.
+    def _dfs(self, remaining: int, max_used: int, cells: list[int]) -> bool:
+        """Search the uncolored vertices under the cell group of `cells`.
 
         Once child (v, c) fails, no solution below this node colors v with
         c, so none colors any vertex of v's orbit with c: the orbit joins
@@ -430,22 +412,18 @@ class _Engine:
         bit = 1 << v
         col = self.col
         forb = self.forb
-        inner = self._split(cells, v)
+        inner = self._split(cells, v) if cells else cells
         pruned: list[tuple[int, int]] = []
         while cand:
             c = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             old = forb[c]
-            if self._assign(v, c) and (
-                self._dfs_cells(remaining - 1, max(max_used, c), inner)
-                if inner
-                else self._dfs(remaining - 1, max(max_used, c))
-            ):
+            if self._assign(v, c) and self._dfs(remaining - 1, max(max_used, c), inner):
                 return True
             col[c] ^= bit
             forb[c] = old
             self.uncol |= bit
-            if cand:
+            if cand and cells:
                 orbit = self._orbit(v, cells) & ~bit
                 if orbit:
                     pruned.append((c, old))
@@ -476,11 +454,7 @@ class _Engine:
                 return None
             if cells:
                 cells = self._split(cells, v)
-        remaining = self.nv - len(seed)
-        if cells:
-            found = self._dfs_cells(remaining, len(seed) - 1, cells)
-        else:
-            found = self._dfs(remaining, len(seed) - 1)
+        found = self._dfs(self.nv - len(seed), len(seed) - 1, cells)
         return self._colors() if found else None
 
     def pair_clique(self) -> list[int]:
@@ -651,18 +625,14 @@ def chromatic_number(
     certificate is descriptor-backed when the hypergraph knows its own
     parameters, and is then re-verified from the descriptor alone, so an
     edge list that misses edges cannot pass; raw colors are attached
-    either way.  The search prunes point orbits only when `h.params` is
-    set and `h.stability` is None, that is, for KG^r(k, n) as generated
-    (cell [n]) and its block-constrained variant (the blocks); a
-    hand-built hypergraph or an s-stable one is searched without.
+    either way.  The search prunes point orbits over `h.cells`, which only
+    the kneser builders set: [n] for KG^r(k, n), the blocks for its
+    block-constrained variant, none for the s-stable one.  A hand-built or
+    edited hypergraph has no cells and is searched without.
     """
     t0 = time.monotonic()
-    points: tuple[int, ...] = ()
-    cells: tuple[int, ...] = ()
-    if h.params is not None and h.stability is None:
-        points = tuple(v.bits for v in h.vertices)
-        cells = h.parts.masks() if h.parts is not None else ((1 << h.params.n) - 1,)
-    out = _run_search(len(h.vertices), h.edges, budget, points, cells)
+    points = tuple(v.bits for v in h.vertices) if h.cells else ()
+    out = _run_search(len(h.vertices), h.edges, budget, points, h.cells)
     millis = int((time.monotonic() - t0) * 1000)
 
     rep = verify_coloring(h, out.colors)

@@ -1,5 +1,6 @@
 """Conflict extraction and the exact solver, cross-checked against brute force."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -311,7 +312,7 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
     decision: each colored vertex is a union of cells and outside points
     (so the cell group fixes it), the orbit is the naive one, and a node
     that fails leaves forb, col and uncol as it found them."""
-    orbit_fn, dfs_fn = solve._Engine._orbit, solve._Engine._dfs_cells
+    orbit_fn, dfs_fn = solve._Engine._orbit, solve._Engine._dfs
     sizes = []
 
     def orbit(self, v, cells):
@@ -331,14 +332,14 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
         sizes.append(len(naive))
         return out
 
-    def dfs_cells(self, remaining, max_used, cells):
+    def dfs(self, remaining, max_used, cells):
         before = (list(self.forb), list(self.col), self.uncol)
         found = dfs_fn(self, remaining, max_used, cells)
         assert found or (list(self.forb), list(self.col), self.uncol) == before
         return found
 
     monkeypatch.setattr(solve._Engine, "_orbit", orbit)
-    monkeypatch.setattr(solve._Engine, "_dfs_cells", dfs_cells)
+    monkeypatch.setattr(solve._Engine, "_dfs", dfs)
     p623 = GroundParams(6, 2, 3)
     assert min_partition_number(p623).upper == 5
     assert min_partition_number(GroundParams(7, 2, 3)).upper == 6
@@ -406,18 +407,52 @@ def test_stable_instances_get_no_cells():
 
 
 def test_hand_built_hypergraph_gets_no_cells():
-    """Cells come only from a generated descriptor: the same vertices and
-    constraints without params search the plain tree."""
+    """Cells come only from the builders: the same vertices and constraints
+    built by hand search the plain tree, with params or without."""
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     cases = [
         (Hypergraph(kg.vertices, kg.edges), 6, 183),
+        (Hypergraph(kg.vertices, kg.edges, params=kg.params), 6, 183),
         (kg, 6, 85),
         (Hypergraph(ch.base, ch.witnesses), 5, 103),
     ]
     for i, (h, value, nodes) in enumerate(cases):
         res = chromatic_number(h)
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
+
+
+def test_edited_hypergraph_gets_no_cells(monkeypatch):
+    """dataclasses.replace keeps params but drops the builder's cells.  On
+    KG(8,2) with every other edge, the cells of [8] would be unsound (some
+    transposition breaks the edge set) and would refute the 4 colors a
+    proper coloring uses; chromatic_number searches without them, and the
+    descriptor recheck then refuses the edited graph's coloring."""
+    kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
+    assert kg.cells == ((1 << 8) - 1,)
+    same = dataclasses.replace(kg)
+    assert same.cells == () and chromatic_number(same).nodes == 183
+    edited = dataclasses.replace(kg, edges=kg.edges[::2])
+    assert edited.params == kg.params and edited.cells == ()
+    assert not all(transposition_images(edited, (1 << 8) - 1).values())
+    nv, points = edited.num_vertices, tuple(v.bits for v in edited.vertices)
+    plain = _search(nv, edited.edges, SolveBudget())
+    assert plain.upper == 4 and verify_coloring(edited, plain.colors).ok
+    wrong = _search(nv, edited.edges, SolveBudget(), 0, points, kg.cells)
+    assert (wrong.status, wrong.upper) == (EXACT, 5)
+
+    seen = []
+    run_search = solve._run_search
+
+    def spy(nv, constraints, budget, points=(), cells=()):
+        out = run_search(nv, constraints, budget, points, cells)
+        seen.append((cells, out.upper))
+        return out
+
+    monkeypatch.setattr(solve, "_run_search", spy)
+    with pytest.raises(SoundnessError, match="invalid certificate"):
+        chromatic_number(edited)
+    assert seen == [((), 4)]
 
 
 def test_soundness_guards_survive_optimize():
