@@ -240,6 +240,8 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rs = _parse_range(args.r_range)
+    if min(rs) < 2:  # r = 1 would divide by r - 1 below
+        raise InvalidParams(f"need r >= 2, got r={min(rs)}")
     ks = _parse_range(args.k_range)
     budget = _budget(args)
     rows = []
@@ -403,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidPartSpec,
         InadmissibleParams,
         MalformedCertificate,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -412,9 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

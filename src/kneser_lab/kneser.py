@@ -61,25 +61,23 @@ class PartSpec:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Explicit vertex list plus hyperedges as sorted vertex-id tuples.
+    """Vertices plus edges as sorted vertex-id tuples: the one instance
+    record, for Kneser-type and conflict instances alike.
 
-    In a pure Kneser hypergraph every edge has exactly r ids and its member
-    subsets are pairwise disjoint.  The optional params / stability / parts
-    fields record which induced variant was generated, so chromatic_number
-    can attach a certificate that names the instance by that descriptor.
-
-    `cells` are point masks whose permutations map the edge set to itself;
-    chromatic_number prunes point orbits with them.  Only the builders in
-    this module set them: the field takes no constructor argument, so a
-    hand-built Hypergraph, or one made by dataclasses.replace from a
-    generated one, has none, whatever its params say.
+    Kneser edges are r ids of pairwise disjoint subsets; the edges of
+    solve.build_conflict_hypergraph are minimal empty-intersection
+    witnesses.  Callers set only vertices and edges, and the builders
+    grant the rest: params / stability / parts name the Kneser-type
+    variant for chromatic_number's certificate, and `cells` are point
+    masks whose permutations keep the edges, for orbital pruning.  A
+    hand-built or edited Hypergraph has neither: no certificate, no pruning.
     """
 
     vertices: tuple[KSubset, ...]
     edges: tuple[tuple[int, ...], ...]
-    params: GroundParams | None = None
-    stability: int | None = None
-    parts: PartSpec | None = None
+    params: GroundParams | None = field(default=None, init=False)
+    stability: int | None = field(default=None, init=False)
+    parts: PartSpec | None = field(default=None, init=False)
     cells: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     @property
@@ -89,6 +87,20 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def witnesses(self) -> tuple[tuple[int, ...], ...]:
+        """The edges; exists only for perfbench/tracing.py, which counts them."""
+        return self.edges
+
+
+def _granted(vertices, edges, cells, params=None, stability=None, parts=None):
+    """A builder's Hypergraph, with the fields that no caller can set."""
+    h = Hypergraph(tuple(vertices), tuple(edges))
+    for name, value in zip(("params", "stability", "parts", "cells"),
+                           (params, stability, parts, cells)):
+        object.__setattr__(h, name, value)
+    return h
 
 
 def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
@@ -142,20 +154,16 @@ def _induced_hypergraph(
     if keep is not None:
         vertices = [v for v in vertices if keep(v)]
     edges = _disjoint_tuples([v.bits for v in vertices], p.r)
-    h = Hypergraph(
-        tuple(vertices), tuple(edges), params=p, stability=stability, parts=parts
-    )
-    object.__setattr__(h, "cells", cells)
-    return h
+    return _granted(vertices, edges, cells, p, stability, parts)
 
 
 def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
     """The Kneser hypergraph KG^r(k, n).
 
     For n < r*k no r pairwise disjoint k-subsets exist; the builder then
-    returns the vertex-only instance with a warning instead of erroring,
-    which the conflict-hypergraph pipeline relies on.  Every permutation
-    of [n] maps disjoint r-tuples to disjoint r-tuples, so [n] is its cell.
+    returns the vertex-only instance with a warning instead of erroring.
+    Every permutation of [n] maps disjoint r-tuples to disjoint r-tuples,
+    so [n] is its cell.
     """
     h = _induced_hypergraph(p, cells=((1 << p.n) - 1,))
     if p.n < p.r * p.k:

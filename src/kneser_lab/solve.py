@@ -1,15 +1,15 @@
 """Exact solvers for the partition number and hypergraph chromatic numbers.
 
-Both quantities reduce to the same decision problem: color vertices with m
-classes so that no constraint (hyperedge, or empty-intersection witness)
-ends up entirely in one class.  The engine below keeps two bitmasks per
-color, the vertices holding it and the uncolored vertices it would
-complete a constraint on, so an assignment touches one color's masks and
-undo restores them.  It branches on the vertex with the fewest
-remaining candidate colors, breaks color symmetry by only ever opening one
-fresh color, and proves optimality by iterative deepening on the class
-count.  Closed-form values are never consulted, so agreement with the
-formulas is evidence, not circularity.
+Both are chromatic numbers of a Hypergraph, the partition number that of
+the conflict hypergraph, whose edges are the empty-intersection witnesses;
+the two entry points share one search core and differ only in their
+certificates.  The engine below keeps two bitmasks per color, the vertices
+holding it and the uncolored vertices it would complete a constraint on,
+so an assignment touches one color's masks and undo restores them.  It
+branches on the vertex with the fewest remaining candidate colors, breaks
+color symmetry by only ever opening one fresh color, and proves optimality
+by iterative deepening on the class count.  Closed-form values are never
+consulted, so agreement with the formulas is evidence, not circularity.
 
 Point symmetry is broken by orbital branching (Margot 2002; Ostrowski,
 Linderoth, Rossi and Smriglio 2011) over a subgroup that needs no group
@@ -18,8 +18,8 @@ inside given cells.  The conflict hypergraph and KG^r(k, n) keep their
 constraints under every permutation of [n], and the block-constrained
 variant under every permutation inside the blocks, so those are the
 starting cells; the s-stable variant is only dihedrally symmetric and gets
-none.  Cells come only from this package's builders, never from a
-caller's Hypergraph fields.
+none.  Cells come only from this package's builders; a hand-built or
+edited Hypergraph is searched without them and gets no certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph
+from .kneser import Hypergraph, _granted
 from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
@@ -63,24 +63,9 @@ class SolveBudget:
 
 
 @dataclass(frozen=True)
-class ConflictHypergraph:
-    """All inclusion-minimal empty-intersection subfamilies of size <= r.
-
-    base lists every k-subset of [n] in colex order; witnesses are sorted
-    vertex-id tuples.  A coloring of base avoids monochromatic witnesses
-    iff each color class is r-wise intersecting, which is what makes this
-    the right constraint set for the partition number.
-    """
-
-    params: GroundParams
-    base: tuple[KSubset, ...]
-    witnesses: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """The one record of a search: `_search` fills the bracket, nodes and
-    colors, and each entry point adds millis and the certificate."""
+    colors, `_solve` adds millis and each entry point the certificate."""
 
     status: str
     lower: int
@@ -112,13 +97,17 @@ class SolveResult:
         }
 
 
-def build_conflict_hypergraph(p: GroundParams) -> ConflictHypergraph:
-    """Enumerate the minimal witnesses by strict-shrink DFS.
+def build_conflict_hypergraph(p: GroundParams) -> Hypergraph:
+    """The k-subsets of [n] in colex order, with every inclusion-minimal
+    empty-intersection subfamily of size <= r as an edge, [n] as its cell
+    and no descriptor.  A coloring has no monochromatic edge iff each
+    class is r-wise intersecting.
 
-    Every inclusion-minimal empty-intersection subfamily, listed in vertex
-    order, shrinks the running intersection at each member (a member that
-    leaves the intersection unchanged could be dropped).  The DFS therefore
-    only extends chains by strictly shrinking members, visits each minimal
+    The edges come from a strict-shrink DFS.  Every inclusion-minimal
+    empty-intersection subfamily, listed in vertex order, shrinks the
+    running intersection at each member (a member that leaves the
+    intersection unchanged could be dropped).  The DFS therefore only
+    extends chains by strictly shrinking members, visits each minimal
     witness exactly once, and filters non-minimal dead ends afterwards.
     Chains die after at most k shrinks, so the depth is min(r, k+1).
     """
@@ -168,7 +157,7 @@ def build_conflict_hypergraph(p: GroundParams) -> ConflictHypergraph:
         # grow reaches itself through its closure; without this the cycle
         # keeps every witness alive until the next full garbage collection
         del grow
-    return ConflictHypergraph(p, tuple(vertices), tuple(out))
+    return _granted(vertices, out, ((1 << p.n) - 1,))
 
 
 class _Timeout(Exception):
@@ -587,6 +576,13 @@ def _run_search(
     return replace(pick, lower=lower, nodes=sum(o.nodes for o in outcomes))
 
 
+def _solve(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
+    """The search both entry points share, with millis counted from t0."""
+    points = tuple(v.bits for v in h.vertices) if h.cells else ()
+    out = _run_search(len(h.vertices), h.edges, budget, points, h.cells)
+    return replace(out, millis=int((time.monotonic() - t0) * 1000))
+
+
 def min_partition_number(
     p: GroundParams, budget: SolveBudget = SolveBudget()
 ) -> SolveResult:
@@ -595,16 +591,13 @@ def min_partition_number(
     Admissibility is not required: the quantity is well defined for every
     1 <= k <= n.  On EXACT the certificate is a PartitionCertificate that
     has been re-verified; on TIMEOUT the bracket and certificate are the
-    best proven so far.  The search prunes point orbits with the cell [n],
-    since every permutation of [n] keeps the witnesses.
+    best proven so far.  millis includes building the conflict hypergraph.
     """
     t0 = time.monotonic()
-    ch = build_conflict_hypergraph(p)
-    points = tuple(v.bits for v in ch.base)
-    out = _run_search(len(ch.base), ch.witnesses, budget, points, ((1 << p.n) - 1,))
-    millis = int((time.monotonic() - t0) * 1000)
+    h = build_conflict_hypergraph(p)
+    out = _solve(h, budget, t0)
 
-    cert = _classes_to_partition(p, ch.base, out.colors)
+    cert = _classes_to_partition(p, h.vertices, out.colors)
     rep = verify_partition_certificate(cert)
     if not rep.ok:
         raise SoundnessError(f"solver emitted an invalid partition: {rep.summary()}")
@@ -612,7 +605,7 @@ def min_partition_number(
         raise SoundnessError(
             f"EXACT value {out.upper} but {cert.num_families} families"
         )
-    return replace(out, millis=millis, certificate=cert)
+    return replace(out, certificate=cert)
 
 
 def chromatic_number(
@@ -621,19 +614,14 @@ def chromatic_number(
     """Fewest colors with no monochromatic hyperedge, proved by search.
 
     The clique lower bound is read off the pair edges (`_Engine.pair_clique`),
-    which force two colors apart whatever the other edges are.  The
-    certificate is descriptor-backed when the hypergraph knows its own
-    parameters, and is then re-verified from the descriptor alone, so an
-    edge list that misses edges cannot pass; raw colors are attached
-    either way.  The search prunes point orbits over `h.cells`, which only
-    the kneser builders set: [n] for KG^r(k, n), the blocks for its
-    block-constrained variant, none for the s-stable one.  A hand-built or
-    edited hypergraph has no cells and is searched without.
+    which force two colors apart whatever the other edges are.  Raw colors
+    are always attached.  A Kneser-type hypergraph from the kneser builders
+    also gets a certificate named by its descriptor, re-verified from the
+    descriptor alone, so an edge list that misses edges cannot pass.  A
+    hand-built or edited hypergraph has no descriptor and no cells: it is
+    searched without orbital pruning and gets no certificate.
     """
-    t0 = time.monotonic()
-    points = tuple(v.bits for v in h.vertices) if h.cells else ()
-    out = _run_search(len(h.vertices), h.edges, budget, points, h.cells)
-    millis = int((time.monotonic() - t0) * 1000)
+    out = _solve(h, budget, time.monotonic())
 
     rep = verify_coloring(h, out.colors)
     if not rep.ok:
@@ -653,4 +641,4 @@ def chromatic_number(
             raise SoundnessError(
                 f"solver emitted an invalid certificate: {rep.summary()}"
             )
-    return replace(out, millis=millis, certificate=cert)
+    return replace(out, certificate=cert)

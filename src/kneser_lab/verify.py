@@ -97,13 +97,16 @@ def _find_min_witness(masks: list[int], r: int) -> tuple[tuple[int, ...] | None,
                     return found
         return None
 
-    for i in range(nv):
-        examined += 1
-        chosen.append(i)
-        found = search(i + 1, masks[i])
-        chosen.pop()
-        if found is not None:
-            return found, examined
+    try:
+        for i in range(nv):
+            examined += 1
+            chosen.append(i)
+            found = search(i + 1, masks[i])
+            chosen.pop()
+            if found is not None:
+                return found, examined
+    finally:
+        del search  # it reaches itself through its closure: break the cycle
     return None, examined
 
 
@@ -327,7 +330,10 @@ def _disjoint_chains(
             if len(rest) >= need:
                 walk(chain + (cands[pos],), u, rest)
 
-    walk((), 0, ids)
+    try:
+        walk((), 0, ids)
+    finally:
+        del walk  # as in _find_min_witness
     return found, total, tests
 
 

@@ -294,6 +294,21 @@ def test_table_bad_range_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("r_range, extra, low", [
+    ("1", [], 1),
+    ("0", [], 0),
+    ("-3", [], -3),
+    ("1", ["--n", "4..6"], 1),
+    ("1..3", [], 1),
+])
+def test_table_r_below_two_exits_2(capsys, r_range, extra, low):
+    """r = 1 used to divide by zero (a traceback and exit 1, the code for a
+    failed check), and r <= 0 printed an empty table and exited 0."""
+    code, out, err = run(capsys, "table", "--r", r_range, *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: need r >= 2, got r={low}\n"
+
+
 @pytest.mark.parametrize("span", ["0", "-1"])
 def test_table_span_below_one_exits_2(capsys, span):
     with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ import pytest
 
 import kneser_lab
 from kneser_lab import kneser, solve
-from kneser_lab.constructions import tight_bound
+from kneser_lab.constructions import blow_up, build_tight_partition, tight_bound
 from kneser_lab.errors import InstanceTooLarge, InvalidParams, SoundnessError
 from kneser_lab.kneser import (
     Hypergraph,
@@ -35,7 +35,11 @@ from kneser_lab.solve import (
     chromatic_number,
     min_partition_number,
 )
-from kneser_lab.verify import verify_coloring, verify_partition_certificate
+from kneser_lab.verify import (
+    verify_coloring,
+    verify_coloring_certificate,
+    verify_partition_certificate,
+)
 
 from oracle import INFEASIBLE, brute_force_oracle
 
@@ -61,15 +65,15 @@ def test_conflicts_4_2_2():
         at((1, 3), (2, 4)),
         at((1, 4), (2, 3)),
     }
-    assert set(ch.witnesses) == expected
+    assert set(ch.edges) == expected
 
 
 def test_conflicts_4_2_3():
     ch = build_conflict_hypergraph(GroundParams(4, 2, 3))
-    pairs = {w for w in ch.witnesses if len(w) == 2}
-    triples = {w for w in ch.witnesses if len(w) == 3}
+    pairs = {w for w in ch.edges if len(w) == 2}
+    triples = {w for w in ch.edges if len(w) == 3}
     assert len(pairs) == 3 and len(triples) == 4
-    assert len(ch.witnesses) == 7
+    assert len(ch.edges) == 7
     idx = colex_pairs(4)
     tri = tuple(sorted(
         idx[sum(1 << (e - 1) for e in p)] for p in [(1, 2), (1, 3), (2, 3)]
@@ -79,13 +83,13 @@ def test_conflicts_4_2_3():
 
 def test_conflicts_3_1_2():
     ch = build_conflict_hypergraph(GroundParams(3, 1, 2))
-    assert set(ch.witnesses) == {(0, 1), (0, 2), (1, 2)}
+    assert set(ch.edges) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_conflict_counts_6_2_3():
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     sizes = {}
-    for w in ch.witnesses:
+    for w in ch.edges:
         sizes[len(w)] = sizes.get(len(w), 0) + 1
     assert sizes == {2: 45, 3: 20}
 
@@ -93,18 +97,18 @@ def test_conflict_counts_6_2_3():
 def test_witness_invariants():
     for (n, k, r) in [(5, 2, 2), (5, 2, 3), (6, 2, 3), (6, 2, 4), (7, 3, 2)]:
         ch = build_conflict_hypergraph(GroundParams(n, k, r))
-        for w in ch.witnesses:
+        for w in ch.edges:
             assert 2 <= len(w) <= r
             assert len(w) == len(set(w)) and w == tuple(sorted(w))
             inter = -1
             for i in w:
-                inter &= ch.base[i].bits
+                inter &= ch.vertices[i].bits
             assert inter == 0
             for drop in w:  # minimality
                 inter = -1
                 for i in w:
                     if i != drop:
-                        inter &= ch.base[i].bits
+                        inter &= ch.vertices[i].bits
                 assert inter != 0
 
 
@@ -117,8 +121,9 @@ def test_conflict_size_caps(monkeypatch):
 
 
 def test_builders_leave_no_cyclic_garbage():
-    """The recursive builders free their witnesses and edges on return, not
-    at the next full collection: repeated solves kept them and grew RSS."""
+    """The recursive builders and verifiers free their witnesses, edges and
+    masks on return, not at the next full collection: repeated solves kept
+    them and grew RSS."""
     gc.collect()
     gc.disable()
     try:
@@ -127,6 +132,11 @@ def test_builders_leave_no_cyclic_garbage():
         build_partition_constrained(
             GroundParams(6, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6))))
         min_partition_number(GroundParams(6, 2, 3))
+        coloring = chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 2)))
+        verify_coloring_certificate(coloring.certificate)
+        tight = build_tight_partition(GroundParams(8, 3, 3))
+        verify_partition_certificate(tight)
+        verify_coloring_certificate(blow_up(tight)[0])
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -221,7 +231,7 @@ def test_partition_solver_matches_brute_force():
                 p = GroundParams(n, k, r)
                 ch = build_conflict_hypergraph(p)
                 res = min_partition_number(p)
-                best = brute_force_oracle(Hypergraph(ch.base, ch.witnesses), comb(n, k))
+                best = brute_force_oracle(ch, comb(n, k))
                 assert (res.status, res.upper) == (EXACT, best), (n, k, r)
                 if p.admissible:
                     assert best == tight_bound(p), (n, k, r)
@@ -266,7 +276,7 @@ def cell_instances():
                 continue
             for r in range(2, 5):
                 ch = build_conflict_hypergraph(GroundParams(n, k, r))
-                yield (n, k, r), Hypergraph(ch.base, ch.witnesses), ((1 << n) - 1,)
+                yield (n, k, r), ch, ((1 << n) - 1,)
     for n in range(2, 11):
         for k in range(1, n):
             for r in range(2, 5):
@@ -358,7 +368,7 @@ def transposition_images(h, within):
     index = {v.bits: i for i, v in enumerate(h.vertices)}
     edges = set(h.edges)
     out = {}
-    for i, j in combinations(range(h.params.n), 2):
+    for i, j in combinations(range(within.bit_length()), 2):
         if not (within >> i & 1 and within >> j & 1):
             continue
         swap = (1 << i) | (1 << j)
@@ -380,13 +390,13 @@ def test_point_transpositions_are_symmetries(nkr):
     fixes the conflict witnesses and the KG^r edges, and every transposition
     inside a block fixes a block-constrained instance."""
     p = GroundParams(*nkr)
-    ch = build_conflict_hypergraph(p)
-    conflict = Hypergraph(ch.base, ch.witnesses, params=p)
+    conflict = build_conflict_hypergraph(p)
     everything = (1 << p.n) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kg = build_kneser_hypergraph(p)
     for h in (conflict, kg):
+        assert h.cells == (everything,), nkr
         images = transposition_images(h, everything)
         assert len(images) == comb(p.n, 2) and all(images.values()), nkr
     h = build_partition_constrained(p, PartSpec(consecutive_blocks(p.n, p.r - 1)))
@@ -407,37 +417,40 @@ def test_stable_instances_get_no_cells():
 
 
 def test_hand_built_hypergraph_gets_no_cells():
-    """Cells come only from the builders: the same vertices and constraints
-    built by hand search the plain tree, with params or without."""
+    """Cells and descriptors come only from the builders: the same vertices
+    and constraints built by hand search the plain tree, and the
+    constructor takes nothing but vertices and edges."""
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     cases = [
         (Hypergraph(kg.vertices, kg.edges), 6, 183),
-        (Hypergraph(kg.vertices, kg.edges, params=kg.params), 6, 183),
         (kg, 6, 85),
-        (Hypergraph(ch.base, ch.witnesses), 5, 103),
+        (Hypergraph(ch.vertices, ch.edges), 5, 103),
+        (ch, 5, 41),
     ]
     for i, (h, value, nodes) in enumerate(cases):
         res = chromatic_number(h)
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
+    for name in ("params", "stability", "parts", "cells"):
+        with pytest.raises(TypeError):
+            Hypergraph(kg.vertices, kg.edges, **{name: getattr(kg, name)})
 
 
 def test_edited_hypergraph_gets_no_cells(monkeypatch):
-    """dataclasses.replace keeps params but drops the builder's cells.  On
+    """dataclasses.replace drops the builder's descriptor and cells.  On
     KG(8,2) with every other edge, the cells of [8] would be unsound (some
     transposition breaks the edge set) and would refute the 4 colors a
-    proper coloring uses; chromatic_number searches without them, and the
-    descriptor recheck then refuses the edited graph's coloring."""
+    proper coloring uses; chromatic_number searches without them and
+    returns raw colors with no certificate, never SoundnessError."""
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
-    assert kg.cells == ((1 << 8) - 1,)
+    assert kg.cells == ((1 << 8) - 1,) and kg.params == GroundParams(8, 2, 2)
     same = dataclasses.replace(kg)
-    assert same.cells == () and chromatic_number(same).nodes == 183
+    assert same.cells == () and same.params is None
+    assert chromatic_number(same).nodes == 183
     edited = dataclasses.replace(kg, edges=kg.edges[::2])
-    assert edited.params == kg.params and edited.cells == ()
+    assert edited.params is None and edited.cells == ()
     assert not all(transposition_images(edited, (1 << 8) - 1).values())
     nv, points = edited.num_vertices, tuple(v.bits for v in edited.vertices)
-    plain = _search(nv, edited.edges, SolveBudget())
-    assert plain.upper == 4 and verify_coloring(edited, plain.colors).ok
     wrong = _search(nv, edited.edges, SolveBudget(), 0, points, kg.cells)
     assert (wrong.status, wrong.upper) == (EXACT, 5)
 
@@ -450,9 +463,30 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
         return out
 
     monkeypatch.setattr(solve, "_run_search", spy)
-    with pytest.raises(SoundnessError, match="invalid certificate"):
-        chromatic_number(edited)
+    res = chromatic_number(edited)
+    assert (res.status, res.upper, res.certificate) == (EXACT, 4, None)
+    assert verify_coloring(edited, res.colors).ok
     assert seen == [((), 4)]
+
+
+def test_conflict_hypergraph_solves_like_the_partition_number():
+    """One record, one search core: the chromatic number of the conflict
+    hypergraph is the partition number, found in the same tree.  It names
+    no Kneser-type variant, so it gets no certificate."""
+    checked = 0
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            if comb(n, k) > 35:
+                continue
+            for r in range(2, 5):
+                p = GroundParams(n, k, r)
+                chi = chromatic_number(build_conflict_hypergraph(p))
+                part = min_partition_number(p)
+                assert (chi.status, chi.upper, chi.nodes) == (
+                    part.status, part.upper, part.nodes), (n, k, r)
+                assert chi.certificate is None
+                checked += 1
+    assert checked == 84
 
 
 def test_soundness_guards_survive_optimize():
@@ -580,7 +614,7 @@ def test_worker_portfolio_merges_brackets(budget, status, lowers):
     part = min_partition_number(p, budget)
     chi = chromatic_number(h, budget)
     ch = build_conflict_hypergraph(p)
-    for res, constraints, vertices in [(part, ch.witnesses, ch.base),
+    for res, constraints, vertices in [(part, ch.edges, ch.vertices),
                                        (chi, h.edges, h.vertices)]:
         points = tuple(v.bits for v in vertices)
         assert res.status == status

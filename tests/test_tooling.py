@@ -9,7 +9,7 @@ import pytest
 
 import kneser_lab
 import kneser_lab.solve as solve
-from kneser_lab import cli, errors
+from kneser_lab import cli, constructions, errors, kneser, verify
 from kneser_lab.setsys import GroundParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -41,6 +41,47 @@ def test_traced_pass_counts_nodes_and_restores_names():
     assert solve.min_partition_number is before
     assert traced.nodes == untraced.nodes == tracer.counts["solve.engine.nodes"]
     assert wall >= 0
+
+
+def bench_calls():
+    """One call of each kind the benchmark makes, through the module
+    attributes the tracer wraps: solve, chi on KG^r, --stable and --parts,
+    a tight partition with its lift and embedding check, and the verifiers.
+    Returns the node counts and whether every check passed."""
+    p623 = GroundParams(6, 2, 3)
+    part = solve.min_partition_number(p623)
+    chis = [
+        solve.chromatic_number(kneser.build_kneser_hypergraph(p623)),
+        solve.chromatic_number(
+            kneser.build_stable_subhypergraph(GroundParams(8, 2, 2), 2)),
+        solve.chromatic_number(kneser.build_partition_constrained(
+            p623, kneser.PartSpec(((1, 2), (3, 4), (5, 6))))),
+    ]
+    tight = constructions.build_tight_partition(GroundParams(8, 3, 3))
+    coloring, bmap = constructions.blow_up(tight)
+    reports = [
+        constructions.check_stable_embedding(bmap),
+        verify.verify_partition_certificate(part.certificate),
+        verify.verify_partition_certificate(tight),
+        *(verify.verify_coloring_certificate(c.certificate) for c in chis),
+        verify.verify_coloring_certificate(coloring),
+    ]
+    return [part.nodes] + [c.nodes for c in chis], all(r.ok for r in reports)
+
+
+def test_traced_pass_covers_every_bench_call():
+    """Tracing changes no search, and every instance builder the benchmark
+    reaches feeds its layer's counter."""
+    untraced = bench_calls()
+    tracer = load_tracing().Tracer()
+    traced, _ = tracer.run(bench_calls)
+    nodes, ok = traced
+    assert ok and traced == untraced
+    assert tracer.counts["solve.engine.nodes"] == sum(nodes)
+    assert tracer.counts["solve.engine.calls"] == 4
+    assert tracer.counts["kneser.edges"] > 0
+    assert tracer.counts["solve.conflict.witnesses"] > 0
+    assert tracer.counts["constructions.lift_vertices"] > 0
 
 
 def test_package_exports_resolve():
