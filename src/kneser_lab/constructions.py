@@ -82,7 +82,7 @@ class PartitionCertificate:
     def from_dict(cls, doc: dict) -> "PartitionCertificate":
         _check_format(doc, ("n", "k", "r", "families"))
         try:
-            p = GroundParams(int(doc["n"]), int(doc["k"]), int(doc["r"]))
+            p = GroundParams(_int(doc["n"]), _int(doc["k"]), _int(doc["r"]))
         except Exception as exc:
             raise MalformedCertificate(f"bad partition certificate: {exc}") from exc
         # a member's bit vector is as wide as its largest element, so refuse
@@ -92,7 +92,7 @@ class PartitionCertificate:
             families = tuple(
                 SetFamily(
                     p.n,
-                    tuple(KSubset.from_elements(els, p.n) for els in fam),
+                    tuple(KSubset.from_elements(map(_int, els), p.n) for els in fam),
                 )
                 for fam in doc["families"]
             )
@@ -151,21 +151,29 @@ class ColoringCertificate:
         try:
             parts = doc["parts"]
             return cls(
-                ground_n=int(doc["ground_n"]),
-                k=int(doc["k"]),
-                r=int(doc["r"]),
-                colors=tuple(int(c) for c in doc["colors"]),
+                ground_n=_int(doc["ground_n"]),
+                k=_int(doc["k"]),
+                r=_int(doc["r"]),
+                colors=tuple(map(_int, doc["colors"])),
                 parts=(
-                    tuple(tuple(int(x) for x in p) for p in parts)
+                    tuple(tuple(map(_int, p)) for p in parts)
                     if parts is not None
                     else None
                 ),
-                stability=int(doc["s"]) if doc.get("s") is not None else None,
+                stability=_int(doc["s"]) if doc.get("s") is not None else None,
             )
         except InvalidCertificate:
             raise
         except Exception as exc:
             raise MalformedCertificate(f"bad coloring certificate: {exc}") from exc
+
+
+def _int(value) -> int:
+    """A JSON integer as it is written: a float, a string or a boolean is
+    refused, not coerced, so a document cannot verify as some other one."""
+    if type(value) is not int:
+        raise MalformedCertificate(f"expected an integer, got {value!r}")
+    return value
 
 
 def _check_format(doc: dict, keys: tuple[str, ...]) -> None:

@@ -28,6 +28,7 @@ import multiprocessing
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
@@ -51,9 +52,11 @@ class SolveBudget:
 
     proof_cap bounds the vertex count for which optimality proofs are
     attempted; larger instances get honest brackets only.  workers > 1
-    runs a portfolio of tie-breaking orders and keeps the first exact
-    answer (and its nodes), which never changes the value, only the wall
-    time; without an exact answer, nodes is the sum over all workers.
+    races that many rotations of the branching tie-break and keeps the
+    first exact answer (and its nodes), which never changes the value,
+    only the wall time; without an exact answer, nodes is the sum over all
+    workers.  The race runs only when a search does: a bracket above
+    proof_cap is the same at every rotation, so no worker is started.
     """
 
     max_seconds: float | None = None
@@ -217,38 +220,55 @@ class _Engine:
         adj, partners, third, rests = self.adj, self.partners, self.third, self.rests
         # pairs and triples are unpacked by hand: once orbital pruning cut
         # the search, the generic loop over members took most of a
-        # KG^3(11,3) solve (80 of 117 ms), and this form halves it
-        for t in constraints:
-            if len(t) == 2:
-                a, b = t
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            elif len(t) == 3:
-                a, b, c = t
-                ba, bb, bc = 1 << a, 1 << b, 1 << c
-                partners[a] |= bb | bc
-                partners[b] |= ba | bc
-                partners[c] |= ba | bb
-                ta, tb, tc = third[a], third[b], third[c]
-                ta[b] |= bc
-                ta[c] |= bb
-                tb[a] |= bc
-                tb[c] |= ba
-                tc[a] |= bb
-                tc[b] |= ba
-            elif len(t) > 3:
-                mask = 0
-                for u in t:
-                    mask |= 1 << u
-                for v in t:
-                    rests[v].append(mask & ~(1 << v))
-            else:
-                raise InvalidParams(f"constraint {t} has fewer than 2 members")
+        # KG^3(11,3) solve (80 of 117 ms), and this form halves it.  A bad
+        # member fails cheaply: an id of nv or more fails the slot reads,
+        # which come before any shift, a negative id fails its shift, and
+        # a repeated id one comparison (for longer constraints, the mask's
+        # size).
+        try:
+            for t in constraints:
+                if len(t) == 2:
+                    a, b = t
+                    if a == b:
+                        raise ValueError
+                    xa, xb = adj[a], adj[b]
+                    adj[a] = xa | 1 << b
+                    adj[b] = xb | 1 << a
+                elif len(t) == 3:
+                    a, b, c = t
+                    if a == b or b == c or a == c:
+                        raise ValueError
+                    ta, tb, tc = third[a], third[b], third[c]
+                    ba, bb, bc = 1 << a, 1 << b, 1 << c
+                    partners[a] |= bb | bc
+                    partners[b] |= ba | bc
+                    partners[c] |= ba | bb
+                    ta[b] |= bc
+                    ta[c] |= bb
+                    tb[a] |= bc
+                    tb[c] |= ba
+                    tc[a] |= bb
+                    tc[b] |= ba
+                elif len(t) > 3:
+                    vr = [rests[v] for v in t]
+                    mask = 0
+                    for u in t:
+                        mask |= 1 << u
+                    if mask.bit_count() != len(t):
+                        raise ValueError
+                    for v, rv in zip(t, vr):
+                        rv.append(mask & ~(1 << v))
+                else:
+                    raise InvalidParams(f"constraint {t} has fewer than 2 members")
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InvalidParams(
+                f"constraint {t} needs distinct ids of the {nv} vertices"
+            ) from exc
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
         self.incidence: list[int] = []
         if self.cells:
-            self.incidence = [0] * max(bits.bit_length() for bits in points)
+            self.incidence = [0] * max((b.bit_length() for b in points), default=0)
             for v, bits in enumerate(points):
                 while bits:
                     low = bits & -bits
@@ -479,19 +499,11 @@ class _Engine:
         return self._colors()
 
 
-def _search(
-    nv: int,
-    constraints: tuple[tuple[int, ...], ...],
-    budget: SolveBudget,
-    shift: int = 0,
-    points: tuple[int, ...] = (),
-    cells: tuple[int, ...] = (),
-) -> SolveResult:
+def _search(h: Hypergraph, budget: SolveBudget, shift: int = 0) -> SolveResult:
     """Shared solve loop: greedy bracket, then iterative deepening.
 
-    `points` holds each vertex's point mask and `cells` the starting cells
-    of the engine's orbital pruning; callers pass them only for instances
-    whose constraints every permutation inside the cells keeps.
+    The engine prunes orbits over `h.cells`, with each vertex's point mask,
+    only when the builder granted cells; `shift` rotates its tie-break.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
@@ -502,10 +514,13 @@ def _search(
     terminated infeasible.  The result carries the best coloring and no
     certificate, with millis left at 0 for the caller to fill in.
     """
+    nv = len(h.vertices)
+    points = tuple(v.bits for v in h.vertices) if h.cells else ()
+    # built before the empty case returns, so that it checks every edge
+    engine = _Engine(nv, h.edges, points, h.cells)
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
-    engine = _Engine(nv, constraints, points, cells)
     engine.shift = shift % nv
     engine.max_nodes = budget.max_nodes
     if budget.max_seconds is not None:
@@ -514,7 +529,7 @@ def _search(
     clique = engine.pair_clique()
     best = engine.first_fit()
     ub = max(best) + 1
-    lb = max(2 if constraints else 1, len(clique))
+    lb = max(2 if h.edges else 1, len(clique))
 
     if nv > budget.proof_cap:
         status = EXACT if lb == ub else BOUNDS
@@ -549,37 +564,29 @@ def _classes_to_partition(
     return PartitionCertificate(p, families)
 
 
-def _portfolio(args) -> SolveResult:
-    return _search(*args)
-
-
-def _run_search(
-    nv: int,
-    constraints: tuple[tuple[int, ...], ...],
-    budget: SolveBudget,
-    points: tuple[int, ...] = (),
-    cells: tuple[int, ...] = (),
-) -> SolveResult:
-    if budget.workers <= 1 or nv == 0:
-        return _search(nv, constraints, budget, 0, points, cells)
-    shifts = [w * nv // budget.workers for w in range(budget.workers)]
-    tasks = [(nv, constraints, budget, s, points, cells) for s in shifts]
-    outcomes: list[SolveResult] = []
-    with multiprocessing.Pool(budget.workers) as pool:
-        for out in pool.imap_unordered(_portfolio, tasks):
-            if out.status == EXACT:
-                pool.terminate()
-                return out
-            outcomes.append(out)
-    pick = min(outcomes, key=lambda o: o.upper)
-    lower = max(o.lower for o in outcomes)
-    return replace(pick, lower=lower, nodes=sum(o.nodes for o in outcomes))
-
-
 def _solve(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
-    """The search both entry points share, with millis counted from t0."""
-    points = tuple(v.bits for v in h.vertices) if h.cells else ()
-    out = _run_search(len(h.vertices), h.edges, budget, points, h.cells)
+    """The search both entry points share, with millis counted from t0.
+
+    With workers > 1 and a search to run, the workers race rotations of
+    the tie-break: the first EXACT result wins and the pool is stopped;
+    otherwise the result keeps the best upper bound's coloring, the highest
+    lower bound and the nodes of all workers.
+    """
+    nv = len(h.vertices)
+    if budget.workers <= 1 or not 0 < nv <= budget.proof_cap:
+        out = _search(h, budget)
+    else:
+        shifts = [w * nv // budget.workers for w in range(budget.workers)]
+        outcomes: list[SolveResult] = []
+        with multiprocessing.Pool(budget.workers) as pool:
+            for out in pool.imap_unordered(partial(_search, h, budget), shifts):
+                if out.status == EXACT:
+                    break  # leaving the block terminates the other workers
+                outcomes.append(out)
+            else:
+                out = replace(min(outcomes, key=lambda o: o.upper),
+                              lower=max(o.lower for o in outcomes),
+                              nodes=sum(o.nodes for o in outcomes))
     return replace(out, millis=int((time.monotonic() - t0) * 1000))
 
 
@@ -619,7 +626,9 @@ def chromatic_number(
     also gets a certificate named by its descriptor, re-verified from the
     descriptor alone, so an edge list that misses edges cannot pass.  A
     hand-built or edited hypergraph has no descriptor and no cells: it is
-    searched without orbital pruning and gets no certificate.
+    searched without orbital pruning and gets no certificate.  An edge with
+    fewer than 2 members, a repeated member or an id outside the vertices
+    raises InvalidParams.
     """
     out = _solve(h, budget, time.monotonic())
 

@@ -25,7 +25,12 @@ from kneser_lab.errors import (
     InvalidParams,
     MalformedCertificate,
 )
-from kneser_lab.kneser import PartSpec, build_partition_constrained
+from kneser_lab.kneser import (
+    PartSpec,
+    build_kneser_hypergraph,
+    build_partition_constrained,
+    build_stable_subhypergraph,
+)
 from kneser_lab.setsys import (
     DEFAULT_GROUND_CAP,
     MAX_SUBSETS,
@@ -35,6 +40,7 @@ from kneser_lab.setsys import (
     SetFamily,
     is_s_stable,
 )
+from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
     is_r_wise_intersecting,
     verify_coloring_certificate,
@@ -171,19 +177,51 @@ def test_coloring_empty_parts_survive_roundtrip():
         verify_coloring_certificate(back)
 
 
+def nudge_colors(doc, change):
+    doc["colors"] = [change(c) for c in doc["colors"]]
+
+
 def test_malformed_documents_rejected():
-    good = build_tight_partition(GroundParams(5, 2, 2)).to_dict()
-    for breakage in (
-        lambda d: d.update(format="other/9"),
-        lambda d: d.pop("families"),
-        lambda d: d.pop("n"),
-        lambda d: d["families"].append([["x"]]),
-        lambda d: d["families"][0].append([0, 99]),
-    ):
+    """Every number in a document must be a JSON integer.  int() used to
+    coerce the rest, so each non-integer breakage below verified as the
+    valid document it rounds to."""
+    p623 = GroundParams(6, 2, 3)
+    partition = build_tight_partition(p623).to_dict()
+    coloring = chromatic_number(build_kneser_hypergraph(p623)).certificate.to_dict()
+    lifted = blow_up(build_tight_partition(GroundParams(4, 2, 3)))[0].to_dict()
+    stable = chromatic_number(
+        build_stable_subhypergraph(GroundParams(8, 2, 2), 2)).certificate.to_dict()
+    assert partition["families"][0][0] == [1, 2] and lifted["parts"][0] == [1, 2]
+    cases = [
+        (build_tight_partition(GroundParams(5, 2, 2)).to_dict(), breakage)
+        for breakage in (
+            lambda d: d.update(format="other/9"),
+            lambda d: d.pop("families"),
+            lambda d: d.pop("n"),
+            lambda d: d["families"].append([["x"]]),
+            lambda d: d["families"][0].append([0, 99]),
+        )
+    ] + [
+        (partition, lambda d: d.update(n=6.5)),
+        (partition, lambda d: d.update(n=6.0)),
+        (partition, lambda d: d.update(k=2.2)),
+        (partition, lambda d: d.update(r="3")),
+        (partition, lambda d: d["families"][0].__setitem__(0, [True, 2])),
+        (coloring, lambda d: d.update(r=3.99)),
+        (coloring, lambda d: d.update(ground_n="6")),
+        (coloring, lambda d: nudge_colors(d, lambda c: c + 0.4)),
+        (coloring, lambda d: nudge_colors(d, str)),
+        (coloring, lambda d: nudge_colors(d, bool)),
+        (lifted, lambda d: d["parts"].__setitem__(0, [1.0, 2])),
+        (lifted, lambda d: d["parts"].__setitem__(0, [True, 2])),
+        (stable, lambda d: d.update(s=2.0)),
+    ]
+    for i, (good, breakage) in enumerate(cases):
         doc = json.loads(json.dumps(good))
         breakage(doc)
         with pytest.raises(MalformedCertificate):
             certificate_from_dict(doc)
+        assert certificate_from_dict(good).to_dict() == good, i
 
 
 def test_coloring_certificate_requires_contiguous_colors():

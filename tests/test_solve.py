@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -209,11 +210,10 @@ def test_solver_matches_brute_force():
         assert brute_force_oracle(h, res.upper) == res.upper, trial
         # every rotation of the branching tie-break reaches the same value,
         # with and without orbital pruning over the point classes
-        points = tuple(1 << i for i in range(nv))
-        cells = twin_cells(nv, h.edges)
+        pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
         for shift in range(nv):
-            for pruning in [(), (points, cells)]:
-                out = _search(nv, h.edges, SolveBudget(), shift, *pruning)
+            for record in (h, pruned):
+                out = _search(record, SolveBudget(), shift)
                 assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
                 assert verify_coloring(h, out.colors).ok, (trial, shift)
 
@@ -412,7 +412,7 @@ def test_stable_instances_get_no_cells():
     h = build_stable_subhypergraph(p, 2)
     assert not all(transposition_images(h, (1 << p.n) - 1).values())
     res = chromatic_number(h)
-    plain = _search(h.num_vertices, h.edges, SolveBudget())
+    plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget())
     assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 134)
 
 
@@ -450,19 +450,19 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     edited = dataclasses.replace(kg, edges=kg.edges[::2])
     assert edited.params is None and edited.cells == ()
     assert not all(transposition_images(edited, (1 << 8) - 1).values())
-    nv, points = edited.num_vertices, tuple(v.bits for v in edited.vertices)
-    wrong = _search(nv, edited.edges, SolveBudget(), 0, points, kg.cells)
+    unsound = kneser._granted(edited.vertices, edited.edges, kg.cells)
+    wrong = _search(unsound, SolveBudget())
     assert (wrong.status, wrong.upper) == (EXACT, 5)
 
     seen = []
-    run_search = solve._run_search
+    search = solve._search
 
-    def spy(nv, constraints, budget, points=(), cells=()):
-        out = run_search(nv, constraints, budget, points, cells)
-        seen.append((cells, out.upper))
+    def spy(h, budget, shift=0):
+        out = search(h, budget, shift)
+        seen.append((h.cells, out.upper))
         return out
 
-    monkeypatch.setattr(solve, "_run_search", spy)
+    monkeypatch.setattr(solve, "_search", spy)
     res = chromatic_number(edited)
     assert (res.status, res.upper, res.certificate) == (EXACT, 4, None)
     assert verify_coloring(edited, res.colors).ok
@@ -604,23 +604,32 @@ def test_worker_portfolio_agrees():
     ],
     ids=["bounds", "timeout", "timeout-split"],
 )
-def test_worker_portfolio_merges_brackets(budget, status, lowers):
+def test_worker_portfolio_merges_brackets(monkeypatch, budget, status, lowers):
     """Without an EXACT worker the portfolio keeps the best lower bound and
     the coloring of the best upper bound; value 7 sits inside both.  Each
     worker searches with the cells of [9]; `lowers` is how many distinct
-    lower bounds the two workers reach."""
+    lower bounds the two workers reach.  Above proof_cap nothing is
+    searched and every worker would give the same bracket, so no pool
+    is started."""
+    pools = []
+    real_pool = solve.multiprocessing.Pool
+
+    def pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(solve.multiprocessing, "Pool", pool)
     p = GroundParams(9, 2, 2)
     h = build_kneser_hypergraph(p)
     part = min_partition_number(p, budget)
     chi = chromatic_number(h, budget)
+    assert len(pools) == (0 if status == "BOUNDS" else 2)
     ch = build_conflict_hypergraph(p)
-    for res, constraints, vertices in [(part, ch.edges, ch.vertices),
-                                       (chi, h.edges, h.vertices)]:
-        points = tuple(v.bits for v in vertices)
+    for res, record in [(part, ch), (chi, h)]:
+        assert record.cells == (2**9 - 1,)
         assert res.status == status
         assert res.lower <= 7 <= res.upper
-        singles = [_search(36, constraints, budget, shift, points, (2**9 - 1,))
-                   for shift in (0, 18)]
+        singles = [_search(record, budget, shift) for shift in (0, 18)]
         assert len({o.lower for o in singles}) == lowers
         assert res.lower == max(o.lower for o in singles)
         assert res.upper == min(o.upper for o in singles)
@@ -660,10 +669,27 @@ def test_brute_force_oracle_examples():
     assert brute_force_oracle(h, 4) == 2
 
 
-@pytest.mark.parametrize("constraint", [(), (0,)])
+@pytest.mark.parametrize("constraint", [
+    (), (0,), (0, 0), (0, 1, 1), (1, 2, 1), (0, 1, 2, 2), (0, 9), (0, -1),
+    (-1, 0), (0, 1, 9), (0, 1, 2, -1),
+])
 def test_engine_rejects_short_constraints(constraint):
-    with pytest.raises(InvalidParams, match="fewer than 2 members"):
+    """Too few members, a repeated member or an id outside the vertices is
+    bad input, not a soundness failure, and the message names it."""
+    with pytest.raises(InvalidParams, match=re.escape(f"constraint {constraint}")):
         solve._Engine(3, ((0, 1), (0, 1, 2), constraint))
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (4, ((0, 0),)), (4, ((0, 1, 1),)), (4, ((0, 9),)), (4, ((0, -1),)),
+    (0, ((0, 1),)),
+])
+def test_chromatic_number_rejects_malformed_edges(vertices, edges):
+    """A hand-built Hypergraph with a malformed edge raises InvalidParams
+    through the public entry point, the empty one included."""
+    h = Hypergraph(tuple(KSubset(1 << i, 4) for i in range(vertices)), edges)
+    with pytest.raises(InvalidParams, match=re.escape(f"constraint {edges[0]}")):
+        chromatic_number(h)
 
 
 def test_brute_force_oracle_guards():

@@ -12,7 +12,8 @@ import kneser_lab.solve as solve
 from kneser_lab import cli, constructions, errors, kneser, verify
 from kneser_lab.setsys import GroundParams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -82,6 +83,38 @@ def test_traced_pass_covers_every_bench_call():
     assert tracer.counts["kneser.edges"] > 0
     assert tracer.counts["solve.conflict.witnesses"] > 0
     assert tracer.counts["constructions.lift_vertices"] > 0
+
+
+def test_bench_passes_run_against_the_library(monkeypatch):
+    """passes.py calls the library by name and keyword (SolveBudget's
+    fields, blow_up's pair, the builders and verifiers); a rename there
+    would make every bench op fail.  Build the budget of every ladder
+    search and run each runner once on a small instance."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_passes",
+                                                  PERFBENCH / "passes.py")
+    passes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(passes)
+    for ladder in passes.DESIGN["workloads"].values():
+        for inst in ladder:
+            if inst["op"] != "lift":
+                budget = passes.budget(inst)
+                assert isinstance(budget, solve.SolveBudget)
+                assert budget.proof_cap == inst["proof_cap"]
+    small = [
+        {"op": "solve", "n": 6, "k": 2, "r": 3, "proof_cap": 15},
+        {"op": "chi", "n": 6, "k": 2, "r": 3, "proof_cap": 15},
+        {"op": "chi", "n": 8, "k": 2, "r": 2, "s": 2, "proof_cap": 20},
+        {"op": "chi", "n": 6, "k": 2, "r": 3, "parts": [[1, 2], [3, 4], [5, 6]],
+         "proof_cap": 12},
+        {"op": "lift", "n": 6, "k": 2, "r": 3},
+    ]
+    assert {inst["op"] for inst in small} == set(passes.RUNNERS)
+    rec = passes.Pass(steady=False)
+    for i, inst in enumerate(small):
+        passes.RUNNERS[inst["op"]](rec, inst, passes.random.Random(i))
+    assert rec.failures == []
+    assert rec.attempted == 4 * 3 + 5  # answer, verify and reject; a lift checks two
 
 
 def test_package_exports_resolve():
