@@ -6,10 +6,14 @@ the two entry points share one search core and differ only in their
 certificates.  The engine below keeps two bitmasks per color, the vertices
 holding it and the uncolored vertices it would complete a constraint on,
 so an assignment touches one color's masks and undo restores them.  It
-branches on the vertex with the fewest remaining candidate colors, breaks
-color symmetry by only ever opening one fresh color, and proves optimality
-by iterative deepening on the class count.  Closed-form values are never
-consulted, so agreement with the formulas is evidence, not circularity.
+branches on the vertex with the fewest remaining candidate colors, breaking
+ties by how often assigning a vertex has wiped out a domain so far in the
+solve (the variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre
+and Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
+breaks color symmetry by only ever opening one fresh color, and proves
+optimality by iterative deepening on the class count.  Closed-form values
+are never consulted, so agreement with the formulas is evidence, not
+circularity.
 
 Point symmetry is broken by orbital branching (Margot 2002; Ostrowski,
 Linderoth, Rossi and Smriglio 2011) over a subgroup that needs no group
@@ -52,11 +56,13 @@ class SolveBudget:
 
     proof_cap bounds the vertex count for which optimality proofs are
     attempted; larger instances get honest brackets only.  workers > 1
-    races that many rotations of the branching tie-break and keeps the
-    first exact answer (and its nodes), which never changes the value,
-    only the wall time; without an exact answer, nodes is the sum over all
-    workers.  The race runs only when a search does: a bracket above
-    proof_cap is the same at every rotation, so no worker is started.
+    races that many rotations of the branching tie-break's last key (the
+    vertex id, after the forbidden colors and the learned wipeout weight)
+    and keeps the first exact answer (and its nodes), which never changes
+    the value, only the wall time; without an exact answer, nodes is the
+    sum over all workers.  Each worker learns its own weights.  The race
+    runs only when a search does: a bracket above proof_cap is the same at
+    every rotation, so no worker is started.
     """
 
     max_seconds: float | None = None
@@ -187,6 +193,13 @@ class _Engine:
     all the others are c.  The wipeout check looks only at the vertices
     newly added to forb[c].
 
+    Branching weights.  weight holds, bit-sliced (plane j is bit j of
+    every vertex's count), how often assigning each vertex has wiped out
+    a domain.  It lives as long as the engine, so it carries over every
+    run(m) of one solve and starts at zero for the next; a fresh engine is
+    built per solve.  It only orders the branching, so it never changes
+    what is feasible.
+
     Orbital pruning.  Given each vertex's point mask (all of one size) and
     cells of points whose permutations keep the constraints, the group G
     of a node permutes points freely inside each of its cells and fixes
@@ -274,6 +287,7 @@ class _Engine:
                     low = bits & -bits
                     self.incidence[low.bit_length() - 1] |= 1 << v
                     bits ^= low
+        self.weight: list[int] = []
         self.nodes = 0
         self.deadline: float | None = None
         self.max_nodes: int | None = None
@@ -318,9 +332,12 @@ class _Engine:
     def _select(self, p: int) -> tuple[int, int]:
         """The branching vertex and its allowed colors among the first p.
 
-        The key is (allowed colors, (v - shift) mod nv).  Bit-sliced
-        counters over forb[c] & uncol count each vertex's forbidden colors;
-        filtering from the top plane down leaves the vertices with the most.
+        The key is (forbidden colors, wipeout weight, (v - shift) mod nv):
+        most forbidden first, then heaviest, then the rotated id.
+        Bit-sliced counters over forb[c] & uncol count each vertex's
+        forbidden colors; filtering from the top plane down leaves the
+        vertices with the most, and the same filter over the weight planes,
+        run only while a tie is left, leaves the heaviest of those.
         """
         uncol = self.uncol
         prefix = self.forb[:p]
@@ -337,16 +354,30 @@ class _Engine:
         for plane in reversed(planes):
             if best & plane:
                 best &= plane
-        hi = best >> self.shift
-        if hi:
-            v = self.shift + (hi & -hi).bit_length() - 1
-        else:
-            v = (best & -best).bit_length() - 1
+        if best & (best - 1):
+            for plane in reversed(self.weight):
+                if best & plane:
+                    best &= plane
+                    if not best & (best - 1):
+                        break
+            hi = best >> self.shift << self.shift
+            if hi:
+                best = hi
+        v = (best & -best).bit_length() - 1
         cand = 0
         for c, fc in enumerate(prefix):
             if not fc >> v & 1:
                 cand |= 1 << c
         return v, cand
+
+    def _bump(self, bit: int) -> None:
+        """Add one to the weight of the vertex whose bit is given."""
+        weight = self.weight
+        for j, plane in enumerate(weight):
+            weight[j] = plane ^ bit
+            if not plane & bit:
+                return
+        weight.append(bit)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -412,12 +443,16 @@ class _Engine:
         Once child (v, c) fails, no solution below this node colors v with
         c, so none colors any vertex of v's orbit with c: the orbit joins
         forb[c] for the remaining children, and leaves it again when the
-        node returns.  The children search under the cells v splits.
+        node returns.  The children search under the cells v splits.  A
+        child whose assignment wipes out adds one to v's weight.
         """
         self._tick()
         if remaining == 0:
             return True
-        v, cand = self._select(min(max_used + 2, self.m))
+        # min and max spelled out: builtin calls are a measurable share of
+        # a node's cost
+        p = max_used + 2
+        v, cand = self._select(p if p < self.m else self.m)
         bit = 1 << v
         col = self.col
         forb = self.forb
@@ -427,7 +462,9 @@ class _Engine:
             c = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             old = forb[c]
-            if self._assign(v, c) and self._dfs(remaining - 1, max(max_used, c), inner):
+            if not self._assign(v, c):
+                self._bump(bit)
+            elif self._dfs(remaining - 1, c if c > max_used else max_used, inner):
                 return True
             col[c] ^= bit
             forb[c] = old

@@ -28,6 +28,7 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily
 from kneser_lab.solve import (
     EXACT,
+    SolveBudget,
     chromatic_number,
     min_partition_number,
 )
@@ -252,3 +253,29 @@ def test_criterion_10_partition_strictly_above_chromatic():
         "PASS criterion 10: on (6,2,3) the partition number 5 exceeds the "
         "chromatic number 2"
     )
+
+
+def test_criterion_11_exact_frontier():
+    """The instances that timed out before the weighted tie-break: each
+    proved EXACT at its closed form within 20 s, proof_cap = vertex count."""
+    solved = []
+    for n, k, r, want in [(10, 2, 3, 9), (11, 2, 3, 10), (12, 2, 3, 11), (8, 3, 4, 6)]:
+        start = time.monotonic()
+        p = GroundParams(n, k, r)
+        res = min_partition_number(p, SolveBudget(proof_cap=p.num_vertices))
+        elapsed = time.monotonic() - start
+        assert res.status == EXACT and res.upper == want == tight_bound(p), (n, k, r)
+        assert verify_partition_certificate(res.certificate).ok
+        assert elapsed < 20, (n, k, r, elapsed)
+        solved.append(f"({n},{k},{r})={want}")
+
+    start = time.monotonic()
+    p = GroundParams(12, 2, 2)
+    h = build_kneser_hypergraph(p)
+    res = chromatic_number(h, SolveBudget(proof_cap=len(h.vertices)))
+    elapsed = time.monotonic() - start
+    assert res.status == EXACT and res.upper == 10 == formula_chi(p)
+    assert verify_coloring_certificate(res.certificate).ok
+    assert elapsed < 20, elapsed
+    print(f"PASS criterion 11: {', '.join(solved)} and chi KG(12,2)=10 EXACT, "
+          f"each within 20s")

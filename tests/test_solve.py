@@ -12,6 +12,7 @@ import textwrap
 import warnings
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -244,20 +245,77 @@ def test_search_tree_pinned():
     branching, propagation, tie-break or orbital pruning moves them."""
     p623 = GroundParams(6, 2, 3)
     cases = [
-        (min_partition_number(p623), 5, 41),
+        (min_partition_number(p623), 5, 28),
         (chromatic_number(build_kneser_hypergraph(p623)), 2, 4),
         # s-stable: no cells, so no orbital pruning
         (chromatic_number(
-            build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 134),
+            build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 147),
         (chromatic_number(build_partition_constrained(
             p623, PartSpec(((1, 2), (3, 4), (5, 6))))), 2, 5),
-        (min_partition_number(GroundParams(7, 2, 2)), 5, 23),
-        (min_partition_number(GroundParams(8, 2, 3)), 7, 3467),
+        (min_partition_number(GroundParams(7, 2, 2)), 5, 21),
+        (min_partition_number(GroundParams(8, 2, 3)), 7, 262),
         # n < 2k: no disjoint pair, so no clique is pinned
-        (min_partition_number(GroundParams(7, 4, 3)), 3, 50),
+        (min_partition_number(GroundParams(7, 4, 3)), 3, 47),
     ]
     for i, (res, value, nodes) in enumerate(cases):
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
+
+
+BENCH_LADDER_NODES = {
+    "search-hyper": [1101, 424, 1910, 748, 1655],
+    "search-pairs": [481, 82563, 132],
+}
+
+
+def bench_instance(inst):
+    """A perfbench/design.json ladder entry as the benchmark solves it."""
+    p = GroundParams(inst["n"], inst["k"], inst["r"])
+    budget = SolveBudget(proof_cap=inst["proof_cap"])
+    if inst["op"] == "solve":
+        return min_partition_number(p, budget)
+    if "parts" in inst:
+        h = build_partition_constrained(
+            p, PartSpec(tuple(tuple(b) for b in inst["parts"])))
+    elif "s" in inst:
+        h = build_stable_subhypergraph(p, inst["s"])
+    else:
+        h = build_kneser_hypergraph(p)
+    return chromatic_number(h, budget)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_LADDER_NODES))
+def test_bench_ladder_nodes_pinned(workload):
+    """The benchmark's search ladders at workers=1 and their own proof_cap:
+    the node counts the bench prints, pinned here so that a change to the
+    search tree shows in the tests as well as in a bench run."""
+    design = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
+    ladder = json.loads(design.read_text())["workloads"][workload]
+    results = [bench_instance(inst) for inst in ladder]
+    assert all(res.status == EXACT for res in results)
+    assert [res.nodes for res in results] == BENCH_LADDER_NODES[workload]
+
+
+def test_branching_weights_are_per_solve():
+    """The wipeout weights live in one engine: a second solve of the same
+    instance searches the same tree, and rotating the tie-break changes
+    only the tree, never the value."""
+    p = GroundParams(9, 2, 3)
+    first, again = min_partition_number(p), min_partition_number(p)
+    assert first.status == EXACT and first.nodes == again.nodes == 1101
+    assert first.certificate.to_dict() == again.certificate.to_dict()
+
+    h = build_kneser_hypergraph(GroundParams(10, 2, 2))
+    budget = SolveBudget(proof_cap=len(h.vertices))
+    chi, chi_again = chromatic_number(h, budget), chromatic_number(h, budget)
+    assert chi.status == EXACT and chi.nodes == chi_again.nodes == 481
+    assert chi.certificate.to_dict() == chi_again.certificate.to_dict()
+
+    ch = build_conflict_hypergraph(p)
+    nv = len(ch.vertices)
+    rotated = [_search(ch, SolveBudget(proof_cap=nv), shift)
+               for shift in (0, nv // 2)]
+    assert [(o.status, o.upper) for o in rotated] == [(EXACT, 8)] * 2
+    assert [o.nodes for o in rotated] == [1101, 1040]
 
 
 def consecutive_blocks(n, size):
@@ -413,7 +471,7 @@ def test_stable_instances_get_no_cells():
     assert not all(transposition_images(h, (1 << p.n) - 1).values())
     res = chromatic_number(h)
     plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget())
-    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 134)
+    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 147)
 
 
 def test_hand_built_hypergraph_gets_no_cells():
@@ -423,10 +481,10 @@ def test_hand_built_hypergraph_gets_no_cells():
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     cases = [
-        (Hypergraph(kg.vertices, kg.edges), 6, 183),
-        (kg, 6, 85),
-        (Hypergraph(ch.vertices, ch.edges), 5, 103),
-        (ch, 5, 41),
+        (Hypergraph(kg.vertices, kg.edges), 6, 114),
+        (kg, 6, 52),
+        (Hypergraph(ch.vertices, ch.edges), 5, 55),
+        (ch, 5, 28),
     ]
     for i, (h, value, nodes) in enumerate(cases):
         res = chromatic_number(h)
@@ -446,7 +504,7 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     assert kg.cells == ((1 << 8) - 1,) and kg.params == GroundParams(8, 2, 2)
     same = dataclasses.replace(kg)
     assert same.cells == () and same.params is None
-    assert chromatic_number(same).nodes == 183
+    assert chromatic_number(same).nodes == 114
     edited = dataclasses.replace(kg, edges=kg.edges[::2])
     assert edited.params is None and edited.cells == ()
     assert not all(transposition_images(edited, (1 << 8) - 1).values())
