@@ -42,7 +42,7 @@ from .kneser import (
     build_partition_constrained,
     build_stable_subhypergraph,
 )
-from .setsys import GroundParams
+from .setsys import DEFAULT_GROUND_CAP, GroundParams
 from .solve import (
     EXACT,
     TIMEOUT,
@@ -65,14 +65,15 @@ def _parse_parts(text: str) -> PartSpec:
     return PartSpec(blocks)
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2..5' -> [2,3,4,5]; '4' -> [4]."""
+def _parse_range(text: str) -> range:
+    """'2..5' -> range(2, 6); '4' -> range(4, 5).  Lazy, so a range of any
+    length costs nothing until it is walked."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            out = list(range(int(lo), int(hi) + 1))
+            out = range(int(lo), int(hi) + 1)
         else:
-            out = [int(text)]
+            out = range(int(text), int(text) + 1)
     except ValueError as exc:
         raise InvalidParams(f"cannot parse range {text!r}") from exc
     if not out:
@@ -240,9 +241,20 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rs = _parse_range(args.r_range)
-    if min(rs) < 2:  # r = 1 would divide by r - 1 below
-        raise InvalidParams(f"need r >= 2, got r={min(rs)}")
+    if rs[0] < 2:  # r = 1 would divide by r - 1 below
+        raise InvalidParams(f"need r >= 2, got r={rs[0]}")
     ks = _parse_range(args.k_range)
+    if ks[-1] > DEFAULT_GROUND_CAP:
+        raise CapExceeded(f"k={ks[-1]} exceeds cap {DEFAULT_GROUND_CAP}")
+    if args.n_range == "auto":
+        # the first n of a row block, ceil(r*k/(r-1)), is largest at the
+        # least r and the greatest k
+        top = -(-rs[0] * ks[-1] // (rs[0] - 1)) + args.span - 1
+    else:
+        ns = _parse_range(args.n_range)
+        top = ns[-1]
+    if top > DEFAULT_GROUND_CAP:
+        raise CapExceeded(f"ground set size {top} exceeds cap {DEFAULT_GROUND_CAP}")
     budget = _budget(args)
     rows = []
     all_agree = True
@@ -250,9 +262,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for k in ks:
             if args.n_range == "auto":
                 start = -(-r * k // (r - 1))
-                ns = list(range(start, start + args.span))
-            else:
-                ns = _parse_range(args.n_range)
+                ns = range(start, start + args.span)
             for n in ns:
                 if n < k or r * k > (r - 1) * n:
                     continue

@@ -6,10 +6,13 @@ the two entry points share one search core and differ only in their
 certificates.  The engine below keeps two bitmasks per color, the vertices
 holding it and the uncolored vertices it would complete a constraint on,
 so an assignment touches one color's masks and undo restores them.  It
-branches on the vertex with the fewest remaining candidate colors, breaking
-ties by how often assigning a vertex has wiped out a domain so far in the
-solve (the variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre
-and Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
+branches on the vertex with the fewest remaining candidate colors, the
+saturation degree of DSATUR (Brélaz, "New methods to color the vertices
+of a graph", CACM 1979), which it keeps up to date per assignment rather
+than recounting it at every node.  It breaks ties by how often assigning
+a vertex has wiped out a domain so far in the solve (the
+variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
+Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
 optimality by iterative deepening on the class count.  Closed-form values
 are never consulted, so agreement with the formulas is evidence, not
@@ -182,8 +185,24 @@ class _Engine:
     is already c.  forb[c] may keep the bits of vertices colored since, so
     it is only ever read through `uncol`.  An uncolored vertex in forb[c]
     for all m colors is a wipeout.  Assigning v color c touches only
-    col[c], forb[c] and `uncol`, so undo needs just (v, c, old forb[c]),
-    which each search frame keeps in its locals.
+    col[c], forb[c], `uncol` and the count planes below, so undo needs just
+    (v, c, old forb[c]) and the old planes, which each search frame keeps
+    in its locals.
+
+    Forbidden counts.  count holds, bit-sliced (plane j is bit j of every
+    vertex's count), how many of the m forb[c] each vertex is in.  It is
+    taken over raw forb, so it too is read only through `uncol`.  An
+    assignment or an orbit prune adds one for each vertex newly in its
+    forb[c], and builds a new list to do so, so that undo puts back the
+    list it saved instead of subtracting.  Branching ranks vertices by
+    their forbidden colors among the first p = max_used + 2 (at most m),
+    the used colors and one fresh color, and the count over all m colors
+    is that same number, since forb[c] == 0 for every c > max_used: no
+    color above max_used is assigned on the path, the fresh color's forb
+    is empty, so it is always allowed and tried last, and a prune follows
+    only a child that is not the last, so it touches a color of at most
+    max_used.  A vertex has at most m forbidden colors, so a count of m
+    is one with every plane set where m has a one bit.
 
     Propagation works per arity.  A pair ORs v's precomputed adjacency mask
     into forb[c].  A triple walks only the partners of v already colored c
@@ -191,7 +210,7 @@ class _Engine:
     rather than with v's incidence.  A larger constraint keeps its members
     other than v as a rest mask and forbids its one remaining member once
     all the others are c.  The wipeout check looks only at the vertices
-    newly added to forb[c].
+    newly added to forb[c], and reads their counts off the planes.
 
     Branching weights.  weight holds, bit-sliced (plane j is bit j of
     every vertex's count), how often assigning each vertex has wiped out
@@ -298,9 +317,17 @@ class _Engine:
         self.col = [0] * m
         self.forb = [0] * m
         self.uncol = (1 << self.nv) - 1
+        planes = m.bit_length()
+        self.count = [0] * planes
+        self.m_planes = [j for j in range(planes) if m >> j & 1]
 
     def _assign(self, v: int, c: int) -> bool:
-        """Color v with c; False on a wipeout.  The caller undoes either way."""
+        """Color v with c; False on a wipeout.  The caller undoes either way.
+
+        The vertices newly in forb[c] each gain one forbidden color.  A
+        wipeout is an uncolored one of them whose count is now m: O(log m)
+        plane operations on those bits, not a walk over the other colors.
+        """
         forb = self.forb
         old = forb[c]
         cc = self.col[c] | 1 << v
@@ -319,39 +346,31 @@ class _Engine:
             if left & (left - 1) == 0:
                 f |= left
         forb[c] = f
-        new = f & ~old & self.uncol
-        if new:
-            for d, fd in enumerate(forb):
-                if d != c:
-                    new &= fd
-                    if not new:
-                        return True
-            return False
-        return True
+        grew = f & ~old
+        if not grew:
+            return True
+        self._count_in(grew)
+        count = self.count
+        new = grew & self.uncol
+        for j in self.m_planes:
+            new &= count[j]
+            if not new:
+                return True
+        return False
 
     def _select(self, p: int) -> tuple[int, int]:
         """The branching vertex and its allowed colors among the first p.
 
         The key is (forbidden colors, wipeout weight, (v - shift) mod nv):
         most forbidden first, then heaviest, then the rotated id.
-        Bit-sliced counters over forb[c] & uncol count each vertex's
-        forbidden colors; filtering from the top plane down leaves the
-        vertices with the most, and the same filter over the weight planes,
-        run only while a tie is left, leaves the heaviest of those.
+        Filtering `uncol` through the count planes from the top down
+        leaves the vertices with the most forbidden colors; the counts run
+        over all m colors, which equals the count over the first p because
+        forb[c] == 0 for every c >= p.  The same filter over the weight
+        planes, run only while a tie is left, leaves the heaviest of those.
         """
-        uncol = self.uncol
-        prefix = self.forb[:p]
-        planes = [0] * p.bit_length()
-        for fc in prefix:
-            carry = fc & uncol
-            j = 0
-            while carry:
-                pj = planes[j]
-                planes[j] = pj ^ carry
-                carry &= pj
-                j += 1
-        best = uncol
-        for plane in reversed(planes):
+        best = self.uncol
+        for plane in reversed(self.count):
             if best & plane:
                 best &= plane
         if best & (best - 1):
@@ -365,7 +384,7 @@ class _Engine:
                 best = hi
         v = (best & -best).bit_length() - 1
         cand = 0
-        for c, fc in enumerate(prefix):
+        for c, fc in enumerate(self.forb[:p]):
             if not fc >> v & 1:
                 cand |= 1 << c
         return v, cand
@@ -379,8 +398,21 @@ class _Engine:
                 return
         weight.append(bit)
 
-    def _tick(self) -> None:
-        self.nodes += 1
+    def _count_in(self, bits: int) -> None:
+        """Add one to the forbidden count of each vertex whose bit is given,
+        in a new list, so that planes saved for undo stay as they were."""
+        count = self.count[:]
+        j = 0
+        while bits:
+            pj = count[j]
+            count[j] = pj ^ bits
+            bits &= pj
+            j += 1
+        self.count = count
+
+    def _check_budget(self) -> None:
+        """Raise _Timeout past max_nodes, or, every 256th node, past the
+        deadline."""
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Timeout
         if self.deadline is not None and self.nodes & 0xFF == 0:
@@ -443,10 +475,14 @@ class _Engine:
         Once child (v, c) fails, no solution below this node colors v with
         c, so none colors any vertex of v's orbit with c: the orbit joins
         forb[c] for the remaining children, and leaves it again when the
-        node returns.  The children search under the cells v splits.  A
-        child whose assignment wipes out adds one to v's weight.
+        node returns.  The count planes saved before each child, and before
+        the node, are put back the same way.  The children search under the
+        cells v splits.  A child whose assignment wipes out adds one to v's
+        weight.
         """
-        self._tick()
+        self.nodes += 1
+        if self.max_nodes is not None or not self.nodes & 0xFF:
+            self._check_budget()
         if remaining == 0:
             return True
         # min and max spelled out: builtin calls are a measurable share of
@@ -458,10 +494,12 @@ class _Engine:
         forb = self.forb
         inner = self._split(cells, v) if cells else cells
         pruned: list[tuple[int, int]] = []
+        entry = self.count
         while cand:
             c = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             old = forb[c]
+            count = self.count
             if not self._assign(v, c):
                 self._bump(bit)
             elif self._dfs(remaining - 1, c if c > max_used else max_used, inner):
@@ -469,13 +507,16 @@ class _Engine:
             col[c] ^= bit
             forb[c] = old
             self.uncol |= bit
+            self.count = count
             if cand and cells:
                 orbit = self._orbit(v, cells) & ~bit
                 if orbit:
                     pruned.append((c, old))
                     forb[c] = old | orbit
+                    self._count_in(orbit & ~old)
         for c, old in pruned:
             forb[c] = old
+        self.count = entry
         return False
 
     def _colors(self) -> list[int]:

@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,37 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """Each `$ kneser-lab ...` line of README.md's code blocks with the
+    output lines under it, except where the output is elided with '...'."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.S | re.M):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ kneser-lab "):
+                command, *output = chunk.rstrip("\n").split("\n")
+                if "..." not in output:
+                    argv = shlex.split(command[len("$ kneser-lab "):], comments=True)
+                    examples.append((argv, output))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
+    """Every README example whose output is shown in full prints exactly
+    that output, with millis= masked; they run in order in one directory,
+    since construct, verify and blowup read and write files."""
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    shown = {" ".join(argv) for argv, _ in examples}
+    assert {"bound 6 2 3", "solve 6 2 3", "chi 6 2 3", "chi 8 2 2 --stable 2",
+            "chi 6 2 3 --parts 1,2/3,4/5,6"} <= shown
+    for argv, output in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        got = re.sub(r"millis=\d+", "millis=*", out).splitlines()
+        assert got == [re.sub(r"millis=\d+", "millis=*", line) for line in output], argv
 
 
 def test_bound_text(capsys):
@@ -315,6 +349,24 @@ def test_table_span_below_one_exits_2(capsys, span):
         main(["table", "--span", span])
     assert exc.value.code == 2
     assert "--span" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["--n", "1..99999999999"], "ground set size 99999999999 exceeds cap 64"),
+    (["--k", "1..99999999999"], "k=99999999999 exceeds cap 64"),
+    (["--span", "99999999999"], "ground set size 100000000004 exceeds cap 64"),
+    (["--r", "2", "--k", "3", "--span", "60"], "ground set size 65 exceeds cap 64"),
+    (["--k", "64..65", "--n", "4"], "k=65 exceeds cap 64"),
+])
+def test_table_past_the_ground_cap_exits_4_fast(capsys, argv, msg):
+    """Ranges are lazy and checked before any row is solved: these used to
+    die with a MemoryError traceback, or would have solved every row up to
+    the cap first."""
+    start = time.monotonic()
+    code, out, err = run(capsys, "table", *argv)
+    assert time.monotonic() - start < 1
+    assert code == 4 and out == ""
+    assert err == f"error: {msg}\n"
 
 
 @pytest.mark.parametrize("field,value", [

@@ -420,6 +420,86 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
     assert len(sizes) > 50 and max(sizes) > 1, sizes
 
 
+def test_forbidden_counts_match_a_recount(monkeypatch):
+    """White-box checks at every node: the count planes, read through
+    uncol, equal a recount over forb; no color above max_used is forbidden
+    anywhere, which makes a count over all m colors the count over the
+    colors branching looks at; and a node that fails leaves count, forb,
+    col and uncol as it found them."""
+    dfs_fn = solve._Engine._dfs
+    seen = {"nodes": 0, "cells": 0, "pruned": 0}
+
+    def dfs(self, remaining, max_used, cells):
+        for v in range(self.nv):
+            if self.uncol >> v & 1:
+                got = sum((plane >> v & 1) << j for j, plane in enumerate(self.count))
+                assert got == sum(fc >> v & 1 for fc in self.forb), v
+        assert not any(self.forb[max_used + 1:])
+        before = (list(self.count), list(self.forb), list(self.col), self.uncol)
+        found = dfs_fn(self, remaining, max_used, cells)
+        assert found or (
+            list(self.count), list(self.forb), list(self.col), self.uncol) == before
+        seen["nodes"] += 1
+        seen["cells"] += bool(cells)
+        return found
+
+    orbit_fn = solve._Engine._orbit
+
+    def orbit(self, v, cells):
+        out = orbit_fn(self, v, cells)
+        seen["pruned"] += out.bit_count() > 1
+        return out
+
+    monkeypatch.setattr(solve._Engine, "_dfs", dfs)
+    monkeypatch.setattr(solve._Engine, "_orbit", orbit)
+    assert min_partition_number(GroundParams(6, 2, 3)).upper == 5
+    assert min_partition_number(GroundParams(7, 2, 3)).upper == 6
+    assert min_partition_number(GroundParams(7, 3, 3)).upper == 4
+    assert chromatic_number(build_kneser_hypergraph(GroundParams(8, 2, 2))).upper == 6
+    assert chromatic_number(build_kneser_hypergraph(GroundParams(8, 2, 3))).upper == 3
+    parts = build_partition_constrained(
+        GroundParams(8, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8))))
+    assert chromatic_number(parts).upper == 3
+    with_cells = dict(seen)
+    sg = build_stable_subhypergraph(GroundParams(8, 2, 2), 2)
+    assert chromatic_number(sg).upper == 6
+    assert seen["cells"] == with_cells["cells"] > 100
+    assert seen["nodes"] - with_cells["nodes"] > 100
+    assert seen["pruned"] > 40
+
+
+@pytest.mark.parametrize("stable, cap, status, bracket, nodes", [
+    (False, 1, TIMEOUT, (4, 7), 2),
+    (False, 5, TIMEOUT, (5, 7), 6),
+    (False, 100, TIMEOUT, (6, 7), 101),
+    (False, 1000, EXACT, (7, 7), 262),
+    (True, 1, TIMEOUT, (3, 6), 2),
+    (True, 5, TIMEOUT, (3, 6), 6),
+    (True, 100, TIMEOUT, (4, 6), 101),
+    (True, 1000, TIMEOUT, (5, 6), 1001),
+])
+def test_node_budget_stops_pinned(stable, cap, status, bracket, nodes):
+    """A node budget stops solve (8,2,3), or chi SG(10,3) at its 50
+    vertices, at the same node whatever a node costs: once max_nodes is
+    set, the budget is checked at every node."""
+    budget = SolveBudget(max_nodes=cap, proof_cap=50)
+    if stable:
+        res = chromatic_number(
+            build_stable_subhypergraph(GroundParams(10, 3, 2), 2), budget)
+    else:
+        res = min_partition_number(GroundParams(8, 2, 3), budget)
+    assert (res.status, (res.lower, res.upper), res.nodes) == (status, bracket, nodes)
+
+
+def test_deadline_still_stops_the_search():
+    """With no node budget the deadline is read every 256th node; solve
+    (8,3,4) at its 56 vertices takes far longer than 0.05 s to finish."""
+    res = min_partition_number(
+        GroundParams(8, 3, 4), SolveBudget(max_seconds=0.05, proof_cap=56))
+    assert res.status == TIMEOUT
+    assert res.lower <= 6 <= res.upper and res.nodes > 256
+
+
 def transposition_images(h, within):
     """For each transposition of two points of the mask `within`, whether it
     maps the vertex set and the edge set to themselves."""
