@@ -100,7 +100,6 @@ def _budget(args: argparse.Namespace) -> SolveBudget:
         max_seconds=args.timeout,
         max_nodes=args.max_nodes,
         proof_cap=args.proof_cap,
-        workers=args.workers,
     )
 
 
@@ -243,6 +242,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     rs = _parse_range(args.r_range)
     if rs[0] < 2:  # r = 1 would divide by r - 1 below
         raise InvalidParams(f"need r >= 2, got r={rs[0]}")
+    if rs[-1] > DEFAULT_GROUND_CAP:
+        # an admissible row has n > k, so k < 64 under the ground cap, and
+        # a minimal witness has at most k + 1 members: an r above 64 adds
+        # no witness and repeats the rows of r = 64 but for r
+        raise CapExceeded(f"r={rs[-1]} exceeds cap {DEFAULT_GROUND_CAP}")
     ks = _parse_range(args.k_range)
     if ks[-1] > DEFAULT_GROUND_CAP:
         raise CapExceeded(f"k={ks[-1]} exceeds cap {DEFAULT_GROUND_CAP}")
@@ -353,7 +357,6 @@ def _add_budget(sp: argparse.ArgumentParser) -> None:
                     default=None)
     sp.add_argument("--proof-cap", dest="proof_cap", type=_at_least(int, 0),
                     default=40, help="max vertices for optimality proofs")
-    sp.add_argument("--workers", type=_at_least(int, 1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,7 @@
 Subsets of [n] = {1, ..., n} are stored as bit vectors packed into a Python
 int: bit i is set iff element i+1 is in the set.  Elements are 1-based in
 every public interface; bit positions are 0-based internally.  All types are
-immutable and safe to share between workers.
+immutable.
 """
 
 from __future__ import annotations

@@ -31,11 +31,9 @@ edited Hypergraph is searched without them and gets no certificate.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
@@ -58,14 +56,10 @@ class SolveBudget:
     """Resource limits for one solve call.
 
     proof_cap bounds the vertex count for which optimality proofs are
-    attempted; larger instances get honest brackets only.  workers > 1
-    races that many rotations of the branching tie-break's last key (the
-    vertex id, after the forbidden colors and the learned wipeout weight)
-    and keeps the first exact answer (and its nodes), which never changes
-    the value, only the wall time; without an exact answer, nodes is the
-    sum over all workers.  Each worker learns its own weights.  The race
-    runs only when a search does: a bracket above proof_cap is the same at
-    every rotation, so no worker is started.
+    attempted; larger instances get honest brackets only.  Every solve is
+    one search in one process.  workers accepts only 1: it stays only
+    because the benchmark's design.json passes it, and goes with the next
+    change to the benchmark.
     """
 
     max_seconds: float | None = None
@@ -73,11 +67,15 @@ class SolveBudget:
     proof_cap: int = 40
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            raise InvalidParams(f"workers must be 1, got {self.workers}")
+
 
 @dataclass(frozen=True)
 class SolveResult:
     """The one record of a search: `_search` fills the bracket, nodes and
-    colors, `_solve` adds millis and each entry point the certificate."""
+    colors, and each entry point adds millis and the certificate."""
 
     status: str
     lower: int
@@ -310,7 +308,6 @@ class _Engine:
         self.nodes = 0
         self.deadline: float | None = None
         self.max_nodes: int | None = None
-        self.shift = 0
 
     def _reset(self, m: int) -> None:
         self.m = m
@@ -361,8 +358,8 @@ class _Engine:
     def _select(self, p: int) -> tuple[int, int]:
         """The branching vertex and its allowed colors among the first p.
 
-        The key is (forbidden colors, wipeout weight, (v - shift) mod nv):
-        most forbidden first, then heaviest, then the rotated id.
+        The key is (forbidden colors, wipeout weight, id): most forbidden
+        first, then heaviest, then the lowest id.
         Filtering `uncol` through the count planes from the top down
         leaves the vertices with the most forbidden colors; the counts run
         over all m colors, which equals the count over the first p because
@@ -379,9 +376,6 @@ class _Engine:
                     best &= plane
                     if not best & (best - 1):
                         break
-            hi = best >> self.shift << self.shift
-            if hi:
-                best = hi
         v = (best & -best).bit_length() - 1
         cand = 0
         for c, fc in enumerate(self.forb[:p]):
@@ -577,11 +571,12 @@ class _Engine:
         return self._colors()
 
 
-def _search(h: Hypergraph, budget: SolveBudget, shift: int = 0) -> SolveResult:
-    """Shared solve loop: greedy bracket, then iterative deepening.
+def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
+    """The search both entry points share: greedy bracket, then iterative
+    deepening, in one engine.
 
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
-    only when the builder granted cells; `shift` rotates its tie-break.
+    only when the builder granted cells.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
@@ -599,7 +594,6 @@ def _search(h: Hypergraph, budget: SolveBudget, shift: int = 0) -> SolveResult:
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
-    engine.shift = shift % nv
     engine.max_nodes = budget.max_nodes
     if budget.max_seconds is not None:
         engine.deadline = time.monotonic() + budget.max_seconds
@@ -642,32 +636,6 @@ def _classes_to_partition(
     return PartitionCertificate(p, families)
 
 
-def _solve(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
-    """The search both entry points share, with millis counted from t0.
-
-    With workers > 1 and a search to run, the workers race rotations of
-    the tie-break: the first EXACT result wins and the pool is stopped;
-    otherwise the result keeps the best upper bound's coloring, the highest
-    lower bound and the nodes of all workers.
-    """
-    nv = len(h.vertices)
-    if budget.workers <= 1 or not 0 < nv <= budget.proof_cap:
-        out = _search(h, budget)
-    else:
-        shifts = [w * nv // budget.workers for w in range(budget.workers)]
-        outcomes: list[SolveResult] = []
-        with multiprocessing.Pool(budget.workers) as pool:
-            for out in pool.imap_unordered(partial(_search, h, budget), shifts):
-                if out.status == EXACT:
-                    break  # leaving the block terminates the other workers
-                outcomes.append(out)
-            else:
-                out = replace(min(outcomes, key=lambda o: o.upper),
-                              lower=max(o.lower for o in outcomes),
-                              nodes=sum(o.nodes for o in outcomes))
-    return replace(out, millis=int((time.monotonic() - t0) * 1000))
-
-
 def min_partition_number(
     p: GroundParams, budget: SolveBudget = SolveBudget()
 ) -> SolveResult:
@@ -680,7 +648,8 @@ def min_partition_number(
     """
     t0 = time.monotonic()
     h = build_conflict_hypergraph(p)
-    out = _solve(h, budget, t0)
+    out = _search(h, budget)
+    millis = int((time.monotonic() - t0) * 1000)
 
     cert = _classes_to_partition(p, h.vertices, out.colors)
     rep = verify_partition_certificate(cert)
@@ -690,7 +659,7 @@ def min_partition_number(
         raise SoundnessError(
             f"EXACT value {out.upper} but {cert.num_families} families"
         )
-    return replace(out, certificate=cert)
+    return replace(out, millis=millis, certificate=cert)
 
 
 def chromatic_number(
@@ -708,7 +677,9 @@ def chromatic_number(
     fewer than 2 members, a repeated member or an id outside the vertices
     raises InvalidParams.
     """
-    out = _solve(h, budget, time.monotonic())
+    t0 = time.monotonic()
+    out = _search(h, budget)
+    millis = int((time.monotonic() - t0) * 1000)
 
     rep = verify_coloring(h, out.colors)
     if not rep.ok:
@@ -728,4 +699,4 @@ def chromatic_number(
             raise SoundnessError(
                 f"solver emitted an invalid certificate: {rep.summary()}"
             )
-    return replace(out, certificate=cert)
+    return replace(out, millis=millis, certificate=cert)

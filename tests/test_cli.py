@@ -159,8 +159,6 @@ def test_not_json_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--workers", "0"),
-    ("--workers", "-3"),
     ("--timeout", "-1"),
     ("--timeout", "0"),
     ("--max-nodes", "0"),
@@ -171,6 +169,21 @@ def test_bad_budget_flags_exit_2(capsys, flags):
         main(["solve", "5", "2", "2", *flags])
     assert exc.value.code == 2
     assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "5", "2", "2"],
+    ["chi", "5", "2", "2"],
+    ["table"],
+])
+def test_removed_workers_flag_exits_2(capsys, argv):
+    """Every solve is one search; the old flag is an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --workers 2" in err
+    assert "Traceback" not in out + err
 
 
 def test_verify_missing_file_exits_2(tmp_path, capsys):
@@ -317,7 +330,7 @@ def test_table_json_explicit_range(capsys):
     assert doc["all_agree"] is True
     assert [row["n"] for row in doc["rows"]] == [4, 5, 6]
     assert [row["tight_bound"] for row in doc["rows"]] == [2, 3, 4]
-    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 3]  # workers=1
+    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 3]
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )
@@ -357,6 +370,8 @@ def test_table_span_below_one_exits_2(capsys, span):
     (["--span", "99999999999"], "ground set size 100000000004 exceeds cap 64"),
     (["--r", "2", "--k", "3", "--span", "60"], "ground set size 65 exceeds cap 64"),
     (["--k", "64..65", "--n", "4"], "k=65 exceeds cap 64"),
+    (["--r", "2..99999999999", "--k", "1", "--span", "1"],
+     "r=99999999999 exceeds cap 64"),
 ])
 def test_table_past_the_ground_cap_exits_4_fast(capsys, argv, msg):
     """Ranges are lazy and checked before any row is solved: these used to

@@ -192,6 +192,17 @@ def twin_cells(nv, edges):
     return tuple(sum(1 << i for i in cls) for cls in classes)
 
 
+def relabelled(h, s):
+    """h with vertex v renamed (v - s) mod nv, edges remapped and the
+    builder's cells and descriptor kept: the search sees the same instance
+    with the lowest-id tie-break rotated by s."""
+    nv = len(h.vertices)
+    vertices = h.vertices[s:] + h.vertices[:s]
+    edges = tuple(tuple(sorted((v - s) % nv for v in e)) for e in h.edges)
+    return kneser._granted(vertices, edges, h.cells, h.params, h.stability,
+                           h.parts)
+
+
 def test_solver_matches_brute_force():
     rng = random.Random(20240817)
     for trial in range(200):
@@ -209,14 +220,14 @@ def test_solver_matches_brute_force():
         assert res.status == EXACT, trial
         # the oracle re-proves every count below the answer infeasible
         assert brute_force_oracle(h, res.upper) == res.upper, trial
-        # every rotation of the branching tie-break reaches the same value,
-        # with and without orbital pruning over the point classes
+        # every relabelling that rotates the vertex ids reaches the same
+        # value, with and without orbital pruning over the point classes
         pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
         for shift in range(nv):
-            for record in (h, pruned):
-                out = _search(record, SolveBudget(), shift)
+            for record in (relabelled(h, shift), relabelled(pruned, shift)):
+                out = _search(record, SolveBudget())
                 assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
-                assert verify_coloring(h, out.colors).ok, (trial, shift)
+                assert verify_coloring(record, out.colors).ok, (trial, shift)
 
 
 def test_partition_solver_matches_brute_force():
@@ -241,7 +252,7 @@ def test_partition_solver_matches_brute_force():
 
 
 def test_search_tree_pinned():
-    """Node counts at workers=1 are deterministic; a change to the engine's
+    """Node counts are deterministic; a change to the engine's
     branching, propagation, tie-break or orbital pruning moves them."""
     p623 = GroundParams(6, 2, 3)
     cases = [
@@ -285,7 +296,7 @@ def bench_instance(inst):
 
 @pytest.mark.parametrize("workload", sorted(BENCH_LADDER_NODES))
 def test_bench_ladder_nodes_pinned(workload):
-    """The benchmark's search ladders at workers=1 and their own proof_cap:
+    """The benchmark's search ladders at their own proof_cap:
     the node counts the bench prints, pinned here so that a change to the
     search tree shows in the tests as well as in a bench run."""
     design = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
@@ -297,7 +308,7 @@ def test_bench_ladder_nodes_pinned(workload):
 
 def test_branching_weights_are_per_solve():
     """The wipeout weights live in one engine: a second solve of the same
-    instance searches the same tree, and rotating the tie-break changes
+    instance searches the same tree, and relabelling the vertices changes
     only the tree, never the value."""
     p = GroundParams(9, 2, 3)
     first, again = min_partition_number(p), min_partition_number(p)
@@ -312,10 +323,10 @@ def test_branching_weights_are_per_solve():
 
     ch = build_conflict_hypergraph(p)
     nv = len(ch.vertices)
-    rotated = [_search(ch, SolveBudget(proof_cap=nv), shift)
+    rotated = [_search(relabelled(ch, shift), SolveBudget(proof_cap=nv))
                for shift in (0, nv // 2)]
     assert [(o.status, o.upper) for o in rotated] == [(EXACT, 8)] * 2
-    assert [o.nodes for o in rotated] == [1101, 1040]
+    assert [o.nodes for o in rotated] == [1101, 1881]
 
 
 def consecutive_blocks(n, size):
@@ -352,16 +363,16 @@ def cell_instances():
 
 def test_orbital_pruning_keeps_every_decision():
     """run(m) decides the same with the descriptor's cells as without, from
-    the clique size up to the first feasible m, at two tie-break shifts;
-    every coloring found with cells is proper."""
+    the clique size up to the first feasible m, at two rotations of the
+    vertex ids; every coloring found with cells is proper."""
     decisions = 0
     for name, h, cells in cell_instances():
         nv = h.num_vertices
-        points = tuple(v.bits for v in h.vertices)
         for shift in {0, nv // 2}:
-            plain = solve._Engine(nv, h.edges)
-            pruned = solve._Engine(nv, h.edges, points, cells)
-            plain.shift = pruned.shift = shift
+            g = relabelled(h, shift)
+            points = tuple(v.bits for v in g.vertices)
+            plain = solve._Engine(nv, g.edges)
+            pruned = solve._Engine(nv, g.edges, points, cells)
             clique = plain.pair_clique()
             m = max(1, len(clique))
             while True:
@@ -369,7 +380,7 @@ def test_orbital_pruning_keeps_every_decision():
                 assert (want is None) == (got is None), (name, shift, m)
                 decisions += 1
                 if got is not None:
-                    assert verify_coloring(h, got).ok, (name, shift, m)
+                    assert verify_coloring(g, got).ok, (name, shift, m)
                     break
                 m += 1
     assert decisions == 612
@@ -595,8 +606,8 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     seen = []
     search = solve._search
 
-    def spy(h, budget, shift=0):
-        out = search(h, budget, shift)
+    def spy(h, budget):
+        out = search(h, budget)
         seen.append((h.cells, out.upper))
         return out
 
@@ -724,58 +735,13 @@ def test_proof_cap_yields_bounds():
     assert verify_partition_certificate(res.certificate).ok
 
 
-def test_worker_portfolio_agrees():
-    single = min_partition_number(GroundParams(6, 2, 2))
-    multi = min_partition_number(
-        GroundParams(6, 2, 2), SolveBudget(workers=2)
-    )
-    assert multi.status == EXACT
-    assert multi.upper == single.upper == 4
-
-
-@pytest.mark.parametrize(
-    "budget, status, lowers",
-    [
-        (SolveBudget(workers=2, proof_cap=10), "BOUNDS", 1),
-        (SolveBudget(workers=2, max_nodes=3), TIMEOUT, 1),
-        (SolveBudget(workers=2, max_nodes=20), TIMEOUT, 2),  # workers disagree
-    ],
-    ids=["bounds", "timeout", "timeout-split"],
-)
-def test_worker_portfolio_merges_brackets(monkeypatch, budget, status, lowers):
-    """Without an EXACT worker the portfolio keeps the best lower bound and
-    the coloring of the best upper bound; value 7 sits inside both.  Each
-    worker searches with the cells of [9]; `lowers` is how many distinct
-    lower bounds the two workers reach.  Above proof_cap nothing is
-    searched and every worker would give the same bracket, so no pool
-    is started."""
-    pools = []
-    real_pool = solve.multiprocessing.Pool
-
-    def pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(solve.multiprocessing, "Pool", pool)
-    p = GroundParams(9, 2, 2)
-    h = build_kneser_hypergraph(p)
-    part = min_partition_number(p, budget)
-    chi = chromatic_number(h, budget)
-    assert len(pools) == (0 if status == "BOUNDS" else 2)
-    ch = build_conflict_hypergraph(p)
-    for res, record in [(part, ch), (chi, h)]:
-        assert record.cells == (2**9 - 1,)
-        assert res.status == status
-        assert res.lower <= 7 <= res.upper
-        singles = [_search(record, budget, shift) for shift in (0, 18)]
-        assert len({o.lower for o in singles}) == lowers
-        assert res.lower == max(o.lower for o in singles)
-        assert res.upper == min(o.upper for o in singles)
-        assert res.nodes == sum(o.nodes for o in singles)
-    assert verify_partition_certificate(part.certificate).ok
-    assert part.certificate.num_families == part.upper
-    assert verify_coloring(h, chi.colors).ok
-    assert max(chi.colors) + 1 == chi.upper
+def test_budget_accepts_one_worker_only():
+    """Every solve is one search; workers stays only as a field that the
+    benchmark's design passes, and accepts nothing but 1."""
+    assert SolveBudget(workers=1).workers == 1
+    for workers in (2, 0):
+        with pytest.raises(InvalidParams, match="workers"):
+            SolveBudget(workers=workers)
 
 
 def test_solve_result_json_shape():

@@ -1,8 +1,14 @@
 """Names that tools outside the library rely on: the benchmark tracer's
-wrapped attributes, the package's exports and the CLI's exit codes."""
+wrapped attributes, the package's exports, the CLI's exit codes, the
+flags README.md names and what a CLI launch imports."""
 
+import argparse
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +18,8 @@ import kneser_lab.solve as solve
 from kneser_lab import cli, constructions, errors, kneser, verify
 from kneser_lab.setsys import GroundParams
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -158,3 +165,41 @@ def test_error_maps_to_its_exit_code(monkeypatch, capsys, exc, code):
     out, err = capsys.readouterr()
     assert err.startswith("error: stub")
     assert "Traceback" not in out + err
+
+
+def parser_options(parser):
+    """Every option string of parser and of its subcommands' parsers."""
+    out = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= parser_options(sub)
+    return out
+
+
+# flags README.md names only to say they are gone
+REMOVED_FLAGS = {"--workers"}
+
+
+def test_readme_flags_exist():
+    """A flag README.md names outside its install block is an option of
+    some subcommand, unless the README says it was removed."""
+    text = (ROOT / "README.md").read_text()
+    text = re.sub(r"## Install\n.*?```.*?```", "", text, count=1, flags=re.S)
+    named = set(re.findall(r"--[a-z][a-z-]*", text))
+    options = parser_options(cli.build_parser())
+    assert "--no-build-isolation" not in named
+    assert named - REMOVED_FLAGS <= options, named - REMOVED_FLAGS - options
+    assert not REMOVED_FLAGS & options
+
+
+def test_cli_import_loads_no_process_pool():
+    """Every solve runs in the calling process, so a CLI launch, which
+    setup_s times, need not import multiprocessing."""
+    src = os.path.dirname(os.path.dirname(kneser_lab.__file__))
+    script = "import sys, kneser_lab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
