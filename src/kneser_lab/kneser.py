@@ -11,6 +11,7 @@ sub-hypergraph keeps only subsets meeting each block of a given partition of
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
@@ -103,36 +104,72 @@ def _granted(vertices, edges, cells, params=None, stability=None, parts=None):
     return h
 
 
+def _incidence(masks: Sequence[int]) -> list[int]:
+    """Per point, the bitmask of the ids whose masks hold it."""
+    inc = [0] * max((m.bit_length() for m in masks), default=0)
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            inc[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return inc
+
+
+class _Meets(dict):
+    """Point mask -> bitmask of the ids whose masks meet it, read off
+    per-point incidence on first lookup."""
+
+    def __init__(self, masks: Sequence[int]) -> None:
+        super().__init__()
+        self.inc = _incidence(masks)
+
+    def __missing__(self, pm: int) -> int:
+        ids = 0
+        for pt, held in enumerate(self.inc):
+            if pm >> pt & 1:
+                ids |= held
+        self[pm] = ids
+        return ids
+
+
 def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
     """All r-tuples of pairwise disjoint masks, as increasing index tuples.
 
-    Ordered backtracking over colex-increasing ids with a running union
-    bitmask; output order is deterministic (lexicographic on id tuples).
+    Ordered backtracking over candidate masks, which are bitmasks of ids:
+    later[i] holds the ids above i whose masks miss mask i.  A chain
+    carries the AND of its members' later masks, the ids that may extend
+    it, and visits only their set bits in increasing order, so no
+    disjointness test fails and the output is lexicographic on id tuples.
+    The last member of a tuple is every bit of its chain's candidates.
     """
     out: list[tuple[int, ...]] = []
     nv = len(masks)
-    tup: list[int] = []
+    if r < 1 or nv < r:
+        return out
+    meets = _Meets(masks)
+    later = [((1 << nv) - (2 << i)) & ~meets[m] for i, m in enumerate(masks)]
 
-    def extend(start: int, used: int) -> None:
-        depth = len(tup)
-        if depth == r:
-            out.append(tuple(tup))
+    def extend(prefix: tuple[int, ...], cand: int, need: int) -> None:
+        if need == 1:
+            while cand:
+                low = cand & -cand
+                out.append(prefix + (low.bit_length() - 1,))
+                cand ^= low
             if len(out) > MAX_EDGES:
                 raise InstanceTooLarge(
                     f"edge count exceeds configured limit {MAX_EDGES}"
                 )
             return
-        for j in range(start, nv - (r - depth) + 1):
-            mj = masks[j]
-            if used & mj:
-                continue
-            tup.append(j)
-            extend(j + 1, used | mj)
-            tup.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            nxt = cand & later[j]
+            if nxt.bit_count() >= need - 1:
+                extend(prefix + (j,), nxt, need - 1)
 
     try:
-        if r >= 1 and nv >= r:
-            extend(0, 0)
+        extend((), (1 << nv) - 1, r)
     finally:
         # extend reaches itself through its closure; without this the cycle
         # keeps every edge alive until the next full garbage collection

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph, _granted
+from .kneser import Hypergraph, _granted, _incidence, _Meets
 from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
@@ -116,53 +116,49 @@ def build_conflict_hypergraph(p: GroundParams) -> Hypergraph:
     The edges come from a strict-shrink DFS.  Every inclusion-minimal
     empty-intersection subfamily, listed in vertex order, shrinks the
     running intersection at each member (a member that leaves the
-    intersection unchanged could be dropped).  The DFS therefore only
-    extends chains by strictly shrinking members, visits each minimal
-    witness exactly once, and filters non-minimal dead ends afterwards.
-    Chains die after at most k shrinks, so the depth is min(r, k+1).
+    intersection unchanged could be dropped).  A chain also carries its
+    leave-one-out intersections `loos`, the intersection of the chain
+    without each member: a member that misses one of them would leave
+    that member droppable from every witness grown from it.  So a chain
+    extends only by the later members that strictly shrink its
+    intersection and meet each of its loos, read as bitmasks of vertex
+    ids from per-point incidence.  Every chain the DFS grows is minimal
+    so far, and each one whose intersection reaches empty is a minimal
+    witness, visited once.  Chains die after at most k shrinks, so the
+    depth is min(r, k+1).
     """
     guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
     vertices = enumerate_k_subsets(p.n, p.k)
     masks = [v.bits for v in vertices]
-    nv = len(masks)
+    meets = _Meets(masks)
+    misses = _Meets([((1 << p.n) - 1) & ~m for m in masks])  # ids missing a point
     r = p.r
     out: list[tuple[int, ...]] = []
 
-    def minimal(w: tuple[int, ...]) -> bool:
-        for drop in w:
-            inter = -1
-            for idx in w:
-                if idx != drop:
-                    inter &= masks[idx]
-            if inter == 0:
-                return False
-        return True
-
-    chosen: list[int] = []
-
-    def grow(start: int, inter: int) -> None:
-        for j in range(start, nv):
-            nxt = inter & masks[j]
-            if nxt == inter:
-                continue
-            chosen.append(j)
+    def grow(chain: tuple[int, ...], cand: int, inter: int, loos: list[int]) -> None:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            mj = masks[j]
+            nxt = inter & mj
             if nxt == 0:
-                w = tuple(chosen)
-                if minimal(w):
-                    out.append(w)
-                    if len(out) > MAX_EDGES:
-                        raise InstanceTooLarge(
-                            f"witness count exceeds limit {MAX_EDGES}"
-                        )
-            elif len(chosen) < r:
-                grow(j + 1, nxt)
-            chosen.pop()
+                out.append(chain + (j,))
+                if len(out) > MAX_EDGES:
+                    raise InstanceTooLarge(
+                        f"witness count exceeds limit {MAX_EDGES}"
+                    )
+            elif len(chain) + 1 < r:
+                later = cand & misses[nxt] & meets[inter]
+                for lo in loos:
+                    if not later:
+                        break
+                    later &= meets[lo & mj]
+                if later:
+                    grow(chain + (j,), later, nxt, [lo & mj for lo in loos] + [inter])
 
     try:
-        for i in range(nv):
-            chosen.append(i)
-            grow(i + 1, masks[i])
-            chosen.pop()
+        grow((), (1 << len(masks)) - 1, -1, [])
     finally:
         # grow reaches itself through its closure; without this the cycle
         # keeps every witness alive until the next full garbage collection
@@ -296,14 +292,7 @@ class _Engine:
             ) from exc
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
-        self.incidence: list[int] = []
-        if self.cells:
-            self.incidence = [0] * max((b.bit_length() for b in points), default=0)
-            for v, bits in enumerate(points):
-                while bits:
-                    low = bits & -bits
-                    self.incidence[low.bit_length() - 1] |= 1 << v
-                    bits ^= low
+        self.incidence = _incidence(points) if self.cells else []
         self.weight: list[int] = []
         self.nodes = 0
         self.deadline: float | None = None

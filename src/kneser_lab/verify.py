@@ -259,7 +259,10 @@ def verify_coloring(h, colors: list[int] | tuple[int, ...]) -> Report:
     violations = []
     for ei, edge in enumerate(h.edges):
         first = colors[edge[0]]
-        if all(colors[v] == first for v in edge[1:]):
+        for v in edge:
+            if colors[v] != first:
+                break
+        else:
             violations.append(
                 Violation(
                     "monochromatic_edge",

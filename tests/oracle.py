@@ -3,7 +3,9 @@
 brute_force_oracle colors a hypergraph and shares no code with the search
 engine in kneser_lab.solve; brute_force_monochromatic lists a coloring's
 monochromatic edges and shares no code with the chain search in
-kneser_lab.verify.  Each pair can cross-check the other.
+kneser_lab.verify; brute_force_witnesses lists the minimal
+empty-intersection witnesses and shares no code with the pruned DFS of
+solve.build_conflict_hypergraph.  Each pair can cross-check the other.
 """
 
 from itertools import combinations
@@ -87,3 +89,27 @@ def brute_force_monochromatic(
                     )
                 )
     return out
+
+
+def brute_force_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
+    """Every inclusion-minimal subfamily of 2..r masks with empty
+    intersection, as increasing id tuples in lexicographic order.
+
+    Tries every combination and, for each empty one, every proper
+    nonempty subfamily of it.
+    """
+
+    def empty(ids) -> bool:
+        inter = -1
+        for i in ids:
+            inter &= masks[i]
+        return inter == 0
+
+    out = []
+    for size in range(2, r + 1):
+        for w in combinations(range(len(masks)), size):
+            if empty(w) and not any(
+                empty(sub) for s in range(1, size) for sub in combinations(w, s)
+            ):
+                out.append(w)
+    return sorted(out)

@@ -1,5 +1,6 @@
 """Hypergraph generators checked against independent edge predicates."""
 
+import random
 import warnings
 from itertools import combinations
 from math import comb
@@ -50,6 +51,40 @@ def test_edges_match_naive_scan():
         masks = [v.bits for v in h.vertices]
         assert list(h.edges) == naive_edges(masks, r)
         assert check_edges_pairwise_disjoint(h).ok
+
+
+def test_disjoint_tuples_match_naive_scan_on_random_masks():
+    """The candidate-mask backtracking against the brute-force scan, order
+    included: empty and zero masks, repeated masks and r above nv."""
+    for r in range(1, 6):
+        assert kneser._disjoint_tuples([], r) == []
+    rng = random.Random(2021)
+    for _ in range(300):
+        nv = rng.randrange(0, 12)
+        masks = [rng.getrandbits(rng.randrange(1, 9)) for _ in range(nv)]
+        if nv >= 2:
+            masks[rng.randrange(nv)] = masks[rng.randrange(nv)]
+        for r in range(1, 6):
+            assert kneser._disjoint_tuples(masks, r) == naive_edges(masks, r)
+
+
+@pytest.mark.parametrize("n,k,r,s", [
+    (8, 2, 2, 3), (9, 2, 3, 2), (9, 2, 3, 3), (10, 3, 2, 2), (8, 1, 4, 2),
+])
+def test_stable_builder_matches_naive_scan(n, k, r, s):
+    h = build_stable_subhypergraph(GroundParams(n, k, r), s)
+    assert list(h.edges) == naive_edges([v.bits for v in h.vertices], r)
+
+
+@pytest.mark.parametrize("n,k,r,parts", [
+    (6, 2, 2, ((1,), (2,), (3,), (4,), (5,), (6,))),
+    (8, 2, 3, ((1, 2), (3, 4), (5, 6), (7, 8))),
+    (9, 3, 3, ((1, 2), (3, 4), (5, 6), (7, 8), (9,))),
+    (7, 2, 4, ((1, 2, 3), (4, 5), (6, 7))),
+])
+def test_partition_builder_matches_naive_scan(n, k, r, parts):
+    h = build_partition_constrained(GroundParams(n, k, r), PartSpec(parts))
+    assert list(h.edges) == naive_edges([v.bits for v in h.vertices], r)
 
 
 def test_edgeless_below_threshold_warns():

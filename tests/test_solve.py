@@ -43,7 +43,7 @@ from kneser_lab.verify import (
     verify_partition_certificate,
 )
 
-from oracle import INFEASIBLE, brute_force_oracle
+from oracle import INFEASIBLE, brute_force_oracle, brute_force_witnesses
 
 
 def colex_pairs(n):
@@ -112,6 +112,23 @@ def test_witness_invariants():
                     if i != drop:
                         inter &= ch.vertices[i].bits
                 assert inter != 0
+
+
+@pytest.mark.parametrize(
+    "n,k,r",
+    [
+        (3, 1, 2), (5, 1, 4), (4, 4, 2), (5, 5, 3),  # k = 1 and k = n
+        (6, 2, 2), (7, 3, 2), (8, 4, 2),  # r = 2
+        (5, 2, 3), (6, 2, 3), (6, 3, 3), (7, 3, 3), (8, 3, 3),
+        (6, 2, 4), (6, 3, 4), (7, 3, 4),
+        (5, 2, 5), (6, 2, 6), (6, 3, 5), (7, 2, 5),  # r > k + 1
+    ],
+)
+def test_conflict_edges_are_every_minimal_witness(n, k, r):
+    """Completeness and order: the pruned DFS emits exactly the brute-force
+    minimal witnesses, lexicographically."""
+    h = build_conflict_hypergraph(GroundParams(n, k, r))
+    assert list(h.edges) == brute_force_witnesses([v.bits for v in h.vertices], r)
 
 
 def test_conflict_size_caps(monkeypatch):

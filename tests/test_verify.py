@@ -16,6 +16,7 @@ from kneser_lab.constructions import (
 )
 from kneser_lab.errors import InvalidParams, LengthMismatch
 from kneser_lab.kneser import (
+    Hypergraph,
     PartSpec,
     build_kneser_hypergraph,
     build_partition_constrained,
@@ -24,6 +25,7 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
+    Violation,
     is_r_wise_intersecting,
     verify_coloring,
     verify_coloring_certificate,
@@ -222,6 +224,31 @@ def test_verify_coloring_basics():
     assert len(rep.violations) == h.num_edges
     with pytest.raises(LengthMismatch):
         verify_coloring(h, [0] * 3)
+
+
+def test_verify_coloring_report_pinned():
+    """Monochromatic edges of arity 2, 3 and 4 are reported in edge order
+    with their exact reasons; an edge whose first or last member alone
+    differs is not."""
+    h = Hypergraph(
+        tuple(enumerate_k_subsets(10, 1)),
+        ((0, 1), (2, 3, 4), (5, 6, 7, 8), (5, 6, 7, 9), (0, 5, 6), (0, 2), (1, 9)),
+    )
+    colors = [0, 0, 1, 1, 1, 2, 2, 2, 2, 0]
+    rep = verify_coloring(h, colors)
+    assert not rep.ok and rep.stats == {"edges": 7}
+    assert rep.violations == (
+        Violation("monochromatic_edge", (0, 1),
+                  "edge 0 = [0, 1] is monochromatic in color 0"),
+        Violation("monochromatic_edge", (2, 3, 4),
+                  "edge 1 = [2, 3, 4] is monochromatic in color 1"),
+        Violation("monochromatic_edge", (5, 6, 7, 8),
+                  "edge 2 = [5, 6, 7, 8] is monochromatic in color 2"),
+        Violation("monochromatic_edge", (1, 9),
+                  "edge 6 = [1, 9] is monochromatic in color 0"),
+    )
+    with pytest.raises(LengthMismatch, match="9 colors for 10 vertices"):
+        verify_coloring(h, colors[:-1])
 
 
 def test_verify_coloring_solver_output():
