@@ -51,7 +51,11 @@ from .solve import (
     chromatic_number,
     min_partition_number,
 )
-from .verify import verify_coloring_certificate, verify_partition_certificate
+from .verify import (
+    EDGE_RECORDS,
+    verify_coloring_certificate,
+    verify_partition_certificate,
+)
 
 
 def _parse_parts(text: str) -> PartSpec:
@@ -137,13 +141,6 @@ def _report_solve(args: argparse.Namespace, res: SolveResult) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     p = GroundParams(args.n, args.k, args.r)
-    if not p.admissible:
-        print(
-            f"error: inadmissible parameters, r*k={p.r * p.k} exceeds "
-            f"(r-1)*n={(p.r - 1) * p.n}",
-            file=sys.stderr,
-        )
-        return 2
     m = tight_bound(p)
     s = tail_size(p.k, p.r)
     doc = {"n": p.n, "k": p.k, "r": p.r, "m": m, "s": s, "n_minus_s_plus_1": p.n - s + 1}
@@ -187,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "kind": "partition" if isinstance(cert, PartitionCertificate) else "coloring",
         "violations": [
             {"kind": v.kind, "indices": list(v.indices), "reason": v.reason}
-            for v in rep.violations[:20]
+            for v in rep.violations[:EDGE_RECORDS]
         ],
         "stats": rep.stats,
     }
@@ -240,7 +237,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rs = _parse_range(args.r_range)
-    if rs[0] < 2:  # r = 1 would divide by r - 1 below
+    if rs[0] < 2:  # before tail_size below, which needs r >= 2
         raise InvalidParams(f"need r >= 2, got r={rs[0]}")
     if rs[-1] > DEFAULT_GROUND_CAP:
         # an admissible row has n > k, so k < 64 under the ground cap, and
@@ -251,9 +248,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     if ks[-1] > DEFAULT_GROUND_CAP:
         raise CapExceeded(f"k={ks[-1]} exceeds cap {DEFAULT_GROUND_CAP}")
     if args.n_range == "auto":
-        # the first n of a row block, ceil(r*k/(r-1)), is largest at the
-        # least r and the greatest k
-        top = -(-rs[0] * ks[-1] // (rs[0] - 1)) + args.span - 1
+        # the first admissible n of a row block, ceil(r*k/(r-1)) =
+        # tail_size(k, r) + 1, is largest at the least r and the greatest k
+        top = tail_size(ks[-1], rs[0]) + args.span
     else:
         ns = _parse_range(args.n_range)
         top = ns[-1]
@@ -265,12 +262,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     for r in rs:
         for k in ks:
             if args.n_range == "auto":
-                start = -(-r * k // (r - 1))
+                start = tail_size(k, r) + 1
                 ns = range(start, start + args.span)
             for n in ns:
-                if n < k or r * k > (r - 1) * n:
+                if n < k:
                     continue
                 p = GroundParams(n, k, r)
+                if not p.admissible:
+                    continue
                 mb = tight_bound(p)
                 cert = build_tight_partition(p)
                 vrep = verify_partition_certificate(cert)
@@ -356,7 +355,8 @@ def _add_budget(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-nodes", dest="max_nodes", type=_at_least(int, 1),
                     default=None)
     sp.add_argument("--proof-cap", dest="proof_cap", type=_at_least(int, 0),
-                    default=40, help="max vertices for optimality proofs")
+                    default=SolveBudget().proof_cap,
+                    help="max vertices for optimality proofs")
 
 
 def build_parser() -> argparse.ArgumentParser:

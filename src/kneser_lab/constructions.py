@@ -24,7 +24,7 @@ from .errors import (
 )
 # blow_up lists the constrained vertices itself; build_partition_constrained
 # stays bound here for tools that wrap this module's names from outside
-from .kneser import build_partition_constrained  # noqa: F401
+from .kneser import PartSpec, build_partition_constrained  # noqa: F401
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_subsets, guard_vertices, is_s_stable
 from .verify import Report, Violation, verify_partition_certificate
@@ -47,7 +47,8 @@ def tight_bound(p: GroundParams) -> int:
     """
     if not p.admissible:
         raise InadmissibleParams(
-            f"need r*k <= (r-1)*n, got r*k={p.r * p.k}, (r-1)*n={(p.r - 1) * p.n}"
+            f"inadmissible parameters: r*k={p.r * p.k} exceeds "
+            f"(r-1)*n={(p.r - 1) * p.n}"
         )
     num = (p.r - 1) * p.n - p.r * (p.k - 1)
     return -(-num // (p.r - 1))
@@ -329,12 +330,7 @@ def check_stable_embedding(bmap: BlowupMap) -> Report:
     p = bmap.source.params
     r, k = p.r, p.k
     big_n = bmap.big_n
-    block_masks = []
-    for block in bmap.blocks:
-        m = 0
-        for e in block:
-            m |= 1 << (e - 1)
-        block_masks.append(m)
+    block_masks = PartSpec(bmap.blocks).masks()
 
     violations = []
     stable_count = 0

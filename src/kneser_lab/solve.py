@@ -170,6 +170,27 @@ class _Timeout(Exception):
     pass
 
 
+def _plus_one(planes: list[int], bits: int) -> list[int]:
+    """Bit-sliced counters (plane j holds bit j of every vertex's count)
+    with one added to each vertex whose bit is given, as a new list.
+
+    `planes` itself is never changed.  A plane is added only once the carry
+    runs past the last one; the ripple step reads no length, since the
+    engine calls this on every assignment.
+    """
+    out = planes[:]
+    j = 0
+    try:
+        while bits:
+            pj = out[j]
+            out[j] = pj ^ bits
+            bits &= pj
+            j += 1
+    except IndexError:
+        out.append(bits)
+    return out
+
+
 class _Engine:
     """Backtracking m-class feasibility checker over fixed constraints.
 
@@ -187,16 +208,19 @@ class _Engine:
     vertex's count), how many of the m forb[c] each vertex is in.  It is
     taken over raw forb, so it too is read only through `uncol`.  An
     assignment or an orbit prune adds one for each vertex newly in its
-    forb[c], and builds a new list to do so, so that undo puts back the
-    list it saved instead of subtracting.  Branching ranks vertices by
-    their forbidden colors among the first p = max_used + 2 (at most m),
-    the used colors and one fresh color, and the count over all m colors
-    is that same number, since forb[c] == 0 for every c > max_used: no
-    color above max_used is assigned on the path, the fresh color's forb
-    is empty, so it is always allowed and tried last, and a prune follows
-    only a child that is not the last, so it touches a color of at most
-    max_used.  A vertex has at most m forbidden colors, so a count of m
-    is one with every plane set where m has a one bit.
+    forb[c] through `_plus_one`, the engine's one adder.  Every plane list
+    (count, weight and `_orbit`'s counters) is copy-on-write: it is only
+    ever replaced by the new list `_plus_one` returns, never mutated, so a
+    saved list stays as it was and undo is one reference store, not a
+    subtraction.  Branching ranks vertices by their forbidden colors among
+    the first p = max_used + 2 (at most m), the used colors and one fresh
+    color, and the count over all m colors is that same number, since
+    forb[c] == 0 for every c > max_used: no color above max_used is
+    assigned on the path, the fresh color's forb is empty, so it is always
+    allowed and tried last, and a prune follows only a child that is not
+    the last, so it touches a color of at most max_used.  A vertex has at
+    most m forbidden colors, so a count of m is one with every plane set
+    where m has a one bit.
 
     Propagation works per arity.  A pair ORs v's precomputed adjacency mask
     into forb[c].  A triple walks only the partners of v already colored c
@@ -206,12 +230,12 @@ class _Engine:
     all the others are c.  The wipeout check looks only at the vertices
     newly added to forb[c], and reads their counts off the planes.
 
-    Branching weights.  weight holds, bit-sliced (plane j is bit j of
-    every vertex's count), how often assigning each vertex has wiped out
-    a domain.  It lives as long as the engine, so it carries over every
-    run(m) of one solve and starts at zero for the next; a fresh engine is
-    built per solve.  It only orders the branching, so it never changes
-    what is feasible.
+    Branching weights.  weight holds, bit-sliced like count, how often
+    assigning each vertex has wiped out a domain; each wipeout adds one
+    through `_plus_one`.  It lives as long as the engine, so it carries
+    over every run(m) of one solve and starts at zero for the next; a
+    fresh engine is built per solve.  It only orders the branching, so it
+    never changes what is feasible.
 
     Orbital pruning.  Given each vertex's point mask (all of one size) and
     cells of points whose permutations keep the constraints, the group G
@@ -335,8 +359,8 @@ class _Engine:
         grew = f & ~old
         if not grew:
             return True
-        self._count_in(grew)
-        count = self.count
+        count = _plus_one(self.count, grew)
+        self.count = count
         new = grew & self.uncol
         for j in self.m_planes:
             new &= count[j]
@@ -372,27 +396,6 @@ class _Engine:
                 cand |= 1 << c
         return v, cand
 
-    def _bump(self, bit: int) -> None:
-        """Add one to the weight of the vertex whose bit is given."""
-        weight = self.weight
-        for j, plane in enumerate(weight):
-            weight[j] = plane ^ bit
-            if not plane & bit:
-                return
-        weight.append(bit)
-
-    def _count_in(self, bits: int) -> None:
-        """Add one to the forbidden count of each vertex whose bit is given,
-        in a new list, so that planes saved for undo stay as they were."""
-        count = self.count[:]
-        j = 0
-        while bits:
-            pj = count[j]
-            count[j] = pj ^ bits
-            bits &= pj
-            j += 1
-        self.count = count
-
     def _check_budget(self) -> None:
         """Raise _Timeout past max_nodes, or, every 256th node, past the
         deadline."""
@@ -419,8 +422,8 @@ class _Engine:
 
         All vertices have the same size, so containing those points means
         agreeing with v off the cells: this is v's orbit under the cell
-        group.  Bit-sliced counters over the cell's point incidence masks
-        count each vertex's points in the cell.
+        group.  Bit-sliced counters (`_plus_one`) over the cell's point
+        incidence masks count each vertex's points in the cell.
         """
         bits = self.points[v]
         inc = self.incidence
@@ -433,17 +436,8 @@ class _Engine:
             x = cell
             while x:
                 low = x & -x
-                carry = inc[low.bit_length() - 1] & orbit
+                planes = _plus_one(planes, inc[low.bit_length() - 1] & orbit)
                 x ^= low
-                j = 0
-                while carry:
-                    if j == len(planes):
-                        planes.append(carry)
-                        break
-                    pj = planes[j]
-                    planes[j] = pj ^ carry
-                    carry &= pj
-                    j += 1
             for j, plane in enumerate(planes):
                 orbit &= plane if want >> j & 1 else ~plane
         while off:
@@ -484,7 +478,7 @@ class _Engine:
             old = forb[c]
             count = self.count
             if not self._assign(v, c):
-                self._bump(bit)
+                self.weight = _plus_one(self.weight, bit)
             elif self._dfs(remaining - 1, c if c > max_used else max_used, inner):
                 return True
             col[c] ^= bit
@@ -496,7 +490,7 @@ class _Engine:
                 if orbit:
                     pruned.append((c, old))
                     forb[c] = old | orbit
-                    self._count_in(orbit & ~old)
+                    self.count = _plus_one(self.count, orbit & ~old)
         for c, old in pruned:
             forb[c] = old
         self.count = entry

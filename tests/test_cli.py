@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneser_lab.cli import main
+from kneser_lab.cli import build_parser, main
 from kneser_lab.constructions import blow_up, build_tight_partition
 from kneser_lab.setsys import GroundParams
+from kneser_lab.solve import SolveBudget
 
 
 def run(capsys, *argv):
@@ -334,6 +335,12 @@ def test_table_json_explicit_range(capsys):
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )
+
+
+@pytest.mark.parametrize("argv", [["solve", "6", "2", "3"], ["chi", "6", "2", "3"],
+                                  ["table"]])
+def test_proof_cap_default_is_the_budget_default(argv):
+    assert build_parser().parse_args(argv).proof_cap == SolveBudget().proof_cap
 
 
 def test_table_bad_range_exits_2(capsys):

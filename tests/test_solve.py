@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -448,28 +449,85 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
     assert len(sizes) > 50 and max(sizes) > 1, sizes
 
 
+def plane_value(planes, v):
+    """Vertex v's count read off bit-sliced planes."""
+    return sum((plane >> v & 1) << j for j, plane in enumerate(planes))
+
+
+def test_plus_one_matches_integer_arithmetic():
+    """The engine's one adder, against integers on random masks and the
+    edge cases: no planes, a zero mask and a carry past the top plane.
+    The input list is never changed, so a list saved for undo stays valid."""
+    rng = random.Random(15)
+    cases = [([], 0), ([], 0b1011), ([0b110, 0b11], 0), ([0b11, 0b1], 0b1),
+             ([0b1, 0b1, 0b1], 0b11)]
+    for _ in range(400):
+        width = rng.randrange(1, 70)
+        planes = [rng.getrandbits(width) for _ in range(rng.randrange(6))]
+        cases.append((planes, rng.getrandbits(width)))
+    grew = 0
+    for planes, bits in cases:
+        before = list(planes)
+        out = solve._plus_one(planes, bits)
+        assert planes == before and out is not planes
+        width = max([bits.bit_length()] + [p.bit_length() for p in planes])
+        values = [plane_value(planes, v) + (bits >> v & 1) for v in range(width)]
+        assert [plane_value(out, v) for v in range(width)] == values
+        top = max([0] + values).bit_length()
+        assert len(out) == max(len(planes), top)
+        grew += top > len(planes)
+    assert solve._plus_one([], 0b1011) == [0b1011]
+    assert solve._plus_one([0b11, 0b1], 0b1) == [0b10, 0b0, 0b1]
+    assert grew > 20
+
+
 def test_forbidden_counts_match_a_recount(monkeypatch):
     """White-box checks at every node: the count planes, read through
     uncol, equal a recount over forb; no color above max_used is forbidden
     anywhere, which makes a count over all m colors the count over the
     colors branching looks at; and a node that fails leaves count, forb,
-    col and uncol as it found them."""
+    col and uncol as it found them.  After each run(m), every vertex's
+    weight equals the number of search children so far in the solve
+    whose assignment of that vertex wiped out."""
     dfs_fn = solve._Engine._dfs
-    seen = {"nodes": 0, "cells": 0, "pruned": 0}
+    seen = {"nodes": 0, "cells": 0, "pruned": 0, "depth": 0, "wipeouts": 0}
+    wiped = weakref.WeakKeyDictionary()
 
     def dfs(self, remaining, max_used, cells):
         for v in range(self.nv):
             if self.uncol >> v & 1:
-                got = sum((plane >> v & 1) << j for j, plane in enumerate(self.count))
+                got = plane_value(self.count, v)
                 assert got == sum(fc >> v & 1 for fc in self.forb), v
         assert not any(self.forb[max_used + 1:])
         before = (list(self.count), list(self.forb), list(self.col), self.uncol)
-        found = dfs_fn(self, remaining, max_used, cells)
+        seen["depth"] += 1
+        try:
+            found = dfs_fn(self, remaining, max_used, cells)
+        finally:
+            seen["depth"] -= 1
         assert found or (
             list(self.count), list(self.forb), list(self.col), self.uncol) == before
         seen["nodes"] += 1
         seen["cells"] += bool(cells)
         return found
+
+    assign_fn = solve._Engine._assign
+
+    def assign(self, v, c):
+        ok = assign_fn(self, v, c)
+        if not ok and seen["depth"]:  # a search child, not a pinned seed
+            counts = wiped.setdefault(self, [0] * self.nv)
+            counts[v] += 1
+            seen["wipeouts"] += 1
+        return ok
+
+    run_fn = solve._Engine.run
+
+    def run(self, m, seed):
+        out = run_fn(self, m, seed)
+        counts = wiped.get(self, [0] * self.nv)
+        assert [plane_value(self.weight, v) for v in range(self.nv)] == counts
+        return out
 
     orbit_fn = solve._Engine._orbit
 
@@ -480,6 +538,8 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
 
     monkeypatch.setattr(solve._Engine, "_dfs", dfs)
     monkeypatch.setattr(solve._Engine, "_orbit", orbit)
+    monkeypatch.setattr(solve._Engine, "_assign", assign)
+    monkeypatch.setattr(solve._Engine, "run", run)
     assert min_partition_number(GroundParams(6, 2, 3)).upper == 5
     assert min_partition_number(GroundParams(7, 2, 3)).upper == 6
     assert min_partition_number(GroundParams(7, 3, 3)).upper == 4
@@ -494,6 +554,7 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
     assert seen["cells"] == with_cells["cells"] > 100
     assert seen["nodes"] - with_cells["nodes"] > 100
     assert seen["pruned"] > 40
+    assert seen["wipeouts"] > 100
 
 
 @pytest.mark.parametrize("stable, cap, status, bracket, nodes", [

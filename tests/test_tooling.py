@@ -3,6 +3,7 @@ wrapped attributes, the package's exports, the CLI's exit codes, the
 flags README.md names and what a CLI launch imports."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import os
@@ -203,3 +204,30 @@ def test_cli_import_loads_no_process_pool():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# imported only to be bound in the module: the tracer wraps
+# constructions.build_partition_constrained from outside
+UNUSED_IMPORTS_KEPT = {("constructions", "build_partition_constrained")}
+
+
+def test_library_imports_are_used():
+    """Every name a library module imports is used in it, so a helper's
+    import does not outlive the helper.  __init__.py imports to export."""
+    unused = []
+    for path in sorted((ROOT / "src" / "kneser_lab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name, line) for name, line in imported.items()
+                   if name not in used and (path.stem, name) not in UNUSED_IMPORTS_KEPT]
+    assert not unused
