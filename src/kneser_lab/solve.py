@@ -14,7 +14,14 @@ a vertex has wiped out a domain so far in the solve (the
 variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
 Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
-optimality by iterative deepening on the class count.  Closed-form values
+optimality by iterative deepening on the class count.  A constraint of
+four or more members is indexed under pairs of its members, so an
+assignment looks only at those whose watched pair is all one color: the
+watched literals of Chaff (Moskewicz, Madigan, Zhao, Zhang and Malik,
+"Chaff: engineering an efficient SAT solver", DAC 2001) and Minion
+(Gent, Jefferson and Miguel, "Watched literals for constraint
+propagation in Minion", CP 2006), with watches that never move, since a
+color class only grows along a search path.  Closed-form values
 are never consulted, so agreement with the formulas is evidence, not
 circularity.
 
@@ -222,13 +229,24 @@ class _Engine:
     most m forbidden colors, so a count of m is one with every plane set
     where m has a one bit.
 
-    Propagation works per arity.  A pair ORs v's precomputed adjacency mask
-    into forb[c].  A triple walks only the partners of v already colored c
-    and ORs in their third members, so its cost scales with those partners
-    rather than with v's incidence.  A larger constraint keeps its members
-    other than v as a rest mask and forbids its one remaining member once
-    all the others are c.  The wipeout check looks only at the vertices
-    newly added to forb[c], and reads their counts off the planes.
+    Propagation works per arity, off tables the constructor builds in
+    one pass over the constraints.  A pair ORs v's adjacency mask into
+    forb[c].  A triple walks only the partners u of v already colored c
+    and ORs in third[v][u], the mask of every w that makes {v, u, w} a
+    constraint, so its cost scales with those partners rather than with
+    v's incidence.  A larger constraint R can forbid a member only once at
+    most one member of R - v is not colored c.  R - v has at least three
+    members, so then one of the pairs among its three lowest is colored c
+    throughout, and the rest mask R - v is filed under those three pairs
+    (static pair watches).  An assignment walks the first members u of
+    v's watched pairs that are colored c (w1[v]), then their second
+    members w colored c (w2[v][u]), and scans only the rests filed under
+    (u, w), forbidding the one member a rest has left outside c.  Every
+    rest that can fire is scanned, so forb[c] is what a scan of all of
+    v's rests gives.  The tables hold 3 entries per member of each larger
+    constraint, bounded by MAX_EDGES.  The wipeout check looks only at the
+    vertices newly added to forb[c], and reads their counts off the
+    planes.
 
     Branching weights.  weight holds, bit-sliced like count, how often
     assigning each vertex has wiped out a domain; each wipeout adds one
@@ -261,59 +279,97 @@ class _Engine:
         cells: tuple[int, ...] = (),
     ):
         self.nv = nv
-        self.adj = [0] * nv
-        self.partners = [0] * nv
-        self.third: list[defaultdict[int, int]] = [
-            defaultdict(int) for _ in range(nv)
-        ]
-        self.rests: list[list[int]] = [[] for _ in range(nv)]
-        adj, partners, third, rests = self.adj, self.partners, self.third, self.rests
-        # pairs and triples are unpacked by hand: once orbital pruning cut
-        # the search, the generic loop over members took most of a
-        # KG^3(11,3) solve (80 of 117 ms), and this form halves it.  A bad
-        # member fails cheaply: an id of nv or more fails the slot reads,
-        # which come before any shift, a negative id fails its shift, and
-        # a repeated id one comparison (for longer constraints, the mask's
-        # size).
+        bits = [1 << i for i in range(nv)]
+        adj = [0] * nv
+        # one pass, each arity unpacked by hand.  A triple a < b < c ORs
+        # each member into the entry of the other two, keyed a*nv + b; the
+        # builders list triples in order, so a run sharing (a, b) folds
+        # into `acc` and only (a, c) and (b, c) touch the dict.  An in-order
+        # member list passes one chained comparison, which also rejects a
+        # repeated, negative (bits[-1] would wrap) or too large id; any
+        # other order is sorted and compared again.
+        tri: defaultdict[int, int] = defaultdict(int)
+        watch: defaultdict[int, list[int]] = defaultdict(list)
+        nn = nv * nv
+        entries = 0
+        key, acc = -1, 0
         try:
             for t in constraints:
-                if len(t) == 2:
-                    a, b = t
-                    if a == b:
-                        raise ValueError
-                    xa, xb = adj[a], adj[b]
-                    adj[a] = xa | 1 << b
-                    adj[b] = xb | 1 << a
-                elif len(t) == 3:
+                size = len(t)
+                if size == 3:
                     a, b, c = t
-                    if a == b or b == c or a == c:
+                    if not 0 <= a < b < c < nv:
+                        a, b, c = sorted(t)
+                        if not 0 <= a < b < c < nv:
+                            raise ValueError
+                    ab = a * nv + b
+                    if ab != key:
+                        if acc:
+                            tri[key] |= acc
+                        key, acc = ab, 0
+                    acc |= bits[c]
+                    tri[a * nv + c] |= bits[b]
+                    tri[b * nv + c] |= bits[a]
+                elif size == 2:
+                    a, b = t
+                    if not 0 <= a < b < nv:
+                        b, a = t
+                        if not 0 <= a < b < nv:
+                            raise ValueError
+                    adj[a] |= bits[b]
+                    adj[b] |= bits[a]
+                elif size > 3:
+                    members = sorted(t)
+                    if members[0] < 0 or members[-1] >= nv:
                         raise ValueError
-                    ta, tb, tc = third[a], third[b], third[c]
-                    ba, bb, bc = 1 << a, 1 << b, 1 << c
-                    partners[a] |= bb | bc
-                    partners[b] |= ba | bc
-                    partners[c] |= ba | bb
-                    ta[b] |= bc
-                    ta[c] |= bb
-                    tb[a] |= bc
-                    tb[c] |= ba
-                    tc[a] |= bb
-                    tc[b] |= ba
-                elif len(t) > 3:
-                    vr = [rests[v] for v in t]
                     mask = 0
-                    for u in t:
-                        mask |= 1 << u
-                    if mask.bit_count() != len(t):
+                    for u in members:
+                        mask |= bits[u]
+                    if mask.bit_count() != size:
                         raise ValueError
-                    for v, rv in zip(t, vr):
-                        rv.append(mask & ~(1 << v))
+                    entries += 3 * size
+                    if entries > MAX_EDGES:
+                        raise InstanceTooLarge(
+                            f"watch entries exceed limit {MAX_EDGES}"
+                        )
+                    # R - v is watched under the pairs of its three lowest
+                    # members, keyed v*nv*nv + a*nv + b for a pair a < b
+                    a, b, d, e = members[:4]
+                    ab, ad, ae = a * nv + b, a * nv + d, a * nv + e
+                    bd, be, de = b * nv + d, b * nv + e, d * nv + e
+                    by_low = ((bd, be, de), (ad, ae, de), (ab, ae, be))
+                    for i, v in enumerate(members):
+                        x, y, z = by_low[i] if i < 3 else (ab, ad, bd)
+                        rest = mask ^ bits[v]
+                        base = v * nn
+                        watch[base + x].append(rest)
+                        watch[base + y].append(rest)
+                        watch[base + z].append(rest)
                 else:
                     raise InvalidParams(f"constraint {t} has fewer than 2 members")
         except (IndexError, TypeError, ValueError) as exc:
             raise InvalidParams(
                 f"constraint {t} needs distinct ids of the {nv} vertices"
             ) from exc
+        if acc:
+            tri[key] |= acc
+        partners = [0] * nv
+        third: list[dict[int, int]] = [{} for _ in range(nv)]
+        for ab, mask in tri.items():
+            a, b = divmod(ab, nv)
+            third[a][b] = third[b][a] = mask
+            partners[a] |= bits[b]
+            partners[b] |= bits[a]
+        w1 = [0] * nv
+        w2: list[dict[int, int]] = [{} for _ in range(nv)]
+        for vab in watch:
+            v, ab = divmod(vab, nn)
+            a, b = divmod(ab, nv)
+            w1[v] |= bits[a]
+            wv = w2[v]
+            wv[a] = wv.get(a, 0) | bits[b]
+        self.adj, self.partners, self.third = adj, partners, third
+        self.w1, self.w2, self.watch = w1, w2, watch
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
         self.incidence = _incidence(points) if self.cells else []
@@ -351,10 +407,26 @@ class _Engine:
                 low = x & -x
                 f |= third[low.bit_length() - 1]
                 x ^= low
-        for rest in self.rests[v]:
-            left = rest & ~cc
-            if left & (left - 1) == 0:
-                f |= left
+        x = self.w1[v] & cc
+        if x:
+            w2 = self.w2[v]
+            watch = self.watch
+            nv = self.nv
+            base = v * nv
+            out = ~cc
+            while x:
+                low = x & -x
+                x ^= low
+                u = low.bit_length() - 1
+                y = w2[u] & cc
+                uw = (base + u) * nv
+                while y:
+                    wb = y & -y
+                    y ^= wb
+                    for rest in watch[uw + wb.bit_length() - 1]:
+                        left = rest & out
+                        if left & (left - 1) == 0:
+                            f |= left
         forb[c] = f
         grew = f & ~old
         if not grew:

@@ -256,10 +256,13 @@ def test_criterion_10_partition_strictly_above_chromatic():
 
 
 def test_criterion_11_exact_frontier():
-    """The instances that timed out before the weighted tie-break: each
-    proved EXACT at its closed form within 20 s, proof_cap = vertex count."""
+    """The instances that timed out before the weighted tie-break, and
+    (8,5,6), which took 53 s before its constraints of 4 or more members
+    were pair-watched: each proved EXACT at its closed form within 20 s,
+    proof_cap = vertex count."""
     solved = []
-    for n, k, r, want in [(10, 2, 3, 9), (11, 2, 3, 10), (12, 2, 3, 11), (8, 3, 4, 6)]:
+    for n, k, r, want in [(10, 2, 3, 9), (11, 2, 3, 10), (12, 2, 3, 11), (8, 3, 4, 6),
+                          (8, 5, 6, 4)]:
         start = time.monotonic()
         p = GroundParams(n, k, r)
         res = min_partition_number(p, SolveBudget(proof_cap=p.num_vertices))

@@ -290,6 +290,13 @@ def test_search_tree_pinned():
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
 
 
+def test_long_constraint_tree_pinned():
+    """(8,5,6) has minimal witnesses of 2 to 6 members, so its tree pins
+    the propagation of constraints of 4 or more members."""
+    res = min_partition_number(GroundParams(8, 5, 6), SolveBudget(proof_cap=56))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 4, 54637)
+
+
 BENCH_LADDER_NODES = {
     "search-hyper": [1101, 424, 1910, 748, 1655],
     "search-pairs": [481, 82563, 132],
@@ -854,12 +861,121 @@ def test_brute_force_oracle_examples():
 @pytest.mark.parametrize("constraint", [
     (), (0,), (0, 0), (0, 1, 1), (1, 2, 1), (0, 1, 2, 2), (0, 9), (0, -1),
     (-1, 0), (0, 1, 9), (0, 1, 2, -1),
+    # a negative id in each slot: the engine indexes a table of bits by
+    # id, where -1 would silently read the last vertex's bit
+    (0, 1, -1), (0, -1, 1), (-1, 0, 1),
+    (-1, 0, 1, 2, 3), (0, -1, 1, 2, 3), (0, 1, -1, 2, 3), (0, 1, 2, -1, 3),
+    (0, 1, 2, 3, -1),
+    (9, 0, 1), (0, 9, 1), (2, 1, 1), (1, 0, 1), (0, 1, 2, 3, 3), (4, 0, 4, 1),
 ])
 def test_engine_rejects_short_constraints(constraint):
     """Too few members, a repeated member or an id outside the vertices is
     bad input, not a soundness failure, and the message names it."""
     with pytest.raises(InvalidParams, match=re.escape(f"constraint {constraint}")):
-        solve._Engine(3, ((0, 1), (0, 1, 2), constraint))
+        solve._Engine(5, ((0, 1), (0, 1, 2), (0, 1, 2, 3, 4), constraint))
+
+
+def naive_forbidden(constraints, col_c):
+    """Every vertex x with a constraint whose members other than x are
+    all in the set col_c, as a mask."""
+    out = 0
+    for members in constraints:
+        for x in members:
+            if all(col_c >> y & 1 for y in members if y != x):
+                out |= 1 << x
+    return out
+
+
+def naive_first_fit(nv, constraints):
+    """Each vertex in id order takes the least color that completes no
+    constraint among the vertices colored before it."""
+    colors = []
+    for v in range(nv):
+        blocked = set()
+        for members in constraints:
+            if v in members:
+                rest = [y for y in members if y != v]
+                if all(y < v for y in rest) and len({colors[y] for y in rest}) == 1:
+                    blocked.add(colors[rest[0]])
+        c = 0
+        while c in blocked:
+            c += 1
+        colors.append(c)
+    return colors
+
+
+def random_constraints(rng, nv):
+    """Distinct-member constraints of 2 to 6 members, each listed in a
+    random order, the list shuffled, some of them twice."""
+    out = []
+    for _ in range(rng.randint(1, 3 * nv)):
+        size = rng.randint(2, min(6, nv))
+        out.append(tuple(rng.sample(range(nv), size)))
+    out += rng.sample(out, len(out) // 4)
+    rng.shuffle(out)
+    return out
+
+
+def test_propagation_matches_a_naive_recount():
+    """The folded triple table and the pair-watched larger constraints,
+    against a recount from the constraint list: on random hypergraphs, at
+    every assignment of a random proper partial coloring, every forb[c]
+    is the set of vertices some constraint would complete in color c, the
+    count planes agree with forb, and a wipeout is reported exactly when
+    an uncolored vertex has every color forbidden.  first_fit is the
+    naive greedy."""
+    rng = random.Random(2006)
+    assigned = wipeouts = 0
+    for _ in range(150):
+        nv = rng.randint(4, 12)
+        constraints = random_constraints(rng, nv)
+        engine = solve._Engine(nv, tuple(constraints))
+        assert engine.first_fit() == naive_first_fit(nv, constraints)
+        for _ in range(3):
+            m = rng.randint(2, 4)
+            engine._reset(m)
+            order = rng.sample(range(nv), nv)
+            for v in order:
+                allowed = [c for c in range(m) if not engine.forb[c] >> v & 1]
+                c = rng.choice(allowed)
+                ok = engine._assign(v, c)
+                assigned += 1
+                for d in range(m):
+                    want = naive_forbidden(constraints, engine.col[d])
+                    assert engine.forb[d] == want, (constraints, v, d)
+                for x in range(nv):
+                    if engine.uncol >> x & 1:
+                        got = plane_value(engine.count, x)
+                        assert got == sum(f >> x & 1 for f in engine.forb)
+                stuck = any(
+                    engine.uncol >> x & 1
+                    and all(f >> x & 1 for f in engine.forb)
+                    for x in range(nv)
+                )
+                assert ok == (not stuck), (constraints, v, c)
+                if not ok:
+                    wipeouts += 1
+                    break
+    assert assigned > 1000 and wipeouts > 40
+
+
+def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
+    """The pair watches hold 3 entries per member of each constraint of 4
+    or more members; past MAX_EDGES the engine refuses the instance with
+    InstanceTooLarge, and the CLI with exit 4."""
+    from kneser_lab.cli import main
+
+    h = build_kneser_hypergraph(GroundParams(8, 2, 4))
+    need = 3 * sum(len(edge) for edge in h.edges if len(edge) > 3)
+    assert need == 1260
+    monkeypatch.setattr(solve, "MAX_EDGES", need)
+    assert chromatic_number(h).upper == 2
+    monkeypatch.setattr(solve, "MAX_EDGES", need - 1)
+    with pytest.raises(InstanceTooLarge, match="watch entries exceed limit 1259"):
+        chromatic_number(h)
+    assert main(["chi", "8", "2", "4"]) == 4
+    err = capsys.readouterr().err
+    assert "watch entries exceed limit 1259" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("vertices, edges", [
