@@ -282,17 +282,20 @@ class _Engine:
         bits = [1 << i for i in range(nv)]
         adj = [0] * nv
         # one pass, each arity unpacked by hand.  A triple a < b < c ORs
-        # each member into the entry of the other two, keyed a*nv + b; the
-        # builders list triples in order, so a run sharing (a, b) folds
-        # into `acc` and only (a, c) and (b, c) touch the dict.  An in-order
-        # member list passes one chained comparison, which also rejects a
-        # repeated, negative (bits[-1] would wrap) or too large id; any
-        # other order is sorted and compared again.
-        tri: defaultdict[int, int] = defaultdict(int)
+        # each member into the entry of the other two, third[a][b],
+        # third[a][c] and third[b][c], so each row holds only its higher
+        # partners until the pass below mirrors it.  The builders list
+        # triples in order, so a run sharing (a, b) folds into `acc` and
+        # only (a, c) and (b, c) touch a dict.  An in-order member list
+        # passes one chained comparison, which also rejects a repeated,
+        # negative (bits[-1] would wrap) or too large id; any other order
+        # is sorted and compared again.
+        third: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nv)]
         watch: defaultdict[int, list[int]] = defaultdict(list)
         nn = nv * nv
         entries = 0
-        key, acc = -1, 0
+        ka = kb = -1
+        acc = 0
         try:
             for t in constraints:
                 size = len(t)
@@ -302,14 +305,13 @@ class _Engine:
                         a, b, c = sorted(t)
                         if not 0 <= a < b < c < nv:
                             raise ValueError
-                    ab = a * nv + b
-                    if ab != key:
+                    if b != kb or a != ka:
                         if acc:
-                            tri[key] |= acc
-                        key, acc = ab, 0
+                            third[ka][kb] |= acc
+                        ka, kb, acc = a, b, 0
                     acc |= bits[c]
-                    tri[a * nv + c] |= bits[b]
-                    tri[b * nv + c] |= bits[a]
+                    third[a][c] |= bits[b]
+                    third[b][c] |= bits[a]
                 elif size == 2:
                     a, b = t
                     if not 0 <= a < b < nv:
@@ -352,14 +354,15 @@ class _Engine:
                 f"constraint {t} needs distinct ids of the {nv} vertices"
             ) from exc
         if acc:
-            tri[key] |= acc
+            third[ka][kb] |= acc
         partners = [0] * nv
-        third: list[dict[int, int]] = [{} for _ in range(nv)]
-        for ab, mask in tri.items():
-            a, b = divmod(ab, nv)
-            third[a][b] = third[b][a] = mask
-            partners[a] |= bits[b]
-            partners[b] |= bits[a]
+        # from the top row down: each row is read before any lower partner
+        # is mirrored into it, so each entry is mirrored once
+        for a in range(nv - 1, -1, -1):
+            for b, mask in third[a].items():
+                third[b][a] = mask
+                partners[a] |= bits[b]
+                partners[b] |= bits[a]
         w1 = [0] * nv
         w2: list[dict[int, int]] = [{} for _ in range(nv)]
         for vab in watch:
