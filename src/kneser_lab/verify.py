@@ -304,39 +304,58 @@ EDGE_RECORDS = 20
 
 
 def _disjoint_chains(
-    verts: list[int], ids: list[int], r: int, keep: int
+    points: list[tuple[int, ...]], n: int, ids: list[int], r: int, keep: int
 ) -> tuple[list[tuple[int, ...]], int, int]:
-    """r-tuples of ids (increasing) whose vertex masks are pairwise disjoint.
+    """r-tuples of ids (increasing, r >= 2) whose vertices are pairwise
+    disjoint; points[v] lists the points of vertex v, all in [0, n).
 
-    Depth-first search over increasing chains with a running union: each
-    level keeps only the later ids disjoint from the union, so a chain is
-    extended only by members that keep it pairwise disjoint, and the tuples
-    come out in lexicographic order.  Returns (the first keep tuples, how
-    many tuples there are, how many member-versus-union tests were made).
+    Bit-parallel DFS: bit i stands for ids[i], and apart[i], read off the
+    class's point incidence, holds the later positions whose vertices miss
+    ids[i].  A chain keeps the candidates in apart[i] of each member it
+    takes, the last level is a popcount, and tuples come out in
+    lexicographic order.  Returns (the first keep tuples, how many there
+    are, how many tests a member-by-member scan makes: each chosen member
+    against every later candidate).
     """
+    size = len(ids)
+    if size < r:
+        return [], 0, 0
+    inc = [0] * n  # inc[e]: the positions past i whose vertex holds e
+    apart = [0] * size
+    later = 0
+    for i in range(size - 1, -1, -1):
+        own = points[ids[i]]
+        meets = 0
+        for e in own:
+            meets |= inc[e]
+        apart[i] = later ^ meets
+        for e in own:
+            inc[e] |= 1 << i
+        later |= 1 << i
+
     found: list[tuple[int, ...]] = []
     total = tests = 0
-
-    def walk(chain: tuple[int, ...], union: int, cands: list[int]) -> None:
-        nonlocal total, tests
-        if len(chain) == r - 1:
-            total += len(cands)
-            if len(found) < keep:
-                found.extend(chain + (j,) for j in cands[: keep - len(found)])
-            return
-        need = r - 1 - len(chain)  # members still to add after cands[pos]
-        for pos in range(len(cands) - need):
-            u = union | verts[cands[pos]]
-            later = cands[pos + 1 :]
-            tests += len(later)
-            rest = [j for j in later if not verts[j] & u]
-            if len(rest) >= need:
-                walk(chain + (cands[pos],), u, rest)
-
-    try:
-        walk((), 0, ids)
-    finally:
-        del walk  # as in _find_min_witness
+    stack = [((), later, size)]  # (chain, candidate mask, its popcount)
+    while stack:
+        chain, cands, left = stack.pop()
+        need = r - 1 - len(chain)  # members still to add after the next one
+        tests += (left - 1 + need) * (left - need) // 2  # left-1, ..., need
+        frames = []
+        for _ in range(left - need):
+            low = cands & -cands
+            cands ^= low
+            pos = low.bit_length() - 1
+            rest = cands & apart[pos]
+            if need > 1:
+                if (cnt := rest.bit_count()) >= need:
+                    frames.append((chain + (ids[pos],), rest, cnt))
+            elif rest:
+                total += rest.bit_count()
+                while rest and len(found) < keep:
+                    low = rest & -rest
+                    found.append(chain + (ids[pos], ids[low.bit_length() - 1]))
+                    rest ^= low
+        stack.extend(reversed(frames))
     return found, total, tests
 
 
@@ -345,11 +364,12 @@ def verify_coloring_certificate(cert) -> Report:
 
     The vertex set named by the certificate (all k-subsets of [ground_n],
     optionally restricted to s-stable ones or to transversals of the given
-    parts) is rebuilt here from plain combinations and sorted into colex
-    order.  Properness is established by a depth-first search inside each
-    color class over index-increasing chains that stay pairwise disjoint;
-    every chain of r members is a monochromatic edge.  No edge list is
-    consumed.  The report records the first EDGE_RECORDS edges in
+    parts) is rebuilt here from plain combinations in colex order.
+    Properness is established by a bit-parallel search inside each color
+    class over index-increasing chains that stay pairwise disjoint; every
+    chain of r members is a monochromatic edge, and stats["tuples_examined"]
+    counts the member-versus-chain tests of a member-by-member scan.  No edge
+    list is consumed.  The report records the first EDGE_RECORDS edges in
     lexicographic order (color, then vertex ids) and, past that, one record
     with empty indices counting the rest; stats["disjoint_tuples"] holds the
     exact total.  A descriptor naming no hypergraph (s < 1, or parts that do
@@ -369,14 +389,15 @@ def verify_coloring_certificate(cert) -> Report:
     guard_subsets(n, k)
     part_masks = [] if cert.parts is None else _block_masks(cert.parts, n, r)
 
-    verts: list[int] = []
-    for els in combinations(range(n), k):
+    # points in decreasing order make the combinations decreasing in colex
+    points: list[tuple[int, ...]] = []
+    for els in combinations(range(n - 1, -1, -1), k):
         if cert.stability is not None:
             s = cert.stability
             stable = True
             for i in range(k):
                 for j in range(i + 1, k):
-                    d = els[j] - els[i]
+                    d = els[i] - els[j]
                     if min(d, n - d) < s:
                         stable = False
                         break
@@ -384,17 +405,18 @@ def verify_coloring_certificate(cert) -> Report:
                     break
             if not stable:
                 continue
-        bits = 0
-        for e in els:
-            bits |= 1 << e
-        if any((bits & pm).bit_count() > 1 for pm in part_masks):
-            continue
-        verts.append(bits)
-    verts.sort()
+        if part_masks:
+            bits = 0
+            for e in els:
+                bits |= 1 << e
+            if any((bits & pm).bit_count() > 1 for pm in part_masks):
+                continue
+        points.append(els)
+    points.reverse()
 
-    if len(cert.colors) != len(verts):
+    if len(cert.colors) != len(points):
         raise LengthMismatch(
-            f"{len(cert.colors)} colors for {len(verts)} descriptor vertices"
+            f"{len(cert.colors)} colors for {len(points)} descriptor vertices"
         )
 
     classes: dict[int, list[int]] = {}
@@ -406,7 +428,7 @@ def verify_coloring_certificate(cert) -> Report:
     disjoint = 0
     for c, ids in sorted(classes.items()):
         tuples, total, tests = _disjoint_chains(
-            verts, ids, r, EDGE_RECORDS - len(violations)
+            points, n, ids, r, EDGE_RECORDS - len(violations)
         )
         examined += tests
         disjoint += total
@@ -430,7 +452,7 @@ def verify_coloring_certificate(cert) -> Report:
         not violations,
         tuple(violations),
         stats={
-            "vertices": len(verts),
+            "vertices": len(points),
             "classes": len(classes),
             "tuples_examined": examined,
             "disjoint_tuples": disjoint,

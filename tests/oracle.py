@@ -3,9 +3,10 @@
 brute_force_oracle colors a hypergraph and shares no code with the search
 engine in kneser_lab.solve; brute_force_monochromatic lists a coloring's
 monochromatic edges and shares no code with the chain search in
-kneser_lab.verify; brute_force_witnesses lists the minimal
-empty-intersection witnesses and shares no code with the pruned DFS of
-solve.build_conflict_hypergraph.  Each pair can cross-check the other.
+kneser_lab.verify, and reference_disjoint_chains is that search's
+list-based form, kept to pin its counts; brute_force_witnesses lists the
+minimal empty-intersection witnesses and shares no code with the pruned DFS
+of solve.build_conflict_hypergraph.  Each pair can cross-check the other.
 """
 
 from itertools import combinations
@@ -113,3 +114,36 @@ def brute_force_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
             ):
                 out.append(w)
     return sorted(out)
+
+
+def reference_disjoint_chains(
+    verts: list[int], ids: list[int], r: int, keep: int
+) -> tuple[list[tuple[int, ...]], int, int]:
+    """The list-based form of kneser_lab.verify._disjoint_chains.
+
+    Depth-first search over increasing chains with a running union: each
+    level keeps only the later ids disjoint from the union, so the tuples
+    come out in lexicographic order.  Returns (the first keep tuples, how
+    many tuples there are, how many member-versus-union tests were made).
+    """
+    found: list[tuple[int, ...]] = []
+    total = tests = 0
+
+    def walk(chain: tuple[int, ...], union: int, cands: list[int]) -> None:
+        nonlocal total, tests
+        if len(chain) == r - 1:
+            total += len(cands)
+            if len(found) < keep:
+                found.extend(chain + (j,) for j in cands[: keep - len(found)])
+            return
+        need = r - 1 - len(chain)  # members still to add after cands[pos]
+        for pos in range(len(cands) - need):
+            u = union | verts[cands[pos]]
+            later = cands[pos + 1 :]
+            tests += len(later)
+            rest = [j for j in later if not verts[j] & u]
+            if len(rest) >= need:
+                walk(chain + (cands[pos],), u, rest)
+
+    walk((), 0, ids)
+    return found, total, tests

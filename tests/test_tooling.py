@@ -231,3 +231,60 @@ def test_library_imports_are_used():
         unused += [(path.stem, name, line) for name, line in imported.items()
                    if name not in used and (path.stem, name) not in UNUSED_IMPORTS_KEPT]
     assert not unused
+
+
+# what verify.py may import from its own package: two leaf modules, and,
+# inside a function only, the certificate classes it checks
+VERIFY_SIBLINGS = {"errors", "setsys"}
+VERIFY_LOCAL = {"constructions": {"PartitionCertificate", "ColoringCertificate"}}
+
+
+def verify_import_faults(source: str) -> list[tuple[str, str | None, int]]:
+    """(sibling module, name, line) of every import in source that would let
+    the verifiers share code with the generators: anything from kneser or
+    solve, a `_`-private name, or a sibling outside the allowed set."""
+    tree = ast.parse(source)
+    local = {id(node) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    found = []  # (sibling, name or None, node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, sub = alias.name.partition(".")
+                if head == "kneser_lab":
+                    found.append((sub or head, None, node))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                head, _, module = module.partition(".")
+                if head != "kneser_lab":
+                    continue
+            for alias in node.names:
+                found.append((module, alias.name, node) if module
+                             else (alias.name, None, node))
+    faults = []
+    for module, name, node in found:
+        private = name is not None and name.startswith("_")
+        allowed = module in VERIFY_SIBLINGS or (
+            id(node) in local and name in VERIFY_LOCAL.get(module, ()))
+        if private or not allowed:
+            faults.append((module, name, node.lineno))
+    return faults
+
+
+def test_verify_imports_nothing_from_the_generators():
+    """verify.py re-derives every property with code of its own."""
+    source = (ROOT / "src" / "kneser_lab" / "verify.py").read_text()
+    assert verify_import_faults(source) == []
+    for bad in ["from .kneser import Hypergraph",
+                "from kneser_lab.solve import EXACT",
+                "import kneser_lab.kneser",
+                "from . import solve",
+                "from .setsys import _colex",
+                "from .constructions import ColoringCertificate",
+                "def f():\n    from .constructions import blow_up"]:
+        assert verify_import_faults(bad), bad
+    assert not verify_import_faults(
+        "from .errors import InvalidParams\n"
+        "def f():\n    from .constructions import PartitionCertificate")

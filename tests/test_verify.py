@@ -1,8 +1,11 @@
 """The verifiers against naive exhaustive scans and hand-built failures."""
 
+import dataclasses
 import random
 import warnings
+from collections import Counter
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,13 +29,14 @@ from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subs
 from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
     Violation,
+    _disjoint_chains,
     is_r_wise_intersecting,
     verify_coloring,
     verify_coloring_certificate,
     verify_partition_certificate,
 )
 
-from oracle import brute_force_monochromatic
+from oracle import brute_force_monochromatic, reference_disjoint_chains
 
 
 def family(n, *element_tuples):
@@ -410,3 +414,58 @@ def test_coloring_certificate_matches_brute_force(case):
         assert tail.reason.startswith(f"{len(want) - 20} further")
     else:
         assert len(rep.violations) == len(want)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_disjoint_chains_matches_reference(r):
+    """The bit-parallel walk returns the list-based walk's first keep tuples,
+    total and test count: on empty ids, on fewer ids than r, on ascending ids
+    with gaps, and with members that hold no point."""
+    rng = random.Random(f"chains/{r}")
+    totals = []
+    for trial in range(150):
+        n = rng.randint(1, 9)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n)
+                 for _ in range(rng.randint(0, 16))]
+        if masks and trial % 3 == 0:
+            masks[rng.randrange(len(masks))] = 0
+        ids = sorted(rng.sample(range(len(masks)), rng.randint(0, len(masks))))
+        points = [tuple(e for e in range(n) if m >> e & 1) for m in masks]
+        for keep in (0, 1, 20):
+            got = _disjoint_chains(points, n, ids, r, keep)
+            want = reference_disjoint_chains(masks, ids, r, keep)
+            assert got == want, (masks, ids, keep)
+        totals.append(got[1])
+    assert _disjoint_chains([], 1, [], r, 20) == ([], 0, 0)
+    assert min(totals) == 0 and max(totals) > 20  # both kinds of class were met
+
+
+def merged_two_largest(cert):
+    """cert with its two largest classes merged, ties going to the lower
+    color id, and the other labels kept in order."""
+    sizes = Counter(cert.colors)
+    keep, gone = sorted(sizes, key=lambda c: (-sizes[c], c))[:2]
+    labels = {c: i for i, c in enumerate(c for c in sorted(sizes) if c != gone)}
+    labels[gone] = labels[keep]
+    return dataclasses.replace(cert, colors=tuple(labels[c] for c in cert.colors))
+
+
+def test_merged_lift_stats_pinned():
+    """The (8,3,3) lift with its two largest classes merged, as the certify
+    benchmark rejects it."""
+    coloring, _ = blow_up(build_tight_partition(GroundParams(8, 3, 3)))
+    rep = verify_coloring_certificate(merged_two_largest(coloring))
+    assert not rep.ok
+    assert rep.stats["tuples_examined"] == 1_008_876
+    assert rep.stats["disjoint_tuples"] == 330_240
+
+
+def test_valid_12_4_3_lift_verifies_quickly():
+    """7,920 vertices in 8 classes; the list-based walk took 23.8 s."""
+    coloring, _ = blow_up(build_tight_partition(GroundParams(12, 4, 3)))
+    t0 = perf_counter()
+    rep = verify_coloring_certificate(coloring)
+    assert perf_counter() - t0 < 10
+    assert rep.ok
+    assert rep.stats["tuples_examined"] == 485_411_344
+    assert rep.stats["disjoint_tuples"] == 0
