@@ -12,7 +12,7 @@ hypergraph over that cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .errors import (
@@ -207,28 +207,20 @@ def build_tight_partition(p: GroundParams) -> PartitionCertificate:
     is i; the last family holds all k-subsets of the tail S = {n-s+1..n}
     with s = tail_size(k, r).  Stars share their minimum point, and any r
     k-subsets of the s tail points have a common point because r*k > (r-1)*s.
-    Members are stored in colex order.  More than DEFAULT_GROUND_CAP points
+    One pass over the colex enumeration files each k-subset under its least
+    element, or under the tail when that element is past n-s: such a subset
+    lies inside the last s points, so the filing is exact, and every family
+    comes out in colex order.  More than DEFAULT_GROUND_CAP points
     (CapExceeded) or MAX_SUBSETS k-subsets (InstanceTooLarge) are refused.
     """
     m = tight_bound(p)  # raises on inadmissible params
-    guard_subsets(p.n, p.k)
-    s = tail_size(p.k, p.r)
-    n, k = p.n, p.k
-    families = []
-    for i in range(1, n - s + 1):
-        members = [
-            KSubset.from_elements((i, *rest), n)
-            for rest in combinations(range(i + 1, n + 1), k - 1)
-        ]
-        members.sort(key=lambda f: f.bits)
-        families.append(SetFamily(n, tuple(members)))
-    tail = [
-        KSubset.from_elements(els, n)
-        for els in combinations(range(n - s + 1, n + 1), k)
-    ]
-    tail.sort(key=lambda f: f.bits)
-    families.append(SetFamily(n, tuple(tail)))
-    cert = PartitionCertificate(p, tuple(families))
+    cut = p.n - tail_size(p.k, p.r)
+    groups: list[list[KSubset]] = [[] for _ in range(cut + 1)]
+    for v in enumerate_k_subsets(p.n, p.k):
+        groups[min((v.bits & -v.bits).bit_length() - 1, cut)].append(v)
+    cert = PartitionCertificate(
+        p, tuple(SetFamily(p.n, tuple(g)) for g in groups)
+    )
     if cert.num_families != m:
         raise SoundnessError(f"built {cert.num_families} families, expected {m}")
     return cert
@@ -269,7 +261,9 @@ def blow_up(cert: PartitionCertificate) -> tuple[ColoringCertificate, BlowupMap]
     the constrained vertex set exactly, and no color class contains r
     pairwise disjoint members: r selections from one family stem from
     sources with a common element i, and their r points inside C_i cannot
-    all differ since |C_i| = r-1.
+    all differ since |C_i| = r-1.  A selection's mask is the sum of one
+    point bit per block, read off the recorded `blocks`, so _blowup_blocks
+    alone fixes the block layout.
 
     The selections are the vertices, so no hypergraph is built: colors are
     listed in ascending bitmask (colex) order of the selections.  A lift of
@@ -290,16 +284,14 @@ def blow_up(cert: PartitionCertificate) -> tuple[ColoringCertificate, BlowupMap]
     num_vertices = comb(n, k) * w**k
     guard_vertices(num_vertices, f"lift has C({n},{k}) * {w}^{k}")
     blocks = _blowup_blocks(n, r)
+    one_hot = [tuple(1 << (x - 1) for x in block) for block in blocks]
 
     color_of: dict[int, int] = {}
     origin: dict[int, KSubset] = {}
     for fi, fam in enumerate(cert.families):
         for member in fam.members:
-            base = [(e - 1) * w for e in member.elements()]
-            for offsets in product(range(w), repeat=k):
-                bits = 0
-                for b, off in zip(base, offsets):
-                    bits |= 1 << (b + off)
+            for sel in product(*(one_hot[e - 1] for e in member.elements())):
+                bits = sum(sel)
                 # a selection determines its source, so collisions can only
                 # come from a builder bug; fail loudly rather than tie-break
                 if bits in origin and origin[bits] != member:

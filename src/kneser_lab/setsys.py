@@ -155,26 +155,20 @@ def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
     return out
 
 
-def cyclic_distance(a: int, b: int, n: int) -> int:
-    """Distance between two elements of [n] along the n-cycle."""
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise InvalidParams(f"elements {a}, {b} outside [1, {n}]")
-    d = abs(a - b)
-    return min(d, n - d)
-
-
 def is_s_stable(f: KSubset, s: int) -> bool:
     """True iff every pair of distinct elements of f is at cyclic distance >= s.
 
-    Any one-element set is s-stable for all s.
+    Tested on the mask against its own cyclic shifts: a pair at distance d
+    puts a point of f on a point of f rotated by d, so f fails iff it meets
+    its rotation by some d in 1..min(s, n) - 1.  Any one-element set is
+    s-stable for all s.
     """
     if s < 1:
         raise InvalidParams(f"need s >= 1, got s={s}")
-    if f.bits == 0:
+    b, n = f.bits, f.n
+    if b == 0:
         raise InvalidParams("stability is undefined for the empty set")
-    els = f.elements()
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if cyclic_distance(els[i], els[j], f.n) < s:
-                return False
+    for d in range(1, min(s, n)):
+        if b & (b >> d | b << (n - d)):
+            return False
     return True

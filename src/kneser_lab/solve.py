@@ -38,6 +38,7 @@ edited Hypergraph is searched without them and gets no certificate.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -666,6 +667,10 @@ def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
         return SolveResult(status, lb, ub, 0, 0, colors=tuple(best))
 
     initial_lb = lb
+    # _dfs recurses once per branching vertex; Python-to-Python calls take
+    # no C stack on CPython 3.11+, so only the interpreter's limit needs room
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + nv)
     try:
         for m in range(lb, ub):
             cols = engine.run(m, clique)
@@ -680,6 +685,8 @@ def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
                 raise SoundnessError("lower bound reasoning was wrong")
     except _Timeout:
         return SolveResult(TIMEOUT, lb, ub, engine.nodes, 0, colors=tuple(best))
+    finally:
+        sys.setrecursionlimit(limit)
     return SolveResult(EXACT, ub, ub, engine.nodes, 0, colors=tuple(best))
 
 

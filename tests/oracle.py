@@ -6,13 +6,18 @@ monochromatic edges and shares no code with the chain search in
 kneser_lab.verify, and reference_disjoint_chains is that search's
 list-based form, kept to pin its counts; brute_force_witnesses lists the
 minimal empty-intersection witnesses and shares no code with the pruned DFS
-of solve.build_conflict_hypergraph.  Each pair can cross-check the other.
+of solve.build_conflict_hypergraph; reference_tight_partition builds the
+tight partition family by family from combinations and sorts, independently
+of the colex filing in constructions.build_tight_partition.  Each pair can
+cross-check the other.
 """
 
 from itertools import combinations
 
+from kneser_lab.constructions import PartitionCertificate, tail_size, tight_bound
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
 from kneser_lab.kneser import Hypergraph
+from kneser_lab.setsys import GroundParams, KSubset, SetFamily, guard_subsets
 from kneser_lab.verify import Violation
 
 # brute_force_oracle's answer when no coloring within max_colors exists
@@ -147,3 +152,23 @@ def reference_disjoint_chains(
 
     walk((), 0, ids)
     return found, total, tests
+
+
+def reference_tight_partition(p: GroundParams) -> PartitionCertificate:
+    """The tight partition built family by family: the star of each i <= n-s
+    from combinations of the points above i, then the tail from combinations
+    of the last s points, each family sorted into colex order.  Refuses
+    inadmissible and oversized inputs as the builder does."""
+    tight_bound(p)
+    guard_subsets(p.n, p.k)
+    n, k = p.n, p.k
+    s = tail_size(k, p.r)
+    groups = [[(i, *rest) for rest in combinations(range(i + 1, n + 1), k - 1)]
+              for i in range(1, n - s + 1)]
+    groups.append(list(combinations(range(n - s + 1, n + 1), k)))
+    families = []
+    for group in groups:
+        members = sorted((KSubset.from_elements(els, n) for els in group),
+                         key=lambda f: f.bits)
+        families.append(SetFamily(n, tuple(members)))
+    return PartitionCertificate(p, tuple(families))

@@ -46,6 +46,7 @@ from kneser_lab.verify import (
     verify_coloring_certificate,
     verify_partition_certificate,
 )
+from oracle import reference_tight_partition
 
 
 def test_tail_size_values():
@@ -145,6 +146,24 @@ def test_partition_verifies_over_grid():
                 cert = build_tight_partition(p)
                 assert cert.num_families == tight_bound(p)
                 assert verify_partition_certificate(cert).ok, (n, k, r)
+
+
+def test_partition_matches_reference_construction():
+    """One colex pass filed by least element gives the same document as the
+    family-by-family construction, and refuses the same inputs."""
+    for r in range(2, 7):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                p = GroundParams(n, k, r)
+                if p.admissible:
+                    assert (build_tight_partition(p).to_dict()
+                            == reference_tight_partition(p).to_dict()), (n, k, r)
+    for p, error in [(GroundParams(5, 3, 2), InadmissibleParams),
+                     (GroundParams(65, 1, 2), CapExceeded),
+                     (GroundParams(24, 11, 2), InstanceTooLarge)]:
+        for build in (build_tight_partition, reference_tight_partition):
+            with pytest.raises(error):
+                build(p)
 
 
 def test_partition_json_roundtrip():

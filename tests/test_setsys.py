@@ -10,7 +10,6 @@ from kneser_lab.setsys import (
     GroundParams,
     KSubset,
     SetFamily,
-    cyclic_distance,
     enumerate_k_subsets,
     guard_subsets,
     is_s_stable,
@@ -86,15 +85,6 @@ def test_enumeration_cap():
         enumerate_k_subsets(23, 11)  # 1,352,078 k-subsets
 
 
-def test_cyclic_distance():
-    assert cyclic_distance(1, 2, 6) == 1
-    assert cyclic_distance(1, 6, 6) == 1
-    assert cyclic_distance(1, 4, 6) == 3
-    assert cyclic_distance(3, 3, 6) == 0
-    with pytest.raises(InvalidParams):
-        cyclic_distance(0, 3, 6)
-
-
 def test_stability():
     # {1,4} on a 6-cycle: distance 3
     assert is_s_stable(KSubset.from_elements((1, 4), 6), 3)
@@ -108,14 +98,14 @@ def test_stability():
 
 
 def test_stability_against_naive_scan():
-    for f in enumerate_k_subsets(7, 3):
-        for s in (1, 2, 3):
-            els = f.elements()
-            ref = all(
-                min(abs(a - b), 7 - abs(a - b)) >= s
-                for a, b in combinations(els, 2)
-            )
-            assert is_s_stable(f, s) == ref
+    # the cyclic-shift test against the pairwise definition, s past n included
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for f in enumerate_k_subsets(n, k):
+                dists = [min(b - a, n - b + a)
+                         for a, b in combinations(f.elements(), 2)]
+                for s in range(1, n + 3):
+                    assert is_s_stable(f, s) == all(d >= s for d in dists)
 
 
 @pytest.mark.parametrize(

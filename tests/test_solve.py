@@ -1003,6 +1003,25 @@ def test_brute_force_oracle_guards():
         brute_force_oracle(empty, 0)
 
 
+def test_deep_search_keeps_the_recursion_limit():
+    """A search deeper than the interpreter's recursion limit still finishes:
+    the crown graph on 600 vertices (a_i joined to b_j for i != j, ids
+    interleaved) branches once per vertex, past a limit of 500, and the
+    limit is restored afterwards."""
+    half = 300
+    edges = tuple(sorted((min(2 * i, 2 * j + 1), max(2 * i, 2 * j + 1))
+                         for i in range(half) for j in range(half) if i != j))
+    h = Hypergraph(tuple(KSubset(1 << (v % 4), 4) for v in range(2 * half)), edges)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        res = chromatic_number(h, SolveBudget(proof_cap=2 * half, max_seconds=60))
+        assert sys.getrecursionlimit() == 500
+    finally:
+        sys.setrecursionlimit(before)
+    assert res.status == EXACT and res.upper == 2
+
+
 def test_edgeless_hypergraph_is_one_colorable():
     with pytest.warns(UserWarning):
         h = build_kneser_hypergraph(GroundParams(5, 2, 3))  # n < rk

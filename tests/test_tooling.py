@@ -233,16 +233,18 @@ def test_library_imports_are_used():
     assert not unused
 
 
-# what verify.py may import from its own package: two leaf modules, and,
-# inside a function only, the certificate classes it checks
-VERIFY_SIBLINGS = {"errors", "setsys"}
+# what verify.py may import from its own package: anything from errors, the
+# family record and the size guard from setsys (not its enumeration or its
+# stability test, which the generators use), and, inside a function only,
+# the certificate classes it checks; None admits every name
+VERIFY_SIBLINGS = {"errors": None, "setsys": {"SetFamily", "guard_subsets"}}
 VERIFY_LOCAL = {"constructions": {"PartitionCertificate", "ColoringCertificate"}}
 
 
 def verify_import_faults(source: str) -> list[tuple[str, str | None, int]]:
     """(sibling module, name, line) of every import in source that would let
     the verifiers share code with the generators: anything from kneser or
-    solve, a `_`-private name, or a sibling outside the allowed set."""
+    solve, a `_`-private name, or a sibling or name outside the allowed set."""
     tree = ast.parse(source)
     local = {id(node) for fn in ast.walk(tree)
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -266,7 +268,8 @@ def verify_import_faults(source: str) -> list[tuple[str, str | None, int]]:
     faults = []
     for module, name, node in found:
         private = name is not None and name.startswith("_")
-        allowed = module in VERIFY_SIBLINGS or (
+        names = VERIFY_SIBLINGS.get(module, ())
+        allowed = names is None or name in names or (
             id(node) in local and name in VERIFY_LOCAL.get(module, ()))
         if private or not allowed:
             faults.append((module, name, node.lineno))
@@ -282,6 +285,8 @@ def test_verify_imports_nothing_from_the_generators():
                 "import kneser_lab.kneser",
                 "from . import solve",
                 "from .setsys import _colex",
+                "from .setsys import is_s_stable",
+                "from .setsys import enumerate_k_subsets",
                 "from .constructions import ColoringCertificate",
                 "def f():\n    from .constructions import blow_up"]:
         assert verify_import_faults(bad), bad
