@@ -348,7 +348,5 @@ def check_stable_embedding(bmap: BlowupMap) -> Report:
                 )
             )
     return Report(
-        not violations,
-        tuple(violations),
-        stats={"stable_vertices": stable_count, "ground": big_n},
+        tuple(violations), stats={"stable_vertices": stable_count, "ground": big_n}
     )

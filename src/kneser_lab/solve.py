@@ -96,11 +96,12 @@ class SolveResult:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise SoundnessError(f"lower bound {self.lower} above upper {self.upper}")
-        if self.status == EXACT:
-            if self.lower != self.upper:
-                raise SoundnessError(f"EXACT with bracket [{self.lower},{self.upper}]")
-            if self.certificate is None and self.colors is None:
-                raise SoundnessError("EXACT without a certificate or colors")
+        if (self.status == EXACT) != (self.lower == self.upper):
+            raise SoundnessError(
+                f"{self.status} with bracket [{self.lower},{self.upper}]"
+            )
+        if self.status == EXACT and self.certificate is None and self.colors is None:
+            raise SoundnessError("EXACT without a certificate or colors")
 
     def to_dict(self) -> dict:
         return {
@@ -630,9 +631,12 @@ class _Engine:
         return self._colors()
 
 
-def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
+def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     """The search both entry points share: greedy bracket, then iterative
     deepening, in one engine.
+
+    The deadline is budget.max_seconds past t0, the entry point's start,
+    so set-up spends the same budget, though nothing interrupts it.
 
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
     only when the builder granted cells.
@@ -640,11 +644,14 @@ def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
     other constraints are, so pinning them to colors 0..q-1 loses no
-    solutions and its size is a true lower bound.  Every completed
-    infeasible run raises the proven lower bound by one; an exact answer
-    additionally requires the run one class below the answer to have
-    terminated infeasible.  The result carries the best coloring and no
-    certificate, with millis left at 0 for the caller to fill in.
+    solutions and its size is a true lower bound, as is 2 once an edge
+    exists.  Every completed infeasible run raises the proven lower bound by
+    one, and the result is EXACT whenever the bracket closes.  When the
+    first run is already feasible, the run one class below is repeated as
+    a cross-check: it raises SoundnessError if it completes feasible, and
+    running out of budget there leaves the closed bracket EXACT.  The
+    result carries the best coloring and no certificate, with millis left
+    at 0 for the caller to fill in.
     """
     nv = len(h.vertices)
     points = tuple(v.bits for v in h.vertices) if h.cells else ()
@@ -655,7 +662,7 @@ def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
 
     engine.max_nodes = budget.max_nodes
     if budget.max_seconds is not None:
-        engine.deadline = time.monotonic() + budget.max_seconds
+        engine.deadline = t0 + budget.max_seconds
 
     clique = engine.pair_clique()
     best = engine.first_fit()
@@ -680,11 +687,12 @@ def _search(h: Hypergraph, budget: SolveBudget) -> SolveResult:
                 break
             lb = m + 1
         if ub == initial_lb:
-            # first attempt already feasible: prove one class fewer fails
+            # lb was proved without search: cross-check that one class fewer fails
             if engine.run(ub - 1, clique) is not None:
                 raise SoundnessError("lower bound reasoning was wrong")
     except _Timeout:
-        return SolveResult(TIMEOUT, lb, ub, engine.nodes, 0, colors=tuple(best))
+        if lb < ub:
+            return SolveResult(TIMEOUT, lb, ub, engine.nodes, 0, colors=tuple(best))
     finally:
         sys.setrecursionlimit(limit)
     return SolveResult(EXACT, ub, ub, engine.nodes, 0, colors=tuple(best))
@@ -709,11 +717,12 @@ def min_partition_number(
     Admissibility is not required: the quantity is well defined for every
     1 <= k <= n.  On EXACT the certificate is a PartitionCertificate that
     has been re-verified; on TIMEOUT the bracket and certificate are the
-    best proven so far.  millis includes building the conflict hypergraph.
+    best proven so far.  millis and the time budget both include building
+    the conflict hypergraph.
     """
     t0 = time.monotonic()
     h = build_conflict_hypergraph(p)
-    out = _search(h, budget)
+    out = _search(h, budget, t0)
     millis = int((time.monotonic() - t0) * 1000)
 
     cert = _classes_to_partition(p, h.vertices, out.colors)
@@ -743,7 +752,7 @@ def chromatic_number(
     raises InvalidParams.
     """
     t0 = time.monotonic()
-    out = _search(h, budget)
+    out = _search(h, budget, t0)
     millis = int((time.monotonic() - t0) * 1000)
 
     rep = verify_coloring(h, out.colors)

@@ -98,7 +98,7 @@ def brute_force_monochromatic(
 
 
 def brute_force_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
-    """Every inclusion-minimal subfamily of 2..r masks with empty
+    """Every inclusion-minimal subfamily of 1..r masks with empty
     intersection, as increasing id tuples in lexicographic order.
 
     Tries every combination and, for each empty one, every proper
@@ -112,7 +112,7 @@ def brute_force_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
         return inter == 0
 
     out = []
-    for size in range(2, r + 1):
+    for size in range(1, r + 1):
         for w in combinations(range(len(masks)), size):
             if empty(w) and not any(
                 empty(sub) for s in range(1, size) for sub in combinations(w, s)
@@ -129,7 +129,7 @@ def reference_disjoint_chains(
     Depth-first search over increasing chains with a running union: each
     level keeps only the later ids disjoint from the union, so the tuples
     come out in lexicographic order.  Returns (the first keep tuples, how
-    many tuples there are, how many member-versus-union tests were made).
+    many tuples there are, how many candidates were tried as the next member).
     """
     found: list[tuple[int, ...]] = []
     total = tests = 0
@@ -144,9 +144,8 @@ def reference_disjoint_chains(
         need = r - 1 - len(chain)  # members still to add after cands[pos]
         for pos in range(len(cands) - need):
             u = union | verts[cands[pos]]
-            later = cands[pos + 1 :]
-            tests += len(later)
-            rest = [j for j in later if not verts[j] & u]
+            tests += 1
+            rest = [j for j in cands[pos + 1 :] if not verts[j] & u]
             if len(rest) >= need:
                 walk(chain + (cands[pos],), u, rest)
 

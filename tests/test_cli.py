@@ -239,6 +239,14 @@ def test_solve_timeout_exits_3(capsys):
     assert "TIMEOUT" in out
 
 
+def test_closed_bracket_exits_0_whatever_the_budget(capsys):
+    """The edge proves 2 classes and greedy finds 2, so the node budget
+    that stops the cross-check one class below leaves the result EXACT."""
+    code, out, _ = run(capsys, "chi", "6", "2", "3", "--max-nodes", "1")
+    assert code == 0
+    assert out.startswith("EXACT value=2")
+
+
 def test_chi_plain(capsys):
     code, out, _ = run(capsys, "chi", "6", "2", "3")
     assert code == 0

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 import weakref
 from itertools import combinations
@@ -243,7 +244,7 @@ def test_solver_matches_brute_force():
         pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
         for shift in range(nv):
             for record in (relabelled(h, shift), relabelled(pruned, shift)):
-                out = _search(record, SolveBudget())
+                out = _search(record, SolveBudget(), time.monotonic())
                 assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
                 assert verify_coloring(record, out.colors).ok, (trial, shift)
 
@@ -348,7 +349,8 @@ def test_branching_weights_are_per_solve():
 
     ch = build_conflict_hypergraph(p)
     nv = len(ch.vertices)
-    rotated = [_search(relabelled(ch, shift), SolveBudget(proof_cap=nv))
+    rotated = [_search(relabelled(ch, shift), SolveBudget(proof_cap=nv),
+                       time.monotonic())
                for shift in (0, nv // 2)]
     assert [(o.status, o.upper) for o in rotated] == [(EXACT, 8)] * 2
     assert [o.nodes for o in rotated] == [1101, 1881]
@@ -596,6 +598,35 @@ def test_deadline_still_stops_the_search():
     assert res.lower <= 6 <= res.upper and res.nodes > 256
 
 
+def test_deadline_counts_set_up(monkeypatch):
+    """The deadline starts with the entry point, so a slow conflict build
+    spends the budget, and the search stops at its first clock reading
+    although (9,2,3) takes 1,101 nodes and a few ms to solve."""
+    build = solve.build_conflict_hypergraph
+
+    def slow(p):
+        time.sleep(0.2)
+        return build(p)
+
+    monkeypatch.setattr(solve, "build_conflict_hypergraph", slow)
+    res = min_partition_number(
+        GroundParams(9, 2, 3), SolveBudget(max_seconds=0.1, proof_cap=36))
+    assert (res.status, res.nodes) == (TIMEOUT, 256) and res.millis >= 200
+
+
+def test_closed_bracket_is_exact_on_every_path():
+    """When greedy meets the lower bound from the clique or the edge, the
+    bracket is closed: the cross-check one class below may run out of
+    budget, but the result is EXACT, as it is when the search is skipped."""
+    h = build_kneser_hypergraph(GroundParams(6, 2, 3))
+    for budget in (SolveBudget(max_nodes=1), SolveBudget(proof_cap=1)):
+        res = chromatic_number(h, budget)
+        assert (res.status, res.lower, res.upper) == (EXACT, 2, 2), budget
+    res = min_partition_number(GroundParams(8, 6, 4), SolveBudget(max_nodes=1))
+    assert (res.status, res.upper) == (EXACT, 2)
+    assert min_partition_number(GroundParams(8, 6, 4)).nodes == 14
+
+
 def transposition_images(h, within):
     """For each transposition of two points of the mask `within`, whether it
     maps the vertex set and the edge set to themselves."""
@@ -646,7 +677,7 @@ def test_stable_instances_get_no_cells():
     h = build_stable_subhypergraph(p, 2)
     assert not all(transposition_images(h, (1 << p.n) - 1).values())
     res = chromatic_number(h)
-    plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget())
+    plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget(), time.monotonic())
     assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 147)
 
 
@@ -685,14 +716,14 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     assert edited.params is None and edited.cells == ()
     assert not all(transposition_images(edited, (1 << 8) - 1).values())
     unsound = kneser._granted(edited.vertices, edited.edges, kg.cells)
-    wrong = _search(unsound, SolveBudget())
+    wrong = _search(unsound, SolveBudget(), time.monotonic())
     assert (wrong.status, wrong.upper) == (EXACT, 5)
 
     seen = []
     search = solve._search
 
-    def spy(h, budget):
-        out = search(h, budget)
+    def spy(h, budget, t0):
+        out = search(h, budget, t0)
         seen.append((h.cells, out.upper))
         return out
 
@@ -731,7 +762,6 @@ def test_soundness_guards_survive_optimize():
         from kneser_lab.errors import SoundnessError
         from kneser_lab.kneser import build_kneser_hypergraph
         from kneser_lab.setsys import GroundParams
-        from kneser_lab.verify import Report, Violation
         assert False, "asserts must be stripped"
 
         petersen = build_kneser_hypergraph(GroundParams(5, 2, 2))
@@ -746,8 +776,8 @@ def test_soundness_guards_survive_optimize():
             (improper_at_2, lambda: solve.chromatic_number(petersen)),
             (improper_at_2, lambda: solve.min_partition_number(GroundParams(5, 2, 2))),
             (improper_always, lambda: solve.chromatic_number(petersen)),
-            (None, lambda: Report(True, (Violation("x", (0,), "bad"),))),
             (None, lambda: solve.SolveResult(solve.EXACT, 2, 3, 0, 0, colors=(0,))),
+            (None, lambda: solve.SolveResult(solve.TIMEOUT, 2, 2, 9, 0, colors=(0,))),
         ]
         for run, call in cases:
             if run is not None:
