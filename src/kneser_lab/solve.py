@@ -9,8 +9,13 @@ so an assignment touches one color's masks and undo restores them.  It
 branches on the vertex with the fewest remaining candidate colors, the
 saturation degree of DSATUR (Brélaz, "New methods to color the vertices
 of a graph", CACM 1979), which it keeps up to date per assignment rather
-than recounting it at every node.  It breaks ties by how often assigning
-a vertex has wiped out a domain so far in the solve (the
+than recounting it at every node.  An assignment also fails when two
+uncolored vertices of a pair constraint are left the same one allowed
+color, the failure test of arc consistency on the pair constraints (Sabin
+and Freuder, "Contradicting conventional wisdom in constraint
+satisfaction", 1994), so a forced chain stops where it clashes rather than
+where branching reaches the clash.  It breaks ties by how often assigning
+a vertex has failed, by a wipeout or a clash, so far in the solve (the
 variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
 Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
@@ -250,8 +255,20 @@ class _Engine:
     vertices newly added to forb[c], and reads their counts off the
     planes.
 
+    Pair clashes.  An assignment also fails when one of those new vertices
+    is left one allowed color d (a count of m - 1) and has a pair
+    neighbour, uncolored and also allowed only d: the two must both take
+    d, which the pair forbids.  This reads count, forb and adj only, so it
+    adds nothing to the state or the undo.  It is sound under orbit
+    prunes, since forb only ever holds colors that no solution below the
+    node gives a vertex; a clash a prune creates is not looked for there,
+    and is caught at a later assignment, at the latest when one of the two
+    is colored and wipes out the other.  Any clash made by an assignment
+    involves a vertex that assignment left with one color, so without
+    prunes no node below a clash is searched.  The check stops at pairs.
+
     Branching weights.  weight holds, bit-sliced like count, how often
-    assigning each vertex has wiped out a domain; each wipeout adds one
+    assigning each vertex has failed; each wipeout or clash adds one
     through `_plus_one`.  It lives as long as the engine, so it carries
     over every run(m) of one solve and starts at zero for the next; a
     fresh engine is built per solve.  It only orders the branching, so it
@@ -374,6 +391,7 @@ class _Engine:
             wv = w2[v]
             wv[a] = wv.get(a, 0) | bits[b]
         self.adj, self.partners, self.third = adj, partners, third
+        self.has_pairs = any(adj)
         self.w1, self.w2, self.watch = w1, w2, watch
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
@@ -390,14 +408,27 @@ class _Engine:
         self.uncol = (1 << self.nv) - 1
         planes = m.bit_length()
         self.count = [0] * planes
-        self.m_planes = [j for j in range(planes) if m >> j & 1]
+        # top plane first: few counts reach it, so a filter empties soonest
+        top_down = range(planes - 1, -1, -1)
+        self.m_planes = [j for j in top_down if m >> j & 1]
+        self.single_planes = (
+            [j for j in top_down if (m - 1) >> j & 1] if self.has_pairs else None
+        )
 
     def _assign(self, v: int, c: int) -> bool:
-        """Color v with c; False on a wipeout.  The caller undoes either way.
+        """Color v with c; False on a wipeout or a pair clash.  The caller
+        undoes either way.
 
         The vertices newly in forb[c] each gain one forbidden color.  A
         wipeout is an uncolored one of them whose count is now m: O(log m)
         plane operations on those bits, not a walk over the other colors.
+        With no wipeout their counts are at most m - 1, so those set in
+        every plane where m - 1 has a one bit are the fresh singles, with a
+        count of exactly m - 1.  Only when there is one, and the engine
+        has pair constraints, is the mask of every uncolored single built
+        (vertices with a count of m can pass the planes too, but no forb[d]
+        misses them), and each fresh single's pair neighbours are tested
+        against the singles allowed the same color.
         """
         forb = self.forb
         old = forb[c]
@@ -439,16 +470,42 @@ class _Engine:
         count = _plus_one(self.count, grew)
         self.count = count
         new = grew & self.uncol
+        wiped = new
         for j in self.m_planes:
+            wiped &= count[j]
+            if not wiped:
+                break
+        else:
+            return False
+        single_planes = self.single_planes
+        if single_planes is None:
+            return True
+        for j in single_planes:
             new &= count[j]
             if not new:
                 return True
-        return False
+        # new holds the fresh singles; a pair neighbour of one that is
+        # also a single clashes with it if its one allowed color is the same
+        single = self.uncol
+        for j in single_planes:
+            single &= count[j]
+        adj = self.adj
+        while new:
+            low = new & -new
+            new ^= low
+            near = adj[low.bit_length() - 1] & single
+            if near:
+                for fd in forb:
+                    if not fd & low:
+                        if near & ~fd:
+                            return False
+                        break
+        return True
 
     def _select(self, p: int) -> tuple[int, int]:
         """The branching vertex and its allowed colors among the first p.
 
-        The key is (forbidden colors, wipeout weight, id): most forbidden
+        The key is (forbidden colors, failure weight, id): most forbidden
         first, then heaviest, then the lowest id.
         Filtering `uncol` through the count planes from the top down
         leaves the vertices with the most forbidden colors; the counts run
@@ -531,8 +588,8 @@ class _Engine:
         forb[c] for the remaining children, and leaves it again when the
         node returns.  The count planes saved before each child, and before
         the node, are put back the same way.  The children search under the
-        cells v splits.  A child whose assignment wipes out adds one to v's
-        weight.
+        cells v splits.  A child whose assignment fails (a wipeout or a
+        clash) adds one to v's weight.
         """
         self.nodes += 1
         if self.max_nodes is not None or not self.nodes & 0xFF:
@@ -607,9 +664,9 @@ class _Engine:
         makes this the greedy disjoint-member clique.  Empty when no
         constraint is a pair.
         """
-        adj = self.adj
-        if not any(adj):
+        if not self.has_pairs:
             return []
+        adj = self.adj
         chosen: list[int] = []
         common = (1 << self.nv) - 1
         for v in range(self.nv):

@@ -282,3 +282,18 @@ def test_criterion_11_exact_frontier():
     assert elapsed < 20, elapsed
     print(f"PASS criterion 11: {', '.join(solved)} and chi KG(12,2)=10 EXACT, "
           f"each within 20s")
+
+
+def test_chi_kneser_16_2_exact_frontier():
+    """KG(16,2), 120 vertices, at the chi frontier: the search refutes 13
+    colors within 20 s at proof_cap = vertex count, and the certificate
+    re-verifies from its descriptor."""
+    start = time.monotonic()
+    p = GroundParams(16, 2, 2)
+    h = build_kneser_hypergraph(p)
+    res = chromatic_number(h, SolveBudget(proof_cap=len(h.vertices)))
+    elapsed = time.monotonic() - start
+    assert res.status == EXACT and res.upper == 14 == formula_chi(p)
+    assert verify_coloring_certificate(res.certificate).ok
+    assert elapsed < 20, elapsed
+    print(f"PASS chi KG(16,2)=14 EXACT in {elapsed:.1f}s, {res.nodes} nodes")

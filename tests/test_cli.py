@@ -239,6 +239,26 @@ def test_solve_timeout_exits_3(capsys):
     assert "TIMEOUT" in out
 
 
+def test_chi_timeout_counts_the_build(monkeypatch, capsys):
+    """chi reads the clock before it builds the hypergraph: a build that
+    takes longer than --timeout leaves the search no budget, so SG(10,3),
+    which needs thousands of nodes, stops at its first clock reading, and
+    millis includes the build."""
+    from kneser_lab import cli
+
+    build = cli.build_stable_subhypergraph
+
+    def slow(p, s):
+        time.sleep(1.1)
+        return build(p, s)
+
+    monkeypatch.setattr(cli, "build_stable_subhypergraph", slow)
+    code, out, _ = run(capsys, "chi", "10", "3", "2", "--stable", "2",
+                       "--timeout", "1", "--proof-cap", "50")
+    assert code == 3 and out.startswith("TIMEOUT"), out
+    assert int(re.search(r"millis=(\d+)", out).group(1)) >= 1100
+
+
 def test_closed_bracket_exits_0_whatever_the_budget(capsys):
     """The edge proves 2 classes and greedy finds 2, so the node budget
     that stops the cross-check one class below leaves the result EXACT."""
@@ -339,7 +359,7 @@ def test_table_json_explicit_range(capsys):
     assert doc["all_agree"] is True
     assert [row["n"] for row in doc["rows"]] == [4, 5, 6]
     assert [row["tight_bound"] for row in doc["rows"]] == [2, 3, 4]
-    assert [row["nodes"] for row in doc["rows"]] == [0, 2, 3]
+    assert [row["nodes"] for row in doc["rows"]] == [0, 1, 2]
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )

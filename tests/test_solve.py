@@ -222,7 +222,28 @@ def relabelled(h, s):
                            h.parts)
 
 
-def test_solver_matches_brute_force():
+def assert_matches_brute_force(h, trial):
+    res = chromatic_number(h)
+    assert res.status == EXACT, trial
+    # the oracle re-proves every count below the answer infeasible
+    assert brute_force_oracle(h, res.upper) == res.upper, trial
+    # every relabelling that rotates the vertex ids reaches the same
+    # value, with and without orbital pruning over the point classes
+    nv = len(h.vertices)
+    pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
+    for shift in range(nv):
+        for record in (relabelled(h, shift), relabelled(pruned, shift)):
+            out = _search(record, SolveBudget(), time.monotonic())
+            assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
+            assert verify_coloring(record, out.colors).ok, (trial, shift)
+
+
+def test_solver_matches_brute_force(monkeypatch):
+    """Sparse random hypergraphs of 2 to 4 members per edge, then dense
+    random graphs (every pair an edge with probability 1/2), where
+    assignments fail on a clash, two adjacent uncolored vertices left the
+    same one allowed color, with no wipeout.  The dense graphs stop at 10
+    vertices, since the oracle takes seconds per graph at 12."""
     rng = random.Random(20240817)
     for trial in range(200):
         nv = rng.randint(4, 12)
@@ -235,18 +256,27 @@ def test_solver_matches_brute_force():
             vertices=tuple(KSubset(1 << i, nv) for i in range(nv)),
             edges=tuple(sorted(edges)),
         )
-        res = chromatic_number(h)
-        assert res.status == EXACT, trial
-        # the oracle re-proves every count below the answer infeasible
-        assert brute_force_oracle(h, res.upper) == res.upper, trial
-        # every relabelling that rotates the vertex ids reaches the same
-        # value, with and without orbital pruning over the point classes
-        pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
-        for shift in range(nv):
-            for record in (relabelled(h, shift), relabelled(pruned, shift)):
-                out = _search(record, SolveBudget(), time.monotonic())
-                assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
-                assert verify_coloring(record, out.colors).ok, (trial, shift)
+        assert_matches_brute_force(h, trial)
+
+    clashes = 0
+    assign_fn = solve._Engine._assign
+
+    def assign(self, v, c):
+        nonlocal clashes
+        ok = assign_fn(self, v, c)
+        clashes += not ok and not any(
+            self.uncol >> x & 1 and all(f >> x & 1 for f in self.forb)
+            for x in range(self.nv))
+        return ok
+
+    monkeypatch.setattr(solve._Engine, "_assign", assign)
+    for trial in range(50):
+        nv = rng.randint(4, 10)
+        edges = tuple((a, b) for a, b in combinations(range(nv), 2)
+                      if rng.random() < 0.5)
+        h = Hypergraph(tuple(KSubset(1 << i, nv) for i in range(nv)), edges)
+        assert_matches_brute_force(h, ("dense", trial))
+    assert clashes > 50
 
 
 def test_partition_solver_matches_brute_force():
@@ -279,10 +309,10 @@ def test_search_tree_pinned():
         (chromatic_number(build_kneser_hypergraph(p623)), 2, 4),
         # s-stable: no cells, so no orbital pruning
         (chromatic_number(
-            build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 147),
+            build_stable_subhypergraph(GroundParams(8, 2, 2), 2)), 6, 95),
         (chromatic_number(build_partition_constrained(
             p623, PartSpec(((1, 2), (3, 4), (5, 6))))), 2, 5),
-        (min_partition_number(GroundParams(7, 2, 2)), 5, 21),
+        (min_partition_number(GroundParams(7, 2, 2)), 5, 12),
         (min_partition_number(GroundParams(8, 2, 3)), 7, 262),
         # n < 2k: no disjoint pair, so no clique is pinned
         (min_partition_number(GroundParams(7, 4, 3)), 3, 47),
@@ -300,7 +330,7 @@ def test_long_constraint_tree_pinned():
 
 BENCH_LADDER_NODES = {
     "search-hyper": [1101, 424, 1910, 748, 1655],
-    "search-pairs": [481, 82563, 132],
+    "search-pairs": [265, 29646, 106],
 }
 
 
@@ -333,7 +363,7 @@ def test_bench_ladder_nodes_pinned(workload):
 
 
 def test_branching_weights_are_per_solve():
-    """The wipeout weights live in one engine: a second solve of the same
+    """The failure weights live in one engine: a second solve of the same
     instance searches the same tree, and relabelling the vertices changes
     only the tree, never the value."""
     p = GroundParams(9, 2, 3)
@@ -344,7 +374,7 @@ def test_branching_weights_are_per_solve():
     h = build_kneser_hypergraph(GroundParams(10, 2, 2))
     budget = SolveBudget(proof_cap=len(h.vertices))
     chi, chi_again = chromatic_number(h, budget), chromatic_number(h, budget)
-    assert chi.status == EXACT and chi.nodes == chi_again.nodes == 481
+    assert chi.status == EXACT and chi.nodes == chi_again.nodes == 265
     assert chi.certificate.to_dict() == chi_again.certificate.to_dict()
 
     ch = build_conflict_hypergraph(p)
@@ -497,7 +527,7 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
     colors branching looks at; and a node that fails leaves count, forb,
     col and uncol as it found them.  After each run(m), every vertex's
     weight equals the number of search children so far in the solve
-    whose assignment of that vertex wiped out."""
+    whose assignment of that vertex failed, by a wipeout or a clash."""
     dfs_fn = solve._Engine._dfs
     seen = {"nodes": 0, "cells": 0, "pruned": 0, "depth": 0, "wipeouts": 0}
     wiped = weakref.WeakKeyDictionary()
@@ -558,8 +588,8 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
         GroundParams(8, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8))))
     assert chromatic_number(parts).upper == 3
     with_cells = dict(seen)
-    sg = build_stable_subhypergraph(GroundParams(8, 2, 2), 2)
-    assert chromatic_number(sg).upper == 6
+    sg = build_stable_subhypergraph(GroundParams(9, 2, 2), 2)
+    assert chromatic_number(sg).upper == 7
     assert seen["cells"] == with_cells["cells"] > 100
     assert seen["nodes"] - with_cells["nodes"] > 100
     assert seen["pruned"] > 40
@@ -572,7 +602,7 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
     (False, 100, TIMEOUT, (6, 7), 101),
     (False, 1000, EXACT, (7, 7), 262),
     (True, 1, TIMEOUT, (3, 6), 2),
-    (True, 5, TIMEOUT, (3, 6), 6),
+    (True, 5, TIMEOUT, (4, 6), 6),
     (True, 100, TIMEOUT, (4, 6), 101),
     (True, 1000, TIMEOUT, (5, 6), 1001),
 ])
@@ -678,7 +708,7 @@ def test_stable_instances_get_no_cells():
     assert not all(transposition_images(h, (1 << p.n) - 1).values())
     res = chromatic_number(h)
     plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget(), time.monotonic())
-    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 147)
+    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 95)
 
 
 def test_hand_built_hypergraph_gets_no_cells():
@@ -688,8 +718,8 @@ def test_hand_built_hypergraph_gets_no_cells():
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     cases = [
-        (Hypergraph(kg.vertices, kg.edges), 6, 114),
-        (kg, 6, 52),
+        (Hypergraph(kg.vertices, kg.edges), 6, 56),
+        (kg, 6, 35),
         (Hypergraph(ch.vertices, ch.edges), 5, 55),
         (ch, 5, 28),
     ]
@@ -711,7 +741,7 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     assert kg.cells == ((1 << 8) - 1,) and kg.params == GroundParams(8, 2, 2)
     same = dataclasses.replace(kg)
     assert same.cells == () and same.params is None
-    assert chromatic_number(same).nodes == 114
+    assert chromatic_number(same).nodes == 56
     edited = dataclasses.replace(kg, edges=kg.edges[::2])
     assert edited.params is None and edited.cells == ()
     assert not all(transposition_images(edited, (1 << 8) - 1).values())
@@ -951,11 +981,12 @@ def test_propagation_matches_a_naive_recount():
     against a recount from the constraint list: on random hypergraphs, at
     every assignment of a random proper partial coloring, every forb[c]
     is the set of vertices some constraint would complete in color c, the
-    count planes agree with forb, and a wipeout is reported exactly when
-    an uncolored vertex has every color forbidden.  first_fit is the
-    naive greedy."""
+    count planes agree with forb, and an assignment fails exactly when an
+    uncolored vertex has every color forbidden (a wipeout) or two
+    uncolored vertices of a pair constraint have the same one color left
+    (a clash).  first_fit is the naive greedy."""
     rng = random.Random(2006)
-    assigned = wipeouts = 0
+    assigned = wipeouts = clashes = 0
     for _ in range(150):
         nv = rng.randint(4, 12)
         constraints = random_constraints(rng, nv)
@@ -982,11 +1013,20 @@ def test_propagation_matches_a_naive_recount():
                     and all(f >> x & 1 for f in engine.forb)
                     for x in range(nv)
                 )
-                assert ok == (not stuck), (constraints, v, c)
+                only = {x: [d for d in range(m) if not engine.forb[d] >> x & 1]
+                        for x in range(nv) if engine.uncol >> x & 1}
+                clash = any(
+                    len(members) == 2 and all(x in only for x in members)
+                    and len(only[members[0]]) == 1
+                    and only[members[0]] == only[members[1]]
+                    for members in constraints
+                )
+                assert ok == (not stuck and not clash), (constraints, v, c)
                 if not ok:
-                    wipeouts += 1
+                    wipeouts += stuck
+                    clashes += not stuck
                     break
-    assert assigned > 1000 and wipeouts > 40
+    assert assigned > 1000 and wipeouts > 40 and clashes > 5
 
 
 def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
