@@ -105,7 +105,6 @@ def _budget(args: argparse.Namespace) -> SolveBudget:
     return SolveBudget(
         max_seconds=args.timeout,
         max_nodes=args.max_nodes,
-        proof_cap=args.proof_cap,
     )
 
 
@@ -365,9 +364,6 @@ def _add_budget(sp: argparse.ArgumentParser) -> None:
                     default=None, help="wall clock limit in seconds")
     sp.add_argument("--max-nodes", dest="max_nodes", type=_at_least(int, 1),
                     default=None)
-    sp.add_argument("--proof-cap", dest="proof_cap", type=_at_least(int, 0),
-                    default=SolveBudget().proof_cap,
-                    help="max vertices for optimality proofs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,7 +60,6 @@ from .verify import (
 )
 
 EXACT = "EXACT"
-BOUNDS = "BOUNDS"
 TIMEOUT = "TIMEOUT"
 
 
@@ -68,16 +67,16 @@ TIMEOUT = "TIMEOUT"
 class SolveBudget:
     """Resource limits for one solve call.
 
-    proof_cap bounds the vertex count for which optimality proofs are
-    attempted; larger instances get honest brackets only.  Every solve is
-    one search in one process.  workers accepts only 1: it stays only
-    because the benchmark's design.json passes it, and goes with the next
-    change to the benchmark.
+    Every solve is one search in one process, bounded only by max_seconds
+    and max_nodes; with neither set it runs until the bracket closes.
+    proof_cap and workers limit nothing: they stay only because the
+    benchmark's design.json passes them, and go with the next change to the
+    benchmark.  workers accepts only 1.
     """
 
     max_seconds: float | None = None
     max_nodes: int | None = None
-    proof_cap: int = 40
+    proof_cap: int | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -531,11 +530,11 @@ class _Engine:
         return v, cand
 
     def _check_budget(self) -> None:
-        """Raise _Timeout past max_nodes, or, every 256th node, past the
-        deadline."""
+        """Raise _Timeout past max_nodes, or, at the first node and every
+        256th after it, past the deadline."""
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Timeout
-        if self.deadline is not None and self.nodes & 0xFF == 0:
+        if self.deadline is not None and self.nodes & 0xFF == 1:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
@@ -592,7 +591,7 @@ class _Engine:
         clash) adds one to v's weight.
         """
         self.nodes += 1
-        if self.max_nodes is not None or not self.nodes & 0xFF:
+        if self.max_nodes is not None or self.nodes & 0xFF == 1:
             self._check_budget()
         if remaining == 0:
             return True
@@ -690,10 +689,12 @@ class _Engine:
 
 def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     """The search both entry points share: greedy bracket, then iterative
-    deepening, in one engine.
+    deepening, in one engine, on every instance.
 
     The deadline is budget.max_seconds past t0, the entry point's start,
-    so set-up spends the same budget, though nothing interrupts it.
+    so set-up spends the same budget, though nothing interrupts it; a
+    search that starts past it stops at its first node.  A bracket that
+    the budget leaves open is TIMEOUT.
 
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
     only when the builder granted cells.
@@ -725,10 +726,6 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     best = engine.first_fit()
     ub = max(best) + 1
     lb = max(2 if h.edges else 1, len(clique))
-
-    if nv > budget.proof_cap:
-        status = EXACT if lb == ub else BOUNDS
-        return SolveResult(status, lb, ub, 0, 0, colors=tuple(best))
 
     initial_lb = lb
     # _dfs recurses once per branching vertex; Python-to-Python calls take

@@ -27,9 +27,11 @@ INFEASIBLE = "INFEASIBLE"
 def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
     """Exhaustive reference answer for tiny instances.
 
-    Enumerates every assignment whose used colors form a prefix (the one
-    safe reduction) and checks all edges at the leaves.  Deliberately
-    shares nothing with the engine so the two can cross-check.
+    Assigns the vertices in id order, over every assignment whose used
+    colors form a prefix (the one safe reduction), and checks each edge as
+    soon as its highest member is assigned, so a monochromatic edge cuts
+    off every extension of the partial assignment.  Deliberately shares
+    nothing with the engine so the two can cross-check.
     """
     nv = len(h.vertices)
     if nv > 16:
@@ -38,21 +40,19 @@ def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
         raise InvalidParams(f"need max_colors >= 1, got {max_colors}")
     if nv == 0:
         return 0
-    edges = h.edges
-
-    def proper(assign: list[int]) -> bool:
-        for e in edges:
-            first = assign[e[0]]
-            if all(assign[u] == first for u in e[1:]):
-                return False
-        return True
+    closed_by: list[list[tuple[int, ...]]] = [[] for _ in range(nv)]
+    for e in h.edges:
+        closed_by[max(e)].append(e)
 
     def exists(limit: int, assign: list[int], used: int) -> bool:
-        if len(assign) == nv:
-            return proper(assign)
+        v = len(assign)
+        if v == nv:
+            return True
         for col in range(min(used + 1, limit - 1) + 1):
             assign.append(col)
-            found = exists(limit, assign, max(used, col))
+            found = all(
+                any(assign[u] != col for u in e) for e in closed_by[v]
+            ) and exists(limit, assign, max(used, col))
             assign.pop()
             if found:
                 return True

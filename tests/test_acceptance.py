@@ -28,7 +28,6 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily
 from kneser_lab.solve import (
     EXACT,
-    SolveBudget,
     chromatic_number,
     min_partition_number,
 )
@@ -258,14 +257,13 @@ def test_criterion_10_partition_strictly_above_chromatic():
 def test_criterion_11_exact_frontier():
     """The instances that timed out before the weighted tie-break, and
     (8,5,6), which took 53 s before its constraints of 4 or more members
-    were pair-watched: each proved EXACT at its closed form within 20 s,
-    proof_cap = vertex count."""
+    were pair-watched: each proved EXACT at its closed form within 20 s."""
     solved = []
     for n, k, r, want in [(10, 2, 3, 9), (11, 2, 3, 10), (12, 2, 3, 11), (8, 3, 4, 6),
                           (8, 5, 6, 4)]:
         start = time.monotonic()
         p = GroundParams(n, k, r)
-        res = min_partition_number(p, SolveBudget(proof_cap=p.num_vertices))
+        res = min_partition_number(p)
         elapsed = time.monotonic() - start
         assert res.status == EXACT and res.upper == want == tight_bound(p), (n, k, r)
         assert verify_partition_certificate(res.certificate).ok
@@ -275,7 +273,7 @@ def test_criterion_11_exact_frontier():
     start = time.monotonic()
     p = GroundParams(12, 2, 2)
     h = build_kneser_hypergraph(p)
-    res = chromatic_number(h, SolveBudget(proof_cap=len(h.vertices)))
+    res = chromatic_number(h)
     elapsed = time.monotonic() - start
     assert res.status == EXACT and res.upper == 10 == formula_chi(p)
     assert verify_coloring_certificate(res.certificate).ok
@@ -286,12 +284,12 @@ def test_criterion_11_exact_frontier():
 
 def test_chi_kneser_16_2_exact_frontier():
     """KG(16,2), 120 vertices, at the chi frontier: the search refutes 13
-    colors within 20 s at proof_cap = vertex count, and the certificate
-    re-verifies from its descriptor."""
+    colors within 20 s, and the certificate re-verifies from its
+    descriptor."""
     start = time.monotonic()
     p = GroundParams(16, 2, 2)
     h = build_kneser_hypergraph(p)
-    res = chromatic_number(h, SolveBudget(proof_cap=len(h.vertices)))
+    res = chromatic_number(h)
     elapsed = time.monotonic() - start
     assert res.status == EXACT and res.upper == 14 == formula_chi(p)
     assert verify_coloring_certificate(res.certificate).ok

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneser_lab.cli import build_parser, main
+from kneser_lab.cli import main
 from kneser_lab.constructions import blow_up, build_tight_partition
 from kneser_lab.setsys import GroundParams
-from kneser_lab.solve import SolveBudget
 
 
 def run(capsys, *argv):
@@ -163,7 +162,6 @@ def test_not_json_exits_2(tmp_path, capsys):
     ("--timeout", "-1"),
     ("--timeout", "0"),
     ("--max-nodes", "0"),
-    ("--proof-cap", "-1"),
 ])
 def test_bad_budget_flags_exit_2(capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -178,13 +176,15 @@ def test_bad_budget_flags_exit_2(capsys, flags):
     ["table"],
 ])
 def test_removed_workers_flag_exits_2(capsys, argv):
-    """Every solve is one search; the old flag is an unknown argument."""
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--workers", "2"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert "unrecognized arguments: --workers 2" in err
-    assert "Traceback" not in out + err
+    """Every solve is one search, with no cap on the instances it tries;
+    the old flags for both are unknown arguments."""
+    for flag in ("--workers", "--proof-cap"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} 2" in err
+        assert "Traceback" not in out + err
 
 
 def test_verify_missing_file_exits_2(tmp_path, capsys):
@@ -242,8 +242,8 @@ def test_solve_timeout_exits_3(capsys):
 def test_chi_timeout_counts_the_build(monkeypatch, capsys):
     """chi reads the clock before it builds the hypergraph: a build that
     takes longer than --timeout leaves the search no budget, so SG(10,3),
-    which needs thousands of nodes, stops at its first clock reading, and
-    millis includes the build."""
+    which needs thousands of nodes, stops at its first node, and millis
+    includes the build."""
     from kneser_lab import cli
 
     build = cli.build_stable_subhypergraph
@@ -254,8 +254,9 @@ def test_chi_timeout_counts_the_build(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_stable_subhypergraph", slow)
     code, out, _ = run(capsys, "chi", "10", "3", "2", "--stable", "2",
-                       "--timeout", "1", "--proof-cap", "50")
+                       "--timeout", "1")
     assert code == 3 and out.startswith("TIMEOUT"), out
+    assert re.search(r" nodes=1 ", out), out
     assert int(re.search(r"millis=(\d+)", out).group(1)) >= 1100
 
 
@@ -265,6 +266,29 @@ def test_closed_bracket_exits_0_whatever_the_budget(capsys):
     code, out, _ = run(capsys, "chi", "6", "2", "3", "--max-nodes", "1")
     assert code == 0
     assert out.startswith("EXACT value=2")
+
+
+@pytest.mark.parametrize("flags, code, head", [
+    ([], 0, "EXACT value=9"),
+    (["--max-nodes", "1"], 3, "TIMEOUT lower=5 upper=9"),
+])
+def test_solve_searches_past_forty_vertices(capsys, flags, code, head):
+    """(10,2,3) has 45 vertices.  With no flags the search proves its
+    value; --max-nodes 1 stops the first search at once, which leaves the
+    bracket of the clique below and greedy above, and exits 3."""
+    got, out, _ = run(capsys, "solve", "10", "2", "3", *flags)
+    assert got == code
+    assert out.startswith(head), out
+
+
+def test_table_searches_every_row(capsys):
+    """Rows of 45 and 55 vertices are searched to EXACT, so they agree."""
+    code, out, _ = run(capsys, "--format", "json", "table", "--r", "3",
+                       "--k", "2", "--n", "10..11")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(row["solver_status"], row["solver_value"]) for row in rows] == [
+        ("EXACT", 9), ("EXACT", 10)]
 
 
 def test_chi_plain(capsys):
@@ -363,12 +387,6 @@ def test_table_json_explicit_range(capsys):
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )
-
-
-@pytest.mark.parametrize("argv", [["solve", "6", "2", "3"], ["chi", "6", "2", "3"],
-                                  ["table"]])
-def test_proof_cap_default_is_the_budget_default(argv):
-    assert build_parser().parse_args(argv).proof_cap == SolveBudget().proof_cap
 
 
 def test_table_bad_range_exits_2(capsys):

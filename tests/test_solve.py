@@ -242,8 +242,9 @@ def test_solver_matches_brute_force(monkeypatch):
     """Sparse random hypergraphs of 2 to 4 members per edge, then dense
     random graphs (every pair an edge with probability 1/2), where
     assignments fail on a clash, two adjacent uncolored vertices left the
-    same one allowed color, with no wipeout.  The dense graphs stop at 10
-    vertices, since the oracle takes seconds per graph at 12."""
+    same one allowed color, with no wipeout.  The dense graphs run to 12
+    vertices: the oracle checks each edge once its members are assigned,
+    so it prunes as it goes."""
     rng = random.Random(20240817)
     for trial in range(200):
         nv = rng.randint(4, 12)
@@ -271,7 +272,7 @@ def test_solver_matches_brute_force(monkeypatch):
 
     monkeypatch.setattr(solve._Engine, "_assign", assign)
     for trial in range(50):
-        nv = rng.randint(4, 10)
+        nv = rng.randint(4, 12)
         edges = tuple((a, b) for a, b in combinations(range(nv), 2)
                       if rng.random() < 0.5)
         h = Hypergraph(tuple(KSubset(1 << i, nv) for i in range(nv)), edges)
@@ -324,7 +325,7 @@ def test_search_tree_pinned():
 def test_long_constraint_tree_pinned():
     """(8,5,6) has minimal witnesses of 2 to 6 members, so its tree pins
     the propagation of constraints of 4 or more members."""
-    res = min_partition_number(GroundParams(8, 5, 6), SolveBudget(proof_cap=56))
+    res = min_partition_number(GroundParams(8, 5, 6))
     assert (res.status, res.upper, res.nodes) == (EXACT, 4, 54637)
 
 
@@ -337,9 +338,8 @@ BENCH_LADDER_NODES = {
 def bench_instance(inst):
     """A perfbench/design.json ladder entry as the benchmark solves it."""
     p = GroundParams(inst["n"], inst["k"], inst["r"])
-    budget = SolveBudget(proof_cap=inst["proof_cap"])
     if inst["op"] == "solve":
-        return min_partition_number(p, budget)
+        return min_partition_number(p)
     if "parts" in inst:
         h = build_partition_constrained(
             p, PartSpec(tuple(tuple(b) for b in inst["parts"])))
@@ -347,13 +347,12 @@ def bench_instance(inst):
         h = build_stable_subhypergraph(p, inst["s"])
     else:
         h = build_kneser_hypergraph(p)
-    return chromatic_number(h, budget)
+    return chromatic_number(h)
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_LADDER_NODES))
 def test_bench_ladder_nodes_pinned(workload):
-    """The benchmark's search ladders at their own proof_cap:
-    the node counts the bench prints, pinned here so that a change to the
+    """The benchmark's search ladders: the node counts the bench prints, pinned here so that a change to the
     search tree shows in the tests as well as in a bench run."""
     design = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
     ladder = json.loads(design.read_text())["workloads"][workload]
@@ -372,15 +371,13 @@ def test_branching_weights_are_per_solve():
     assert first.certificate.to_dict() == again.certificate.to_dict()
 
     h = build_kneser_hypergraph(GroundParams(10, 2, 2))
-    budget = SolveBudget(proof_cap=len(h.vertices))
-    chi, chi_again = chromatic_number(h, budget), chromatic_number(h, budget)
+    chi, chi_again = chromatic_number(h), chromatic_number(h)
     assert chi.status == EXACT and chi.nodes == chi_again.nodes == 265
     assert chi.certificate.to_dict() == chi_again.certificate.to_dict()
 
     ch = build_conflict_hypergraph(p)
     nv = len(ch.vertices)
-    rotated = [_search(relabelled(ch, shift), SolveBudget(proof_cap=nv),
-                       time.monotonic())
+    rotated = [_search(relabelled(ch, shift), SolveBudget(), time.monotonic())
                for shift in (0, nv // 2)]
     assert [(o.status, o.upper) for o in rotated] == [(EXACT, 8)] * 2
     assert [o.nodes for o in rotated] == [1101, 1881]
@@ -610,7 +607,7 @@ def test_node_budget_stops_pinned(stable, cap, status, bracket, nodes):
     """A node budget stops solve (8,2,3), or chi SG(10,3) at its 50
     vertices, at the same node whatever a node costs: once max_nodes is
     set, the budget is checked at every node."""
-    budget = SolveBudget(max_nodes=cap, proof_cap=50)
+    budget = SolveBudget(max_nodes=cap)
     if stable:
         res = chromatic_number(
             build_stable_subhypergraph(GroundParams(10, 3, 2), 2), budget)
@@ -620,18 +617,18 @@ def test_node_budget_stops_pinned(stable, cap, status, bracket, nodes):
 
 
 def test_deadline_still_stops_the_search():
-    """With no node budget the deadline is read every 256th node; solve
-    (8,3,4) at its 56 vertices takes far longer than 0.05 s to finish."""
-    res = min_partition_number(
-        GroundParams(8, 3, 4), SolveBudget(max_seconds=0.05, proof_cap=56))
+    """With no node budget the deadline is read at the first node and every
+    256th after it; solve (8,3,4) takes far longer than 0.05 s to finish."""
+    res = min_partition_number(GroundParams(8, 3, 4), SolveBudget(max_seconds=0.05))
     assert res.status == TIMEOUT
     assert res.lower <= 6 <= res.upper and res.nodes > 256
 
 
 def test_deadline_counts_set_up(monkeypatch):
     """The deadline starts with the entry point, so a slow conflict build
-    spends the budget, and the search stops at its first clock reading
-    although (9,2,3) takes 1,101 nodes and a few ms to solve."""
+    spends the budget, and the search stops at its first node, where it
+    first reads the clock, although (9,2,3) takes 1,101 nodes and a few ms
+    to solve."""
     build = solve.build_conflict_hypergraph
 
     def slow(p):
@@ -639,19 +636,17 @@ def test_deadline_counts_set_up(monkeypatch):
         return build(p)
 
     monkeypatch.setattr(solve, "build_conflict_hypergraph", slow)
-    res = min_partition_number(
-        GroundParams(9, 2, 3), SolveBudget(max_seconds=0.1, proof_cap=36))
-    assert (res.status, res.nodes) == (TIMEOUT, 256) and res.millis >= 200
+    res = min_partition_number(GroundParams(9, 2, 3), SolveBudget(max_seconds=0.1))
+    assert (res.status, res.nodes) == (TIMEOUT, 1) and res.millis >= 200
 
 
 def test_closed_bracket_is_exact_on_every_path():
     """When greedy meets the lower bound from the clique or the edge, the
     bracket is closed: the cross-check one class below may run out of
-    budget, but the result is EXACT, as it is when the search is skipped."""
+    budget, but the result is EXACT."""
     h = build_kneser_hypergraph(GroundParams(6, 2, 3))
-    for budget in (SolveBudget(max_nodes=1), SolveBudget(proof_cap=1)):
-        res = chromatic_number(h, budget)
-        assert (res.status, res.lower, res.upper) == (EXACT, 2, 2), budget
+    res = chromatic_number(h, SolveBudget(max_nodes=1))
+    assert (res.status, res.lower, res.upper) == (EXACT, 2, 2)
     res = min_partition_number(GroundParams(8, 6, 4), SolveBudget(max_nodes=1))
     assert (res.status, res.upper) == (EXACT, 2)
     assert min_partition_number(GroundParams(8, 6, 4)).nodes == 14
@@ -869,17 +864,6 @@ def test_node_budget_yields_honest_bracket():
         assert res.certificate.num_families == res.upper
 
 
-def test_proof_cap_yields_bounds():
-    res = min_partition_number(
-        GroundParams(9, 2, 2), SolveBudget(proof_cap=10)
-    )
-    assert res.status == "BOUNDS"
-    assert res.nodes == 0
-    assert res.lower == 4  # a greedy disjoint clique certifies this
-    assert res.lower <= 7 <= res.upper or res.upper <= 7
-    assert verify_partition_certificate(res.certificate).ok
-
-
 def test_budget_accepts_one_worker_only():
     """Every solve is one search; workers stays only as a field that the
     benchmark's design passes, and accepts nothing but 1."""
@@ -1085,7 +1069,7 @@ def test_deep_search_keeps_the_recursion_limit():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(500)
     try:
-        res = chromatic_number(h, SolveBudget(proof_cap=2 * half, max_seconds=60))
+        res = chromatic_number(h, SolveBudget(max_seconds=60))
         assert sys.getrecursionlimit() == 500
     finally:
         sys.setrecursionlimit(before)

@@ -179,7 +179,7 @@ def parser_options(parser):
 
 
 # flags README.md names only to say they are gone
-REMOVED_FLAGS = {"--workers"}
+REMOVED_FLAGS = {"--workers", "--proof-cap"}
 
 
 def test_readme_flags_exist():
@@ -231,6 +231,34 @@ def test_library_imports_are_used():
         unused += [(path.stem, name, line) for name, line in imported.items()
                    if name not in used and (path.stem, name) not in UNUSED_IMPORTS_KEPT]
     assert not unused
+
+
+# the budget fields kept only for the benchmark's design.json, each with the
+# (module, function) pairs allowed to read it
+INERT_BUDGET_FIELDS = {"proof_cap": set(),
+                       "workers": {("solve", "SolveBudget.__post_init__")}}
+
+
+def test_inert_budget_fields_are_not_read():
+    """No library code reads SolveBudget.proof_cap, and only the budget's
+    own check reads workers, so neither field can change a search."""
+    reads = []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in INERT_BUDGET_FIELDS
+                    and (module, scope) not in INERT_BUDGET_FIELDS[child.attr]):
+                reads.append((module, scope, child.attr, child.lineno))
+            walk(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "kneser_lab").glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    assert not reads
 
 
 # what verify.py may import from its own package: anything from errors, the
