@@ -5,7 +5,8 @@ One subcommand per library entry point: bound (closed form), construct
 number), chi (chromatic number of a Kneser-type hypergraph), blowup
 (partition certificate to constrained coloring), table (grid agreement
 report with search nodes and millis per row).  Exit codes: 0 ok, 1 verification failure, 2 bad parameters,
-3 timeout, 4 size cap.
+3 timeout (a search's bracket left open, or a check that did not finish),
+4 size cap.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     InvalidPartSpec,
     LengthMismatch,
     MalformedCertificate,
+    VerifyTimeout,
 )
 from .kneser import (
     PartSpec,
@@ -170,13 +172,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cert = _read_certificate(args.path)
     if isinstance(cert, PartitionCertificate):
-        rep = verify_partition_certificate(cert)
+        rep = verify_partition_certificate(cert, args.timeout)
         what = f"partition of C({cert.params.n},{cert.params.k}) into {cert.num_families} families"
         uncovered = rep.stats["expected_members"] - rep.stats["members"]
         if uncovered:
             what += f"; {uncovered} subsets uncovered"
     else:
-        rep = verify_coloring_certificate(cert)
+        rep = verify_coloring_certificate(cert, args.timeout)
         what = f"coloring with {cert.num_colors} colors on ground {cert.ground_n}"
         if rep.stats["disjoint_tuples"]:
             what += f"; {rep.stats['disjoint_tuples']} monochromatic edges"
@@ -384,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check a certificate file")
     sp.add_argument("path")
+    sp.add_argument("--timeout", type=_at_least(float, 0, strict=True),
+                    default=None, help="wall clock limit in seconds")
 
     sp = sub.add_parser("solve", help="exact minimum partition number")
     _add_nkr(sp)
@@ -435,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except VerifyTimeout as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,6 +37,10 @@ class LengthMismatch(KneserLabError):
     """A color list does not match the vertex count."""
 
 
+class VerifyTimeout(KneserLabError):
+    """A verifier ran past its time budget before reaching a verdict."""
+
+
 class SoundnessError(KneserLabError):
     """An internal guard caught the program contradicting itself: a result
     that failed its own re-check or broke an invariant.  It signals a bug,

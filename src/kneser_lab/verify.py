@@ -4,16 +4,41 @@ This module deliberately shares no generation code with the builders in
 kneser and constructions: edge properties are re-derived from first
 principles (bitmask scans over explicit member lists), so it can serve as an
 oracle for everything the rest of the package produces.
+
+A coloring is proper when no color class holds r pairwise disjoint
+members.  Before walking a class's chains of disjoint members, whose cost
+grows as |class|^(r-1), the coloring check looks for a short witness that
+no such r-tuple exists: a point set T that every member meets in at least
+t points, with |T| < r*t, since r pairwise disjoint members would need r*t
+distinct points of T.  The check derives the witness itself (t = k from the
+class's union, t = 1 from a bounded hitting-set search, see _class_cover),
+so a certificate carries none and the verifier trusts nothing from the
+generator.  A class without a witness found in a linear number of steps is
+walked as before, so verdicts, records and counts are exact on every input.
+
+Both searches that can take exponential time, the partition witness search
+and the chain walk, read the clock once per CLOCK_STRIDE steps when given a
+deadline and raise VerifyTimeout past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, inf
+from time import perf_counter
 
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams, LengthMismatch, VerifyTimeout
 from .setsys import SetFamily, guard_subsets
+
+
+# a search given a deadline reads the clock once per this many steps
+CLOCK_STRIDE = 4096
+
+
+def _past(deadline: float) -> None:
+    if perf_counter() > deadline:
+        raise VerifyTimeout("check did not finish within its time budget")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +79,9 @@ def _subfamily_is_minimal(masks: list[int], witness: tuple[int, ...]) -> bool:
     return True
 
 
-def _find_min_witness(masks: list[int], r: int) -> tuple[tuple[int, ...] | None, int]:
+def _find_min_witness(
+    masks: list[int], r: int, deadline: float | None = None
+) -> tuple[tuple[int, ...] | None, int]:
     """Lexicographically least inclusion-minimal empty-intersection subfamily.
 
     Depth-first search over index-increasing chains in which every added
@@ -62,14 +89,19 @@ def _find_min_witness(masks: list[int], r: int) -> tuple[tuple[int, ...] | None,
     witness has that property in every member order, so the search is
     complete, and DFS preorder visits chains in lexicographic order of their
     index tuples, so the first minimal witness found is the least one.
-    Returns (witness or None, number of chains examined).
+    Returns (witness or None, number of chains examined).  Past deadline (a
+    perf_counter() reading) it raises VerifyTimeout.
     """
     nv = len(masks)
     examined = 0
+    check_at = inf if deadline is None else CLOCK_STRIDE
     chosen: list[int] = []
 
     def search(start: int, inter: int) -> tuple[int, ...] | None:
-        nonlocal examined
+        nonlocal examined, check_at
+        if examined > check_at:
+            _past(deadline)
+            check_at = examined + CLOCK_STRIDE
         for j in range(start, nv):
             examined += 1
             nxt = inter & masks[j]
@@ -94,12 +126,15 @@ def _find_min_witness(masks: list[int], r: int) -> tuple[tuple[int, ...] | None,
         del search  # it reaches itself through its closure: break the cycle
 
 
-def is_r_wise_intersecting(fam: SetFamily, r: int) -> Report:
+def is_r_wise_intersecting(
+    fam: SetFamily, r: int, deadline: float | None = None
+) -> Report:
     """Check that every subfamily of at most r members has a common point.
 
     On failure the report carries the lexicographically least
     inclusion-minimal violating subfamily (indices into fam.members).
-    A family whose members share a common point passes for every r.
+    A family whose members share a common point passes for every r.  Past
+    deadline (a perf_counter() reading) the search raises VerifyTimeout.
     """
     if r < 2:
         raise InvalidParams(f"need r >= 2, got r={r}")
@@ -113,7 +148,7 @@ def is_r_wise_intersecting(fam: SetFamily, r: int) -> Report:
     if inter_all:
         return Report(stats={"families": 1, "tuples_examined": 1})
 
-    witness, examined = _find_min_witness(masks, r)
+    witness, examined = _find_min_witness(masks, r, deadline)
     stats = {"families": 1, "tuples_examined": examined}
     if witness is None:
         return Report(stats=stats)
@@ -132,19 +167,22 @@ def is_r_wise_intersecting(fam: SetFamily, r: int) -> Report:
     )
 
 
-def verify_partition_certificate(cert) -> Report:
+def verify_partition_certificate(cert, max_seconds: float | None = None) -> Report:
     """Full validity check of a claimed partition into r-wise families.
 
     ok iff (a) the families' disjoint union is exactly all C(n,k) k-subsets
     of [n], (b) every family is nonempty, and (c) every family passes
     is_r_wise_intersecting at the certificate's r.  More than
     DEFAULT_GROUND_CAP points (CapExceeded) or MAX_SUBSETS k-subsets
-    (InstanceTooLarge) are refused before any member is read.
+    (InstanceTooLarge) are refused before any member is read.  With
+    max_seconds set, the witness searches raise VerifyTimeout once that
+    many seconds have passed since the call.
     """
     from .constructions import PartitionCertificate  # local: avoids cycle
 
     if not isinstance(cert, PartitionCertificate):
         raise InvalidParams("expected a PartitionCertificate")
+    deadline = None if max_seconds is None else perf_counter() + max_seconds
     p = cert.params
     guard_subsets(p.n, p.k)
     violations: list[Violation] = []
@@ -213,7 +251,7 @@ def verify_partition_certificate(cert) -> Report:
     for fi, fam in enumerate(cert.families):
         if not fam.members:
             continue
-        rep = is_r_wise_intersecting(fam, p.r)
+        rep = is_r_wise_intersecting(fam, p.r, deadline)
         tuples_examined += rep.stats.get("tuples_examined", 0)
         for v in rep.violations:
             violations.append(
@@ -284,8 +322,58 @@ def _block_masks(parts, n: int, r: int) -> list[int]:
 EDGE_RECORDS = 20
 
 
+def _class_cover(
+    points: list[tuple[int, ...]], n: int, k: int, ids: list[int], r: int
+) -> tuple[bool, int]:
+    """Whether a short witness shows that no r members of the class ids are
+    pairwise disjoint; points[v] lists the k points of vertex v, all in
+    [0, n).  Returns (found, cover-search steps taken).
+
+    Each witness is a point set T that every member meets in at least t
+    points with |T| < r*t, so r pairwise disjoint members, which would meet
+    T in r*t distinct points, cannot exist:
+      * t = k: T is the union of the members, of fewer than r*k points.
+        Every class of fewer than r members has one.
+      * t = 1: T is a set of at most r-1 points hitting every member.  A
+        bounded search tree finds one if one exists: the lowest member that
+        the points chosen so far miss must hold a point of T, so the search
+        branches on its k points, to depth r-1.  Each step is one AND of a
+        point's incidence mask over class positions.  The search gives up
+        after as many steps as the class has members, so it stays linear
+        and cannot blow up at large k^(r-1).
+    """
+    size = len(ids)
+    inc = [0] * n  # inc[e]: the class positions whose vertex holds e
+    for i, v in enumerate(ids):
+        for e in points[v]:
+            inc[e] |= 1 << i
+    if sum(1 for m in inc if m) < r * k:
+        return True, 0
+
+    steps = 0
+    stack = [((1 << size) - 1, r - 1)]  # (positions missed, points left)
+    while stack:
+        missed, left = stack.pop()
+        low = (missed & -missed).bit_length() - 1
+        for e in points[ids[low]]:
+            if steps == size:
+                return False, steps
+            steps += 1
+            rest = missed & ~inc[e]
+            if not rest:
+                return True, steps
+            if left > 1:
+                stack.append((rest, left - 1))
+    return False, steps
+
+
 def _disjoint_chains(
-    points: list[tuple[int, ...]], n: int, ids: list[int], r: int, keep: int
+    points: list[tuple[int, ...]],
+    n: int,
+    ids: list[int],
+    r: int,
+    keep: int,
+    deadline: float | None = None,
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """r-tuples of ids (increasing, r >= 2) whose vertices are pairwise
     disjoint; points[v] lists the points of vertex v, all in [0, n).
@@ -295,7 +383,8 @@ def _disjoint_chains(
     ids[i].  A chain keeps the candidates in apart[i] of each member it
     takes, the last level is a popcount, and tuples come out in
     lexicographic order.  Returns (the first keep tuples, how many there
-    are, how many candidates the walk tried: one bitmask AND each).
+    are, how many candidates the walk tried: one bitmask AND each).  Past
+    deadline (a perf_counter() reading) it raises VerifyTimeout.
     """
     size = len(ids)
     if size < r:
@@ -315,8 +404,12 @@ def _disjoint_chains(
 
     found: list[tuple[int, ...]] = []
     total = tests = 0
+    check_at = inf if deadline is None else CLOCK_STRIDE
     stack = [((), later, size)]  # (chain, candidate mask, its popcount)
     while stack:
+        if tests > check_at:
+            _past(deadline)
+            check_at = tests + CLOCK_STRIDE
         chain, cands, left = stack.pop()
         need = r - 1 - len(chain)  # members still to add after the next one
         tests += left - need
@@ -339,28 +432,37 @@ def _disjoint_chains(
     return found, total, tests
 
 
-def verify_coloring_certificate(cert) -> Report:
+def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Report:
     """Recheck a descriptor-backed coloring without trusting any generator.
 
     The vertex set named by the certificate (all k-subsets of [ground_n],
     optionally restricted to s-stable ones or to transversals of the given
-    parts) is rebuilt here from plain combinations in colex order.
-    Properness is established by a bit-parallel search inside each color
-    class over index-increasing chains that stay pairwise disjoint; every
-    chain of r members is a monochromatic edge, and stats["tuples_examined"]
-    counts the candidates that search tried, one bitmask AND each.  No edge
-    list is consumed.  The report records the first EDGE_RECORDS edges in
-    lexicographic order (color, then vertex ids) and, past that, one record
-    with empty indices counting the rest; stats["disjoint_tuples"] holds the
-    exact total.  A descriptor naming no hypergraph (s < 1, or parts that do
-    not partition [ground_n] into blocks of 1..r-1 points) is InvalidParams;
-    one above DEFAULT_GROUND_CAP points is CapExceeded, and one above
-    MAX_SUBSETS k-subsets is InstanceTooLarge.
+    parts) is rebuilt here from plain combinations in colex order.  Every r
+    pairwise disjoint members of one color class form a monochromatic edge.
+    Each class first gets a linear-time attempt at a witness that it holds
+    no such r-tuple (_class_cover): its members span fewer than r*k points,
+    or at most r-1 points hit them all.  Either is sound on its own, since r
+    pairwise disjoint k-sets need r*k distinct points and r distinct points
+    of any set they all meet.  stats["classes_witnessed"] counts the classes
+    so proved.  Any other class gets a bit-parallel search over
+    index-increasing chains that stay pairwise disjoint.
+    stats["tuples_examined"] counts the steps of both searches: the cover
+    search's steps, at most one per class member, and the candidates the
+    chain search tried, one bitmask AND each.  No edge list is consumed.
+    The report records the first EDGE_RECORDS edges in lexicographic order
+    (color, then vertex ids) and, past that, one record with empty indices
+    counting the rest; stats["disjoint_tuples"] holds the exact total.
+    With max_seconds set, the chain search raises VerifyTimeout once that
+    many seconds have passed since the call.  A descriptor naming no
+    hypergraph (s < 1, or parts that do not partition [ground_n] into blocks
+    of 1..r-1 points) is InvalidParams; one above DEFAULT_GROUND_CAP points
+    is CapExceeded, and one above MAX_SUBSETS k-subsets is InstanceTooLarge.
     """
     from .constructions import ColoringCertificate  # local: avoids cycle
 
     if not isinstance(cert, ColoringCertificate):
         raise InvalidParams("expected a ColoringCertificate")
+    deadline = None if max_seconds is None else perf_counter() + max_seconds
     n, k, r = cert.ground_n, cert.k, cert.r
     if not (1 <= k <= n and r >= 2):
         raise InvalidParams(f"bad descriptor n={n} k={k} r={r}")
@@ -406,9 +508,15 @@ def verify_coloring_certificate(cert) -> Report:
     violations = []
     examined = 0
     disjoint = 0
+    witnessed = 0
     for c, ids in sorted(classes.items()):
+        covered, steps = _class_cover(points, n, k, ids, r)
+        examined += steps
+        if covered:
+            witnessed += 1
+            continue
         tuples, total, tests = _disjoint_chains(
-            points, n, ids, r, EDGE_RECORDS - len(violations)
+            points, n, ids, r, EDGE_RECORDS - len(violations), deadline
         )
         examined += tests
         disjoint += total
@@ -433,6 +541,7 @@ def verify_coloring_certificate(cert) -> Report:
         stats={
             "vertices": len(points),
             "classes": len(classes),
+            "classes_witnessed": witnessed,
             "tuples_examined": examined,
             "disjoint_tuples": disjoint,
         },

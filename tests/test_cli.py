@@ -125,6 +125,34 @@ def test_verify_text_states_edge_total(tmp_path, capsys):
     assert json.loads(out)["stats"]["disjoint_tuples"] == 5808
 
 
+def test_verify_timeout_exits_3(tmp_path, capsys):
+    """All 7,920 vertices of the (12,4,3) lift in one class have no cover,
+    and walking their chains takes about 29 s; --timeout stops the walk and
+    exits 3.  A check that finishes in time prints what it prints without
+    the flag, for a coloring and for a partition."""
+    cert = build_tight_partition(GroundParams(12, 4, 3))
+    coloring, _ = blow_up(cert)
+    hostile = tmp_path / "one-class.json"
+    doc = coloring.to_dict()
+    doc["colors"] = [0] * len(doc["colors"])
+    hostile.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--timeout", "0.5", str(hostile))
+    assert time.perf_counter() - t0 < 5
+    assert code == 3 and out == ""
+    assert err.startswith("error: check did not finish")
+    for name, doc in (("coloring.json", coloring.to_dict()),
+                      ("partition.json", cert.to_dict())):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "verify", "--timeout", "60", str(path)) \
+            == run(capsys, "verify", str(path))
+        assert run(capsys, "verify", str(path))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--timeout", "0", str(hostile)])
+    assert exc.value.code == 2
+
+
 def test_verify_text_states_uncovered_total(tmp_path, capsys):
     path = tmp_path / "partition.json"
     run(capsys, "construct", "8", "2", "3", "-o", str(path))

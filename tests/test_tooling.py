@@ -147,6 +147,7 @@ EXIT_CODES = {
     errors.LengthMismatch: 1,
     errors.CapExceeded: 4,
     errors.InstanceTooLarge: 4,
+    errors.VerifyTimeout: 3,
 }
 
 

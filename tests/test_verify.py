@@ -17,7 +17,12 @@ from kneser_lab.constructions import (
     blow_up,
     build_tight_partition,
 )
-from kneser_lab.errors import InvalidParams, LengthMismatch
+from kneser_lab.errors import (
+    InstanceTooLarge,
+    InvalidParams,
+    LengthMismatch,
+    VerifyTimeout,
+)
 from kneser_lab.kneser import (
     Hypergraph,
     PartSpec,
@@ -28,6 +33,7 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
+    CLOCK_STRIDE,
     Violation,
     _disjoint_chains,
     is_r_wise_intersecting,
@@ -383,10 +389,21 @@ def small_colorings(draw):
     return cert, [v.bits for v in h.vertices]
 
 
-def _one_class(n, k, r):
-    """Every vertex of KG^r(k, n) in one class: every edge is monochromatic."""
+def _one_class(n, k, r, members=None):
+    """The vertices of KG^r(k, n) given by members (element tuples; every
+    vertex when None) in color 0, each other vertex in a class of its own."""
     h = build_kneser_hypergraph(GroundParams(n, k, r))
-    cert = ColoringCertificate(ground_n=n, k=k, r=r, colors=(0,) * h.num_vertices)
+    chosen = None if members is None else {
+        KSubset.from_elements(e, n).bits for e in members
+    }
+    colors, others = [], 0
+    for v in h.vertices:
+        if chosen is None or v.bits in chosen:
+            colors.append(0)
+        else:
+            others += 1
+            colors.append(others)
+    cert = ColoringCertificate(ground_n=n, k=k, r=r, colors=tuple(colors))
     return cert, [v.bits for v in h.vertices]
 
 
@@ -394,6 +411,11 @@ def _one_class(n, k, r):
 @example(_one_class(8, 2, 2))
 @example(_one_class(7, 2, 3))
 @example(_one_class(6, 1, 3))  # exactly 20 edges: no summary record
+# hit by the r points {1, 3}, with the disjoint pair {1,2}, {3,4}
+@example(_one_class(5, 2, 2, [(1, 2), (3, 4), (1, 5)]))
+# classes on exactly r*k points that hold r disjoint members
+@example(_one_class(4, 2, 2))
+@example(_one_class(6, 2, 3))
 @settings(max_examples=150, deadline=None)
 def test_coloring_certificate_matches_brute_force(case):
     cert, verts = case
@@ -451,16 +473,67 @@ def test_merged_lift_stats_pinned():
     coloring, _ = blow_up(build_tight_partition(GroundParams(8, 3, 3)))
     rep = verify_coloring_certificate(merged_two_largest(coloring))
     assert not rep.ok
-    assert rep.stats["tuples_examined"] == 21_324
+    assert rep.stats["tuples_examined"] == 19_890
     assert rep.stats["disjoint_tuples"] == 330_240
 
 
+@pytest.mark.parametrize("n,k,r", [(10, 2, 3), (8, 3, 3), (6, 2, 4)])
+def test_merged_class_alone_is_walked(n, k, r):
+    """On the certify benchmark's rejects every class but the merged one is
+    proved by a cover."""
+    coloring, _ = blow_up(build_tight_partition(GroundParams(n, k, r)))
+    rep = verify_coloring_certificate(merged_two_largest(coloring))
+    assert not rep.ok
+    assert rep.stats["classes_witnessed"] == rep.stats["classes"] - 1
+
+
+def test_every_valid_lift_class_is_witnessed():
+    """Every class of every valid lift with n <= 10 and 2 <= r <= 4 within
+    the size limits is proved by a cover, so no chain is walked."""
+    lifts = 0
+    for r in (2, 3, 4):
+        for n in range(1, 11):
+            for k in range(1, (r - 1) * n // r + 1):
+                try:
+                    coloring, _ = blow_up(build_tight_partition(GroundParams(n, k, r)))
+                except InstanceTooLarge:  # (10,6,4) and (10,7,4)
+                    continue
+                rep = verify_coloring_certificate(coloring)
+                assert rep.ok, (n, k, r)
+                assert rep.stats["classes_witnessed"] == rep.stats["classes"], (n, k, r)
+                lifts += 1
+    assert lifts == 93
+
+
 def test_valid_12_4_3_lift_verifies_quickly():
-    """7,920 vertices in 8 classes; the list-based walk took 23.8 s."""
+    """7,920 vertices in 8 classes, each proved by a cover in at most 7
+    steps; the bit-parallel chain walk took 1.0 s and 2,058,256 steps."""
     coloring, _ = blow_up(build_tight_partition(GroundParams(12, 4, 3)))
     t0 = perf_counter()
     rep = verify_coloring_certificate(coloring)
-    assert perf_counter() - t0 < 10
+    assert perf_counter() - t0 < 2
     assert rep.ok
-    assert rep.stats["tuples_examined"] == 2_058_256
+    assert rep.stats["classes_witnessed"] == 8
+    assert rep.stats["tuples_examined"] == 56
     assert rep.stats["disjoint_tuples"] == 0
+
+
+def test_searches_stop_at_their_deadline():
+    """Each search that can run long raises past a deadline and returns what
+    it returns without one when the deadline is far.  The 5-subsets of [9]
+    are pairwise intersecting with no common point, so the witness search
+    examines more than CLOCK_STRIDE chains."""
+    fam = family(9, *combinations(range(1, 10), 5))
+    rep = is_r_wise_intersecting(fam, 2)
+    assert rep.ok and rep.stats["tuples_examined"] > CLOCK_STRIDE
+    assert is_r_wise_intersecting(fam, 2, perf_counter() + 60) == rep
+    with pytest.raises(VerifyTimeout):
+        is_r_wise_intersecting(fam, 2, perf_counter())
+    # 200 single-point vertices: the walk tries about 20,000 candidates
+    points = [(i,) for i in range(200)]
+    ids = list(range(200))
+    want = _disjoint_chains(points, 200, ids, 3, 5)
+    assert want[2] > CLOCK_STRIDE
+    assert _disjoint_chains(points, 200, ids, 3, 5, perf_counter() + 60) == want
+    with pytest.raises(VerifyTimeout):
+        _disjoint_chains(points, 200, ids, 3, 5, perf_counter())
