@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+import warnings
 
 from .constructions import (
     ColoringCertificate,
@@ -420,28 +421,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _DISPATCH[args.command](args)
-    except (
-        InvalidParams,
-        InvalidPartSpec,
-        InadmissibleParams,
-        MalformedCertificate,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidCertificate, LengthMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CapExceeded, InstanceTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except VerifyTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # one line, no source echo
+        try:
+            return _DISPATCH[args.command](args)
+        except (
+            InvalidParams,
+            InvalidPartSpec,
+            InadmissibleParams,
+            MalformedCertificate,
+            OSError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (InvalidCertificate, LengthMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (CapExceeded, InstanceTooLarge) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except VerifyTimeout as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ class's union, t = 1 from a bounded hitting-set search, see _class_cover),
 so a certificate carries none and the verifier trusts nothing from the
 generator.  A class without a witness found in a linear number of steps is
 walked as before, so verdicts, records and counts are exact on every input.
+Each class's point incidence is built once and serves both searches.  The
+vertex set is rebuilt in O(k) per combination: s-stability is read off the
+gaps between cyclically adjacent points, parts off a point-to-block table.
 
 Both searches that can take exponential time, the partition witness search
 and the chain walk, read the clock once per CLOCK_STRIDE steps when given a
@@ -294,27 +297,24 @@ def verify_coloring(h, colors: list[int] | tuple[int, ...]) -> Report:
     return Report(tuple(violations), stats={"edges": len(h.edges)})
 
 
-def _block_masks(parts, n: int, r: int) -> list[int]:
-    """Bitmasks of parts, which must partition [n] into blocks of 1..r-1 points."""
-    masks = []
-    covered = 0
-    for part in parts:
+def _block_table(parts, n: int, r: int) -> list[int]:
+    """block[e]: the index of the part holding point e + 1; the parts must
+    partition [n] into blocks of 1..r-1 points."""
+    block = [-1] * n
+    for b, part in enumerate(parts):
         if not 1 <= len(part) <= r - 1:
             raise InvalidParams(
                 f"bad descriptor: block {list(part)} needs 1..{r - 1} points"
             )
-        m = 0
         for e in part:
             if not 1 <= e <= n:
                 raise InvalidParams(f"bad descriptor: point {e} outside [1, {n}]")
-            if (covered | m) >> (e - 1) & 1:
+            if block[e - 1] >= 0:
                 raise InvalidParams(f"bad descriptor: point {e} in two blocks")
-            m |= 1 << (e - 1)
-        covered |= m
-        masks.append(m)
-    if covered != (1 << n) - 1:
+            block[e - 1] = b
+    if -1 in block:
         raise InvalidParams(f"bad descriptor: parts do not cover [1, {n}]")
-    return masks
+    return block
 
 
 # the CLI prints at most this many violations; later monochromatic edges
@@ -323,11 +323,12 @@ EDGE_RECORDS = 20
 
 
 def _class_cover(
-    points: list[tuple[int, ...]], n: int, k: int, ids: list[int], r: int
+    points: list[tuple[int, ...]], inc: list[int], k: int, ids: list[int], r: int
 ) -> tuple[bool, int]:
     """Whether a short witness shows that no r members of the class ids are
-    pairwise disjoint; points[v] lists the k points of vertex v, all in
-    [0, n).  Returns (found, cover-search steps taken).
+    pairwise disjoint; points[v] lists the k points of vertex v, and inc[e]
+    holds the class positions whose vertex holds point e.  Returns (found,
+    cover-search steps taken).
 
     Each witness is a point set T that every member meets in at least t
     points with |T| < r*t, so r pairwise disjoint members, which would meet
@@ -343,10 +344,6 @@ def _class_cover(
         and cannot blow up at large k^(r-1).
     """
     size = len(ids)
-    inc = [0] * n  # inc[e]: the class positions whose vertex holds e
-    for i, v in enumerate(ids):
-        for e in points[v]:
-            inc[e] |= 1 << i
     if sum(1 for m in inc if m) < r * k:
         return True, 0
 
@@ -369,43 +366,39 @@ def _class_cover(
 
 def _disjoint_chains(
     points: list[tuple[int, ...]],
-    n: int,
+    inc: list[int],
     ids: list[int],
     r: int,
     keep: int,
     deadline: float | None = None,
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """r-tuples of ids (increasing, r >= 2) whose vertices are pairwise
-    disjoint; points[v] lists the points of vertex v, all in [0, n).
+    disjoint; points[v] lists the points of vertex v, and inc[e] holds the
+    class positions whose vertex holds point e.
 
-    Bit-parallel DFS: bit i stands for ids[i], and apart[i], read off the
-    class's point incidence, holds the later positions whose vertices miss
-    ids[i].  A chain keeps the candidates in apart[i] of each member it
-    takes, the last level is a popcount, and tuples come out in
-    lexicographic order.  Returns (the first keep tuples, how many there
-    are, how many candidates the walk tried: one bitmask AND each).  Past
-    deadline (a perf_counter() reading) it raises VerifyTimeout.
+    Bit-parallel DFS: bit i stands for ids[i], and apart[i] holds the later
+    positions minus those whose vertices meet ids[i], read off inc.  A chain
+    keeps the candidates in apart[i] of each member it takes, the last level
+    is a popcount, and tuples come out in lexicographic order.  Returns (the
+    first keep tuples, how many there are, how many candidates the walk
+    tried: one bitmask AND each).  Past deadline (a perf_counter() reading)
+    it raises VerifyTimeout.
     """
     size = len(ids)
     if size < r:
         return [], 0, 0
-    inc = [0] * n  # inc[e]: the positions past i whose vertex holds e
-    apart = [0] * size
-    later = 0
-    for i in range(size - 1, -1, -1):
-        own = points[ids[i]]
+    every = (1 << size) - 1
+    apart = []
+    for i, v in enumerate(ids):
         meets = 0
-        for e in own:
+        for e in points[v]:
             meets |= inc[e]
-        apart[i] = later ^ meets
-        for e in own:
-            inc[e] |= 1 << i
-        later |= 1 << i
+        apart.append(every >> i + 1 << i + 1 & ~meets)  # later, minus meeting i
 
     found: list[tuple[int, ...]] = []
     total = tests = 0
     check_at = inf if deadline is None else CLOCK_STRIDE
-    stack = [((), later, size)]  # (chain, candidate mask, its popcount)
+    stack = [((), every, size)]  # (chain, candidate mask, its popcount)
     while stack:
         if tests > check_at:
             _past(deadline)
@@ -437,15 +430,19 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
 
     The vertex set named by the certificate (all k-subsets of [ground_n],
     optionally restricted to s-stable ones or to transversals of the given
-    parts) is rebuilt here from plain combinations in colex order.  Every r
+    parts) is rebuilt here from plain combinations in colex order: a vertex
+    is s-stable iff every gap between cyclically adjacent points is at least
+    s, and a transversal iff its points lie in k distinct blocks.  Every r
     pairwise disjoint members of one color class form a monochromatic edge.
-    Each class first gets a linear-time attempt at a witness that it holds
-    no such r-tuple (_class_cover): its members span fewer than r*k points,
-    or at most r-1 points hit them all.  Either is sound on its own, since r
-    pairwise disjoint k-sets need r*k distinct points and r distinct points
-    of any set they all meet.  stats["classes_witnessed"] counts the classes
-    so proved.  Any other class gets a bit-parallel search over
-    index-increasing chains that stay pairwise disjoint.
+    Each class's point incidence over its positions is built once and read
+    by both searches below.  Each class first gets a linear-time attempt at
+    a witness that it holds no such r-tuple (_class_cover): its members span
+    fewer than r*k points, or at most r-1 points hit them all.  Either is
+    sound on its own, since r pairwise disjoint k-sets need r*k distinct
+    points and r distinct points of any set they all meet.
+    stats["classes_witnessed"] counts the classes so proved.  Any other
+    class gets a bit-parallel search over index-increasing chains that stay
+    pairwise disjoint.
     stats["tuples_examined"] counts the steps of both searches: the cover
     search's steps, at most one per class member, and the candidates the
     chain search tried, one bitmask AND each.  No edge list is consumed.
@@ -469,30 +466,20 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
     if cert.stability is not None and cert.stability < 1:
         raise InvalidParams(f"bad descriptor s={cert.stability}, need s >= 1")
     guard_subsets(n, k)
-    part_masks = [] if cert.parts is None else _block_masks(cert.parts, n, r)
+    block = None if cert.parts is None else _block_table(cert.parts, n, r)
+    s = cert.stability if k > 1 else None  # one point: no pair to keep apart
 
-    # points in decreasing order make the combinations decreasing in colex
+    # points in decreasing order make the combinations decreasing in colex,
+    # and the cyclic gaps of els are its wrap-around gap and its differences
     points: list[tuple[int, ...]] = []
     for els in combinations(range(n - 1, -1, -1), k):
-        if cert.stability is not None:
-            s = cert.stability
-            stable = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    d = els[i] - els[j]
-                    if min(d, n - d) < s:
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if not stable:
-                continue
-        if part_masks:
-            bits = 0
-            for e in els:
-                bits |= 1 << e
-            if any((bits & pm).bit_count() > 1 for pm in part_masks):
-                continue
+        if s is not None and (
+            n - els[0] + els[-1] < s
+            or any(a - b < s for a, b in zip(els, els[1:]))
+        ):
+            continue
+        if block is not None and len({block[e] for e in els}) < k:
+            continue
         points.append(els)
     points.reverse()
 
@@ -510,13 +497,17 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
     disjoint = 0
     witnessed = 0
     for c, ids in sorted(classes.items()):
-        covered, steps = _class_cover(points, n, k, ids, r)
+        inc = [0] * n  # inc[e]: the class positions whose vertex holds e
+        for i, v in enumerate(ids):
+            for e in points[v]:
+                inc[e] |= 1 << i
+        covered, steps = _class_cover(points, inc, k, ids, r)
         examined += steps
         if covered:
             witnessed += 1
             continue
         tuples, total, tests = _disjoint_chains(
-            points, n, ids, r, EDGE_RECORDS - len(violations), deadline
+            points, inc, ids, r, EDGE_RECORDS - len(violations), deadline
         )
         examined += tests
         disjoint += total

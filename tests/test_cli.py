@@ -325,6 +325,13 @@ def test_chi_plain(capsys):
     assert "EXACT value=2" in out
 
 
+def test_chi_prints_a_library_warning_as_one_line(capsys):
+    code, out, err = run(capsys, "chi", "4", "2", "3")
+    assert code == 0
+    assert out.startswith("EXACT value=1 nodes=0 ")
+    assert err == "warning: n=4 < r*k=6: Kneser hypergraph has no edges\n"
+
+
 def test_chi_stable(capsys):
     code, out, _ = run(capsys, "chi", "6", "2", "2", "--stable", "2")
     assert code == 0

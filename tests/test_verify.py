@@ -337,6 +337,48 @@ def test_coloring_certificate_accepts_blow_up_blocks(n, k, r):
     assert verify_coloring_certificate(coloring).ok
 
 
+def block_layouts(points):
+    """Every partition of the tuple points into blocks, each once."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for layout in block_layouts(rest):
+        yield ((first,),) + layout
+        for i, block in enumerate(layout):
+            yield layout[:i] + ((first,) + block,) + layout[i + 1:]
+
+
+def test_rebuild_matches_generators_exhaustively():
+    """The verifier's rebuilt vertex count equals the generator's for every
+    n <= 10, k and s in 1..n+1 (empty vertex sets and k = 1 with s > n
+    included) and every block layout of [n] for n <= 7.  With r = n + 1 and
+    every class a singleton, each class has a cover, so the check is the
+    rebuild alone, and a wrong count raises LengthMismatch."""
+
+    def check(p, h, **descriptor):
+        nv = h.num_vertices
+        cert = ColoringCertificate(
+            ground_n=p.n, k=p.k, r=p.r, colors=tuple(range(nv)), **descriptor
+        )
+        rep = verify_coloring_certificate(cert)
+        assert rep.ok and rep.stats["vertices"] == nv, (p, descriptor)
+
+    empty = 0
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            p = GroundParams(n, k, n + 1)
+            for s in range(1, n + 2):
+                h = build_stable_subhypergraph(p, s)
+                empty += h.num_vertices == 0
+                check(p, h, stability=s)
+            if n <= 7:
+                for layout in block_layouts(tuple(range(1, n + 1))):
+                    h = build_partition_constrained(p, PartSpec(layout))
+                    check(p, h, parts=layout)
+    assert empty > 0
+
+
 @st.composite
 def small_colorings(draw):
     """A small descriptor (full, s-stable or parts), its vertex masks from the
@@ -448,12 +490,16 @@ def test_disjoint_chains_matches_reference(r):
             masks[rng.randrange(len(masks))] = 0
         ids = sorted(rng.sample(range(len(masks)), rng.randint(0, len(masks))))
         points = [tuple(e for e in range(n) if m >> e & 1) for m in masks]
+        inc = [0] * n
+        for i, v in enumerate(ids):
+            for e in points[v]:
+                inc[e] |= 1 << i
         for keep in (0, 1, 20):
-            got = _disjoint_chains(points, n, ids, r, keep)
+            got = _disjoint_chains(points, inc, ids, r, keep)
             want = reference_disjoint_chains(masks, ids, r, keep)
             assert got == want, (masks, ids, keep)
         totals.append(got[1])
-    assert _disjoint_chains([], 1, [], r, 20) == ([], 0, 0)
+    assert _disjoint_chains([], [0], [], r, 20) == ([], 0, 0)
     assert min(totals) == 0 and max(totals) > 20  # both kinds of class were met
 
 
@@ -532,8 +578,9 @@ def test_searches_stop_at_their_deadline():
     # 200 single-point vertices: the walk tries about 20,000 candidates
     points = [(i,) for i in range(200)]
     ids = list(range(200))
-    want = _disjoint_chains(points, 200, ids, 3, 5)
+    inc = [1 << i for i in range(200)]  # vertex i alone holds point i
+    want = _disjoint_chains(points, inc, ids, 3, 5)
     assert want[2] > CLOCK_STRIDE
-    assert _disjoint_chains(points, 200, ids, 3, 5, perf_counter() + 60) == want
+    assert _disjoint_chains(points, inc, ids, 3, 5, perf_counter() + 60) == want
     with pytest.raises(VerifyTimeout):
-        _disjoint_chains(points, 200, ids, 3, 5, perf_counter())
+        _disjoint_chains(points, inc, ids, 3, 5, perf_counter())
