@@ -182,7 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rep = verify_coloring_certificate(cert, args.timeout)
         what = f"coloring with {cert.num_colors} colors on ground {cert.ground_n}"
         if rep.stats["disjoint_tuples"]:
-            what += f"; {rep.stats['disjoint_tuples']} monochromatic edges"
+            least = "" if rep.stats.get("complete", True) else "at least "
+            what += f"; {least}{rep.stats['disjoint_tuples']} monochromatic edges"
     out_doc = {
         "ok": rep.ok,
         "kind": "partition" if isinstance(cert, PartitionCertificate) else "coloring",
@@ -269,46 +270,47 @@ def cmd_table(args: argparse.Namespace) -> int:
         top = ns[-1]
     if top > DEFAULT_GROUND_CAP:
         raise CapExceeded(f"ground set size {top} exceeds cap {DEFAULT_GROUND_CAP}")
-    budget = _budget(args)
-    rows = []
-    all_agree = True
+    grid = []
     for r in rs:
         for k in ks:
             if args.n_range == "auto":
                 start = tail_size(k, r) + 1
                 ns = range(start, start + args.span)
             for n in ns:
-                if n < k:
-                    continue
-                p = GroundParams(n, k, r)
-                if not p.admissible:
-                    continue
-                mb = tight_bound(p)
-                cert = build_tight_partition(p)
-                vrep = verify_partition_certificate(cert)
-                res = min_partition_number(p, budget)
-                agree = (
-                    res.status == EXACT
-                    and res.upper == mb
-                    and cert.num_families == mb
-                    and vrep.ok
-                )
-                all_agree = all_agree and agree
-                rows.append(
-                    {
-                        "n": n,
-                        "k": k,
-                        "r": r,
-                        "tight_bound": mb,
-                        "solver_status": res.status,
-                        "solver_value": res.upper if res.status == EXACT
-                        else f"{res.lower}:{res.upper}",
-                        "construction_families": cert.num_families,
-                        "agree": agree,
-                        "nodes": res.nodes,
-                        "millis": res.millis,
-                    }
-                )
+                if n >= k and (p := GroundParams(n, k, r)).admissible:
+                    grid.append(p)
+    if not grid:  # an empty grid would agree vacuously
+        raise InvalidParams("no admissible (n, k, r) in the grid")
+    budget = _budget(args)
+    rows = []
+    all_agree = True
+    for p in grid:
+        mb = tight_bound(p)
+        cert = build_tight_partition(p)
+        vrep = verify_partition_certificate(cert)
+        res = min_partition_number(p, budget)
+        agree = (
+            res.status == EXACT
+            and res.upper == mb
+            and cert.num_families == mb
+            and vrep.ok
+        )
+        all_agree = all_agree and agree
+        rows.append(
+            {
+                "n": p.n,
+                "k": p.k,
+                "r": p.r,
+                "tight_bound": mb,
+                "solver_status": res.status,
+                "solver_value": res.upper if res.status == EXACT
+                else f"{res.lower}:{res.upper}",
+                "construction_families": cert.num_families,
+                "agree": agree,
+                "nodes": res.nodes,
+                "millis": res.millis,
+            }
+        )
     fields = [
         "n", "k", "r", "tight_bound", "solver_status", "solver_value",
         "construction_families", "agree", "nodes", "millis",

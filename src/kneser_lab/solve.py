@@ -302,18 +302,13 @@ class _Engine:
         # one pass, each arity unpacked by hand.  A triple a < b < c ORs
         # each member into the entry of the other two, third[a][b],
         # third[a][c] and third[b][c], so each row holds only its higher
-        # partners until the pass below mirrors it.  The builders list
-        # triples in order, so a run sharing (a, b) folds into `acc` and
-        # only (a, c) and (b, c) touch a dict.  An in-order member list
-        # passes one chained comparison, which also rejects a repeated,
-        # negative (bits[-1] would wrap) or too large id; any other order
-        # is sorted and compared again.
+        # partners until the pass below mirrors it.  An in-order member
+        # list passes one chained comparison, which also rejects a
+        # repeated, negative (bits[-1] would wrap) or too large id; any
+        # other order is sorted and compared again.
         third: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nv)]
-        watch: defaultdict[int, list[int]] = defaultdict(list)
-        nn = nv * nv
+        watch: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(nv)]
         entries = 0
-        ka = kb = -1
-        acc = 0
         try:
             for t in constraints:
                 size = len(t)
@@ -323,11 +318,7 @@ class _Engine:
                         a, b, c = sorted(t)
                         if not 0 <= a < b < c < nv:
                             raise ValueError
-                    if b != kb or a != ka:
-                        if acc:
-                            third[ka][kb] |= acc
-                        ka, kb, acc = a, b, 0
-                    acc |= bits[c]
+                    third[a][b] |= bits[c]
                     third[a][c] |= bits[b]
                     third[b][c] |= bits[a]
                 elif size == 2:
@@ -353,7 +344,7 @@ class _Engine:
                             f"watch entries exceed limit {MAX_EDGES}"
                         )
                     # R - v is watched under the pairs of its three lowest
-                    # members, keyed v*nv*nv + a*nv + b for a pair a < b
+                    # members, in watch[v][a*nv + b] for a pair a < b
                     a, b, d, e = members[:4]
                     ab, ad, ae = a * nv + b, a * nv + d, a * nv + e
                     bd, be, de = b * nv + d, b * nv + e, d * nv + e
@@ -361,18 +352,16 @@ class _Engine:
                     for i, v in enumerate(members):
                         x, y, z = by_low[i] if i < 3 else (ab, ad, bd)
                         rest = mask ^ bits[v]
-                        base = v * nn
-                        watch[base + x].append(rest)
-                        watch[base + y].append(rest)
-                        watch[base + z].append(rest)
+                        wv = watch[v]
+                        wv[x].append(rest)
+                        wv[y].append(rest)
+                        wv[z].append(rest)
                 else:
                     raise InvalidParams(f"constraint {t} has fewer than 2 members")
         except (IndexError, TypeError, ValueError) as exc:
             raise InvalidParams(
                 f"constraint {t} needs distinct ids of the {nv} vertices"
             ) from exc
-        if acc:
-            third[ka][kb] |= acc
         partners = [0] * nv
         # from the top row down: each row is read before any lower partner
         # is mirrored into it, so each entry is mirrored once
@@ -383,12 +372,12 @@ class _Engine:
                 partners[b] |= bits[a]
         w1 = [0] * nv
         w2: list[dict[int, int]] = [{} for _ in range(nv)]
-        for vab in watch:
-            v, ab = divmod(vab, nn)
-            a, b = divmod(ab, nv)
-            w1[v] |= bits[a]
-            wv = w2[v]
-            wv[a] = wv.get(a, 0) | bits[b]
+        for v, wv in enumerate(watch):
+            w2v = w2[v]
+            for ab in wv:
+                a, b = divmod(ab, nv)
+                w1[v] |= bits[a]
+                w2v[a] = w2v.get(a, 0) | bits[b]
         self.adj, self.partners, self.third = adj, partners, third
         self.has_pairs = any(adj)
         self.w1, self.w2, self.watch = w1, w2, watch
@@ -445,16 +434,15 @@ class _Engine:
         x = self.w1[v] & cc
         if x:
             w2 = self.w2[v]
-            watch = self.watch
+            watch = self.watch[v]
             nv = self.nv
-            base = v * nv
             out = ~cc
             while x:
                 low = x & -x
                 x ^= low
                 u = low.bit_length() - 1
                 y = w2[u] & cc
-                uw = (base + u) * nv
+                uw = u * nv
                 while y:
                     wb = y & -y
                     y ^= wb

@@ -21,7 +21,9 @@ gaps between cyclically adjacent points, parts off a point-to-block table.
 
 Both searches that can take exponential time, the partition witness search
 and the chain walk, read the clock once per CLOCK_STRIDE steps when given a
-deadline and raise VerifyTimeout past it.
+deadline.  Past it, a check that has recorded a violation ends FAILED
+with what it has (stats["complete"] = False); any other raises
+VerifyTimeout.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .setsys import SetFamily, guard_subsets
 CLOCK_STRIDE = 4096
 
 
-def _past(deadline: float) -> None:
+def _past(deadline: float, partial: tuple | None = None) -> None:
     if perf_counter() > deadline:
-        raise VerifyTimeout("check did not finish within its time budget")
+        raise VerifyTimeout("check did not finish within its time budget", partial)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +181,9 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
     DEFAULT_GROUND_CAP points (CapExceeded) or MAX_SUBSETS k-subsets
     (InstanceTooLarge) are refused before any member is read.  With
     max_seconds set, the witness searches raise VerifyTimeout once that
-    many seconds have passed since the call.
+    many seconds have passed since the call, unless a violation is
+    already recorded: then the report is FAILED with the violations so far
+    and stats["complete"] = False.
     """
     from .constructions import PartitionCertificate  # local: avoids cycle
 
@@ -189,7 +193,6 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
     p = cert.params
     guard_subsets(p.n, p.k)
     violations: list[Violation] = []
-    tuples_examined = 0
 
     seen: dict[int, tuple[int, int]] = {}
     for fi, fam in enumerate(cert.families):
@@ -251,22 +254,27 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
             )
         )
 
-    for fi, fam in enumerate(cert.families):
-        if not fam.members:
-            continue
-        rep = is_r_wise_intersecting(fam, p.r, deadline)
-        tuples_examined += rep.stats.get("tuples_examined", 0)
-        for v in rep.violations:
-            violations.append(
-                Violation(v.kind, v.indices, f"family {fi}: {v.reason}")
-            )
-
     stats = {
         "families": len(cert.families),
         "members": len(seen),
         "expected_members": comb(p.n, p.k),
-        "tuples_examined": tuples_examined,
+        "tuples_examined": 0,
     }
+    for fi, fam in enumerate(cert.families):
+        if not fam.members:
+            continue
+        try:
+            rep = is_r_wise_intersecting(fam, p.r, deadline)
+        except VerifyTimeout:
+            if not violations:
+                raise
+            stats["complete"] = False  # the verdict is known: FAILED
+            break
+        stats["tuples_examined"] += rep.stats.get("tuples_examined", 0)
+        for v in rep.violations:
+            violations.append(
+                Violation(v.kind, v.indices, f"family {fi}: {v.reason}")
+            )
     return Report(tuple(violations), stats)
 
 
@@ -382,7 +390,7 @@ def _disjoint_chains(
     is a popcount, and tuples come out in lexicographic order.  Returns (the
     first keep tuples, how many there are, how many candidates the walk
     tried: one bitmask AND each).  Past deadline (a perf_counter() reading)
-    it raises VerifyTimeout.
+    it raises VerifyTimeout, whose `partial` holds that triple so far.
     """
     size = len(ids)
     if size < r:
@@ -401,7 +409,7 @@ def _disjoint_chains(
     stack = [((), every, size)]  # (chain, candidate mask, its popcount)
     while stack:
         if tests > check_at:
-            _past(deadline)
+            _past(deadline, (found, total, tests))
             check_at = tests + CLOCK_STRIDE
         chain, cands, left = stack.pop()
         need = r - 1 - len(chain)  # members still to add after the next one
@@ -450,10 +458,13 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
     (color, then vertex ids) and, past that, one record with empty indices
     counting the rest; stats["disjoint_tuples"] holds the exact total.
     With max_seconds set, the chain search raises VerifyTimeout once that
-    many seconds have passed since the call.  A descriptor naming no
-    hypergraph (s < 1, or parts that do not partition [ground_n] into blocks
-    of 1..r-1 points) is InvalidParams; one above DEFAULT_GROUND_CAP points
-    is CapExceeded, and one above MAX_SUBSETS k-subsets is InstanceTooLarge.
+    many seconds have passed since the call, unless a monochromatic edge is
+    already found: then the report is FAILED with the edges so far, and
+    stats["complete"] = False marks the counts as lower bounds.  A
+    descriptor naming no hypergraph (s < 1, or parts that do not partition
+    [ground_n] into blocks of 1..r-1 points) is InvalidParams; one above
+    DEFAULT_GROUND_CAP points is CapExceeded, and one above MAX_SUBSETS
+    k-subsets is InstanceTooLarge.
     """
     from .constructions import ColoringCertificate  # local: avoids cycle
 
@@ -496,6 +507,7 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
     examined = 0
     disjoint = 0
     witnessed = 0
+    complete = True
     for c, ids in sorted(classes.items()):
         inc = [0] * n  # inc[e]: the class positions whose vertex holds e
         for i, v in enumerate(ids):
@@ -506,9 +518,15 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
         if covered:
             witnessed += 1
             continue
-        tuples, total, tests = _disjoint_chains(
-            points, inc, ids, r, EDGE_RECORDS - len(violations), deadline
-        )
+        try:
+            tuples, total, tests = _disjoint_chains(
+                points, inc, ids, r, EDGE_RECORDS - len(violations), deadline
+            )
+        except VerifyTimeout as exc:
+            if not (violations or exc.partial[1]):  # no edge found yet
+                raise
+            tuples, total, tests = exc.partial
+            complete = False  # the verdict is known: FAILED
         examined += tests
         disjoint += total
         for tup in tuples:
@@ -519,37 +537,24 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
                     f"color {c}: vertices {list(tup)} are pairwise disjoint",
                 )
             )
+        if not complete:
+            break
     if disjoint > EDGE_RECORDS:
         violations.append(
             Violation(
                 "monochromatic_edge",
                 (),
-                f"{disjoint - EDGE_RECORDS} further pairwise disjoint {r}-tuples",
+                f"{'' if complete else 'at least '}{disjoint - EDGE_RECORDS}"
+                f" further pairwise disjoint {r}-tuples",
             )
         )
-    return Report(
-        tuple(violations),
-        stats={
-            "vertices": len(points),
-            "classes": len(classes),
-            "classes_witnessed": witnessed,
-            "tuples_examined": examined,
-            "disjoint_tuples": disjoint,
-        },
-    )
-
-
-def check_edges_pairwise_disjoint(h) -> Report:
-    """Independent post-pass: every edge consists of pairwise disjoint subsets."""
-    violations = []
-    for ei, edge in enumerate(h.edges):
-        for a, b in combinations(edge, 2):
-            if h.vertices[a].bits & h.vertices[b].bits:
-                violations.append(
-                    Violation(
-                        "overlapping_edge_members",
-                        (a, b),
-                        f"edge {ei}: vertices {a} and {b} intersect",
-                    )
-                )
-    return Report(tuple(violations), stats={"edges": len(h.edges)})
+    stats = {
+        "vertices": len(points),
+        "classes": len(classes),
+        "classes_witnessed": witnessed,
+        "tuples_examined": examined,
+        "disjoint_tuples": disjoint,
+    }
+    if not complete:
+        stats["complete"] = False
+    return Report(tuple(violations), stats)

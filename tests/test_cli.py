@@ -8,6 +8,7 @@ import re
 import shlex
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,12 @@ def test_bad_params_exit_2(capsys):
     assert "error" in err
 
 
+def test_construct_prints_the_certificate_without_out(capsys):
+    code, out, _ = run(capsys, "construct", "4", "2", "3")
+    assert code == 0
+    assert json.loads(out) == build_tight_partition(GroundParams(4, 2, 3)).to_dict()
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "partition.json"
     code, out, _ = run(capsys, "construct", "5", "2", "2", "-o", str(path))
@@ -126,10 +133,20 @@ def test_verify_text_states_edge_total(tmp_path, capsys):
 
 
 def test_verify_timeout_exits_3(tmp_path, capsys):
-    """All 7,920 vertices of the (12,4,3) lift in one class have no cover,
-    and walking their chains takes about 29 s; --timeout stops the walk and
-    exits 3.  A check that finishes in time prints what it prints without
-    the flag, for a coloring and for a partition."""
+    """The (18,9,2) tight partition is valid, and its witness search takes
+    longer than 0.5 s: with no violation recorded by then, --timeout stops
+    the search and exits 3.  All 7,920 vertices of the (12,4,3) lift in one
+    class have no cover and take about 29 s to walk, but the walk records a
+    monochromatic edge at once, so past the limit the check is FAILED.  A
+    check that finishes in time prints what it prints without the flag,
+    for a coloring and for a partition."""
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(build_tight_partition(GroundParams(18, 9, 2)).to_dict()))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--timeout", "0.5", str(valid))
+    assert time.perf_counter() - t0 < 5
+    assert code == 3 and out == ""
+    assert err.startswith("error: check did not finish")
     cert = build_tight_partition(GroundParams(12, 4, 3))
     coloring, _ = blow_up(cert)
     hostile = tmp_path / "one-class.json"
@@ -139,8 +156,7 @@ def test_verify_timeout_exits_3(tmp_path, capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", "--timeout", "0.5", str(hostile))
     assert time.perf_counter() - t0 < 5
-    assert code == 3 and out == ""
-    assert err.startswith("error: check did not finish")
+    assert code == 1 and out.startswith("FAILED") and err == ""
     for name, doc in (("coloring.json", coloring.to_dict()),
                       ("partition.json", cert.to_dict())):
         path = tmp_path / name
@@ -151,6 +167,39 @@ def test_verify_timeout_exits_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--timeout", "0", str(hostile)])
     assert exc.value.code == 2
+
+
+def test_verify_timeout_keeps_a_known_violation(tmp_path, capsys):
+    """A deadline that passes after a violation is recorded ends the check
+    FAILED (exit 1) with what it has, the count marked as a lower bound.
+    The (7,4,4) lift with its two largest classes merged has 2,430 vertices
+    in one class and records a disjoint 4-tuple at once; the (18,9,2)
+    partition with a member of family 0 also put in family 1 records the
+    duplicate before any witness search.  Both exited 3."""
+    coloring, _ = blow_up(build_tight_partition(GroundParams(7, 4, 4)))
+    doc = coloring.to_dict()
+    sizes = Counter(doc["colors"])
+    keep, gone = sorted(sizes, key=lambda c: (-sizes[c], c))[:2]
+    labels = {c: i for i, c in enumerate(c for c in sorted(sizes) if c != gone)}
+    labels[gone] = labels[keep]
+    doc["colors"] = [labels[c] for c in doc["colors"]]
+    merged = tmp_path / "merged.json"
+    merged.write_text(json.dumps(doc))
+    doc = build_tight_partition(GroundParams(18, 9, 2)).to_dict()
+    doc["families"][1].append(doc["families"][0][0])
+    duplicated = tmp_path / "duplicated.json"
+    duplicated.write_text(json.dumps(doc))
+    for path, says in ((merged, r"; at least \d+ monochromatic edges\)$"),
+                       (duplicated, "appears in family 0 and family 1")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--timeout", "0.5", str(path))
+        assert time.perf_counter() - t0 < 5, path
+        assert code == 1 and out.startswith("FAILED") and err == "", path
+        assert re.search(says, out.rstrip()), out
+        code, out, _ = run(capsys, "--format", "json", "verify", "--timeout",
+                           "0.5", str(path))
+        doc = json.loads(out)
+        assert code == 1 and not doc["ok"] and doc["stats"]["complete"] is False
 
 
 def test_verify_text_states_uncovered_total(tmp_path, capsys):
@@ -427,6 +476,34 @@ def test_table_json_explicit_range(capsys):
 def test_table_bad_range_exits_2(capsys):
     code, _, err = run(capsys, "table", "--r", "x")
     assert code == 2
+
+
+def test_table_empty_range_exits_2(capsys):
+    assert run(capsys, "table", "--n", "5..3") == (2, "", "error: empty range '5..3'\n")
+
+
+@pytest.mark.parametrize("n_range", ["2..3", "3..5"])
+def test_table_with_no_admissible_row_exits_2(capsys, n_range):
+    """Every n below k, or every row with r*k > (r-1)*n: the grid used to
+    print no rows and report all_agree true, a vacuous agreement."""
+    code, out, err = run(capsys, "--format", "json", "table", "--r", "2",
+                         "--k", "3", "--n", n_range)
+    assert code == 2 and out == ""
+    assert err == "error: no admissible (n, k, r) in the grid\n"
+
+
+def test_table_writes_csv_file(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    argv = ["table", "--r", "2", "--k", "2", "--n", "4..6"]
+    code, out, _ = run(capsys, *argv, "-o", str(path))
+    assert (code, out) == (0, f"wrote {path}: 3 rows, all_agree=True\n")
+    code, shown, _ = run(capsys, *argv)
+    assert code == 0
+    def rows(text):  # millis masked
+        return [re.sub(r",\d+$", ",*", line) for line in text.splitlines()]
+
+    assert rows(path.read_text()) == rows(shown)
+    assert [row["n"] for row in csv.DictReader(io.StringIO(shown))] == ["4", "5", "6"]
 
 
 @pytest.mark.parametrize("r_range, extra, low", [

@@ -361,6 +361,42 @@ def test_bench_ladder_nodes_pinned(workload):
     assert [res.nodes for res in results] == BENCH_LADDER_NODES[workload]
 
 
+def shuffled(h, seed):
+    """h with its edge list and the members of each edge in a seeded
+    random order, the builder's cells and descriptor kept."""
+    rng = random.Random(seed)
+    edges = [tuple(rng.sample(e, len(e))) for e in h.edges]
+    rng.shuffle(edges)
+    return kneser._granted(h.vertices, edges, h.cells, h.params, h.stability,
+                           h.parts)
+
+
+SHUFFLE_CASES = {
+    "conflict(9,2,3)": (lambda: build_conflict_hypergraph(GroundParams(9, 2, 3)), 1101),
+    "conflict(7,3,4)": (lambda: build_conflict_hypergraph(GroundParams(7, 3, 4)), 1910),
+    "conflict(7,4,5)": (lambda: build_conflict_hypergraph(GroundParams(7, 4, 5)), 3073),
+    "KG^3(11,3)": (lambda: build_kneser_hypergraph(GroundParams(11, 3, 3)), 748),
+    "parts(10,2,3)": (lambda: build_partition_constrained(
+        GroundParams(10, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)))),
+        1655),
+    "SG(10,3)": (lambda: build_stable_subhypergraph(GroundParams(10, 3, 2), 2), 29646),
+}
+
+
+@pytest.mark.parametrize("name", SHUFFLE_CASES)
+def test_search_does_not_depend_on_edge_order(name):
+    """The engine indexes the constraint set, not the list: with the edges
+    and the members of each edge shuffled, the search walks the same tree
+    to the same colors.  The conflict hypergraphs hold triples, and (7,3,4)
+    and (7,4,5) also witnesses of 4 and 5 members."""
+    build, nodes = SHUFFLE_CASES[name]
+    h = build()
+    want = _search(h, SolveBudget(), time.monotonic())
+    got = _search(shuffled(h, name), SolveBudget(), time.monotonic())
+    assert want.status == EXACT and want.nodes == nodes
+    assert (got.status, got.nodes, got.colors) == (EXACT, nodes, want.colors)
+
+
 def test_branching_weights_are_per_solve():
     """The failure weights live in one engine: a second solve of the same
     instance searches the same tree, and relabelling the vertices changes
@@ -1030,6 +1066,12 @@ def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
     assert main(["chi", "8", "2", "4"]) == 4
     err = capsys.readouterr().err
     assert "watch entries exceed limit 1259" in err and "Traceback" not in err
+
+
+def test_chromatic_number_of_the_empty_hypergraph():
+    res = chromatic_number(Hypergraph((), ()))
+    assert (res.status, res.lower, res.upper, res.colors) == (EXACT, 0, 0, ())
+    assert res.certificate is None
 
 
 @pytest.mark.parametrize("vertices, edges", [

@@ -212,6 +212,21 @@ def test_partition_certificate_bad_member_size():
     assert any(v.kind == "bad_member" for v in rep.violations)
 
 
+def test_partition_certificate_member_over_another_ground_set():
+    """A family over [5] in a certificate over [4]: each of its members is
+    a bad member, reported with both ground sets."""
+    cert = build_tight_partition(GroundParams(4, 2, 2))
+    wide = SetFamily(5, (KSubset.from_elements((1, 2), 5),))
+    rep = verify_partition_certificate(
+        PartitionCertificate(cert.params, cert.families + (wide,))
+    )
+    bad = [v for v in rep.violations if v.kind == "bad_member"]
+    assert [(v.indices, v.reason) for v in bad] == [(
+        (len(cert.families), 0),
+        f"family {len(cert.families)} member 0 over ground set 5, expected 4",
+    )]
+
+
 def test_partition_certificate_empty_family():
     cert = build_tight_partition(GroundParams(4, 2, 3))
     rep = verify_partition_certificate(
