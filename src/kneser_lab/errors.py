@@ -38,12 +38,7 @@ class LengthMismatch(KneserLabError):
 
 
 class VerifyTimeout(KneserLabError):
-    """A verifier ran past its time budget before reaching a verdict; a
-    chain walk stopped so sets `partial` to its return triple so far."""
-
-    def __init__(self, message: str, partial: tuple | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A verifier ran past its time budget before reaching a verdict."""
 
 
 class SoundnessError(KneserLabError):

@@ -785,23 +785,22 @@ def chromatic_number(
 
     The clique lower bound is read off the pair edges (`_Engine.pair_clique`),
     which force two colors apart whatever the other edges are.  Raw colors
-    are always attached.  A Kneser-type hypergraph from the kneser builders
-    also gets a certificate named by its descriptor, re-verified from the
-    descriptor alone, so an edge list that misses edges cannot pass.  A
+    are always attached and re-checked once.  A Kneser-type hypergraph from
+    the kneser builders gets a certificate named by its descriptor, which
+    alone re-checks them, so an edge list that misses edges cannot pass.  A
     hand-built or edited hypergraph has no descriptor and no cells: it is
-    searched without orbital pruning and gets no certificate.  An edge with
-    fewer than 2 members, a repeated member or an id outside the vertices
-    raises InvalidParams.
+    searched without orbital pruning, gets no certificate, and its colors
+    are checked against its edge list.  An edge with fewer than 2 members,
+    a repeated member or an id outside the vertices raises InvalidParams.
     """
     t0 = time.monotonic()
     out = _search(h, budget, t0)
     millis = int((time.monotonic() - t0) * 1000)
 
-    rep = verify_coloring(h, out.colors)
-    if not rep.ok:
-        raise SoundnessError(f"solver emitted an improper coloring: {rep.summary()}")
     cert = None
-    if h.params is not None:
+    if h.params is None:
+        rep, what = verify_coloring(h, out.colors), "improper coloring"
+    else:
         cert = ColoringCertificate(
             ground_n=h.params.n,
             k=h.params.k,
@@ -810,9 +809,7 @@ def chromatic_number(
             parts=h.parts.parts if h.parts is not None else None,
             stability=h.stability,
         )
-        rep = verify_coloring_certificate(cert)
-        if not rep.ok:
-            raise SoundnessError(
-                f"solver emitted an invalid certificate: {rep.summary()}"
-            )
+        rep, what = verify_coloring_certificate(cert), "invalid certificate"
+    if not rep.ok:
+        raise SoundnessError(f"solver emitted an {what}: {rep.summary()}")
     return replace(out, millis=millis, certificate=cert)

@@ -21,15 +21,15 @@ gaps between cyclically adjacent points, parts off a point-to-block table.
 
 Both searches that can take exponential time, the partition witness search
 and the chain walk, read the clock once per CLOCK_STRIDE steps when given a
-deadline.  Past it, a check that has recorded a violation ends FAILED
-with what it has (stats["complete"] = False); any other raises
-VerifyTimeout.
+deadline.  Past it the walk returns what it has; a check that has recorded
+a violation ends FAILED with it (stats["complete"] = False), and any other
+raises VerifyTimeout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, inf
 from time import perf_counter
 
@@ -41,9 +41,7 @@ from .setsys import SetFamily, guard_subsets
 CLOCK_STRIDE = 4096
 
 
-def _past(deadline: float, partial: tuple | None = None) -> None:
-    if perf_counter() > deadline:
-        raise VerifyTimeout("check did not finish within its time budget", partial)
+TIMED_OUT = "check did not finish within its time budget"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +103,8 @@ def _find_min_witness(
     def search(start: int, inter: int) -> tuple[int, ...] | None:
         nonlocal examined, check_at
         if examined > check_at:
-            _past(deadline)
+            if perf_counter() > deadline:
+                raise VerifyTimeout(TIMED_OUT)
             check_at = examined + CLOCK_STRIDE
         for j in range(start, nv):
             examined += 1
@@ -138,8 +137,11 @@ def is_r_wise_intersecting(
 
     On failure the report carries the lexicographically least
     inclusion-minimal violating subfamily (indices into fam.members).
-    A family whose members share a common point passes for every r.  Past
-    deadline (a perf_counter() reading) the search raises VerifyTimeout.
+    A family passes at once if its members share a point, or if its union
+    T and least member size t have r*(|T| - t) < |T|, since any r members
+    then miss fewer than |T| points of T between them (every tail family of
+    a tight partition is one).  Past deadline (a perf_counter() reading)
+    the search raises VerifyTimeout.
     """
     if r < 2:
         raise InvalidParams(f"need r >= 2, got r={r}")
@@ -147,10 +149,12 @@ def is_r_wise_intersecting(
         raise InvalidParams("family must be nonempty")
     masks = list(fam.masks())
 
-    inter_all = -1
+    inter_all, union = -1, 0
     for m in masks:
         inter_all &= m
-    if inter_all:
+        union |= m
+    spread = union.bit_count() - min(m.bit_count() for m in masks)
+    if inter_all or r * spread < union.bit_count():
         return Report(stats={"families": 1, "tuples_examined": 1})
 
     witness, examined = _find_min_witness(masks, r, deadline)
@@ -231,22 +235,18 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
             else:
                 seen[member.bits] = (fi, mi)
 
-    # coverage: walk all k-subsets by brute force, independent of any
-    # enumeration the certificate builder may have used
-    missing = 0
-    for els in combinations(range(p.n), p.k):
-        bits = 0
-        for e in els:
-            bits |= 1 << e
-        if bits not in seen:
-            missing += 1
-            if missing <= 10:
-                pretty = "{" + ",".join(str(e + 1) for e in els) + "}"
-                violations.append(
-                    Violation(
-                        "uncovered_subset", (), f"subset {pretty} is uncovered"
-                    )
-                )
+    # coverage: seen holds distinct k-subsets of [n] only, so it covers them
+    # all iff it has C(n,k); a gap sends the check through every k-subset,
+    # by brute force, to name the first ten missing
+    expected = comb(p.n, p.k)
+    missing = expected - len(seen)
+    gaps = (els for els in combinations(range(p.n), p.k)
+            if sum(1 << e for e in els) not in seen)
+    for els in islice(gaps, 10 if missing else 0):
+        pretty = "{" + ",".join(str(e + 1) for e in els) + "}"
+        violations.append(
+            Violation("uncovered_subset", (), f"subset {pretty} is uncovered")
+        )
     if missing > 10:
         violations.append(
             Violation(
@@ -257,7 +257,7 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
     stats = {
         "families": len(cert.families),
         "members": len(seen),
-        "expected_members": comb(p.n, p.k),
+        "expected_members": expected,
         "tuples_examined": 0,
     }
     for fi, fam in enumerate(cert.families):
@@ -379,7 +379,7 @@ def _disjoint_chains(
     r: int,
     keep: int,
     deadline: float | None = None,
-) -> tuple[list[tuple[int, ...]], int, int]:
+) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """r-tuples of ids (increasing, r >= 2) whose vertices are pairwise
     disjoint; points[v] lists the points of vertex v, and inc[e] holds the
     class positions whose vertex holds point e.
@@ -389,12 +389,13 @@ def _disjoint_chains(
     keeps the candidates in apart[i] of each member it takes, the last level
     is a popcount, and tuples come out in lexicographic order.  Returns (the
     first keep tuples, how many there are, how many candidates the walk
-    tried: one bitmask AND each).  Past deadline (a perf_counter() reading)
-    it raises VerifyTimeout, whose `partial` holds that triple so far.
+    tried: one bitmask AND each, whether the walk finished).  Past deadline
+    (a perf_counter() reading) it stops and returns what it has so far with
+    the last value False.
     """
     size = len(ids)
     if size < r:
-        return [], 0, 0
+        return [], 0, 0, True
     every = (1 << size) - 1
     apart = []
     for i, v in enumerate(ids):
@@ -409,7 +410,8 @@ def _disjoint_chains(
     stack = [((), every, size)]  # (chain, candidate mask, its popcount)
     while stack:
         if tests > check_at:
-            _past(deadline, (found, total, tests))
+            if perf_counter() > deadline:
+                return found, total, tests, False
             check_at = tests + CLOCK_STRIDE
         chain, cands, left = stack.pop()
         need = r - 1 - len(chain)  # members still to add after the next one
@@ -430,7 +432,7 @@ def _disjoint_chains(
                     found.append(chain + (ids[pos], ids[low.bit_length() - 1]))
                     rest ^= low
         stack.extend(reversed(frames))
-    return found, total, tests
+    return found, total, tests, True
 
 
 def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Report:
@@ -457,10 +459,10 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
     The report records the first EDGE_RECORDS edges in lexicographic order
     (color, then vertex ids) and, past that, one record with empty indices
     counting the rest; stats["disjoint_tuples"] holds the exact total.
-    With max_seconds set, the chain search raises VerifyTimeout once that
-    many seconds have passed since the call, unless a monochromatic edge is
-    already found: then the report is FAILED with the edges so far, and
-    stats["complete"] = False marks the counts as lower bounds.  A
+    With max_seconds set, the chain walk stops once that many seconds have
+    passed since the call.  With no monochromatic edge found the check then
+    raises VerifyTimeout; with one, the report is FAILED with the edges so
+    far, and stats["complete"] = False marks the counts as lower bounds.  A
     descriptor naming no hypergraph (s < 1, or parts that do not partition
     [ground_n] into blocks of 1..r-1 points) is InvalidParams; one above
     DEFAULT_GROUND_CAP points is CapExceeded, and one above MAX_SUBSETS
@@ -518,15 +520,11 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
         if covered:
             witnessed += 1
             continue
-        try:
-            tuples, total, tests = _disjoint_chains(
-                points, inc, ids, r, EDGE_RECORDS - len(violations), deadline
-            )
-        except VerifyTimeout as exc:
-            if not (violations or exc.partial[1]):  # no edge found yet
-                raise
-            tuples, total, tests = exc.partial
-            complete = False  # the verdict is known: FAILED
+        tuples, total, tests, complete = _disjoint_chains(
+            points, inc, ids, r, EDGE_RECORDS - len(violations), deadline
+        )
+        if not (complete or violations or total):  # no edge found yet
+            raise VerifyTimeout(TIMED_OUT)
         examined += tests
         disjoint += total
         for tup in tuples:

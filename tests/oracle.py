@@ -9,7 +9,8 @@ minimal empty-intersection witnesses and shares no code with the pruned DFS
 of solve.build_conflict_hypergraph; reference_tight_partition builds the
 tight partition family by family from combinations and sorts, independently
 of the colex filing in constructions.build_tight_partition.  Each pair can
-cross-check the other.
+cross-check the other.  hilton_milner_partition is a valid partition whose
+first family makes the partition verifier's witness search run long.
 """
 
 from itertools import combinations
@@ -171,3 +172,24 @@ def reference_tight_partition(p: GroundParams) -> PartitionCertificate:
                          key=lambda f: f.bits)
         families.append(SetFamily(n, tuple(members)))
     return PartitionCertificate(p, tuple(families))
+
+
+def hilton_milner_partition(n: int, k: int) -> PartitionCertificate:
+    """The k-subsets of [n] at r = 2 as HM(n, k), then stars.
+
+    Family 0, HM(n, k), holds the k-subsets through 1 that meet {2..k+1},
+    then {2..k+1} itself: it is intersecting with no common point, and for
+    n > k + 1 it spans all of [n], so no small-union witness proves it.
+    Every other k-subset joins the star of its least point other than 1."""
+    head = tuple(range(2, k + 2))
+    hm: list[tuple[int, ...]] = []
+    stars: dict[int, list[tuple[int, ...]]] = {}
+    for els in combinations(range(1, n + 1), k):
+        if els[0] == 1 and set(head) & set(els):
+            hm.append(els)
+        elif els != head:
+            stars.setdefault(els[1] if els[0] == 1 else els[0], []).append(els)
+    families = (hm + [head], *stars.values())
+    return PartitionCertificate(GroundParams(n, k, 2), tuple(
+        SetFamily(n, tuple(KSubset.from_elements(els, n) for els in fam))
+        for fam in families))

@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneser_lab import verify
 from kneser_lab.cli import main
-from kneser_lab.constructions import blow_up, build_tight_partition
+from kneser_lab.constructions import (
+    ColoringCertificate,
+    blow_up,
+    build_tight_partition,
+)
 from kneser_lab.setsys import GroundParams
+
+from oracle import hilton_milner_partition
 
 
 def run(capsys, *argv):
@@ -133,15 +140,16 @@ def test_verify_text_states_edge_total(tmp_path, capsys):
 
 
 def test_verify_timeout_exits_3(tmp_path, capsys):
-    """The (18,9,2) tight partition is valid, and its witness search takes
-    longer than 0.5 s: with no violation recorded by then, --timeout stops
-    the search and exits 3.  All 7,920 vertices of the (12,4,3) lift in one
-    class have no cover and take about 29 s to walk, but the walk records a
-    monochromatic edge at once, so past the limit the check is FAILED.  A
-    check that finishes in time prints what it prints without the flag,
-    for a coloring and for a partition."""
+    """The 9-subsets of [18] as HM(18,9) and stars are a valid partition,
+    and the witness search over HM(18,9), about 295 M chains (estimated),
+    takes longer than 0.5 s: with no violation recorded by then, --timeout
+    stops the search and exits 3.  All 7,920 vertices of the (12,4,3) lift
+    in one class have no cover and take about 29 s to walk, but the walk
+    records a monochromatic edge at once, so past the limit the check is
+    FAILED.  A check that finishes in time prints what it prints without
+    the flag, for a coloring and for a partition."""
     valid = tmp_path / "valid.json"
-    valid.write_text(json.dumps(build_tight_partition(GroundParams(18, 9, 2)).to_dict()))
+    valid.write_text(json.dumps(hilton_milner_partition(18, 9).to_dict()))
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", "--timeout", "0.5", str(valid))
     assert time.perf_counter() - t0 < 5
@@ -167,6 +175,24 @@ def test_verify_timeout_exits_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--timeout", "0", str(hostile)])
     assert exc.value.code == 2
+
+
+def test_verify_timeout_with_no_edge_found_exits_3(tmp_path, monkeypatch, capsys):
+    """On KG^3(6,2), class 0 is the six edges of the triangles {1,2,3} and
+    {4,5,6}, and every other pair joins the star of its least point: class 0
+    has no cover and no 3 disjoint members, so a walk stopped at once has
+    no edge to report and the check exits 3."""
+    triangles = {(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)}
+    colors = [0 if (a, b) in triangles else a
+              for b in range(2, 7) for a in range(1, b)]  # colex order
+    path = tmp_path / "triangles.json"
+    cert = ColoringCertificate(ground_n=6, k=2, r=3, colors=tuple(colors))
+    path.write_text(json.dumps(cert.to_dict()))
+    assert run(capsys, "verify", str(path))[0] == 0
+    monkeypatch.setattr(verify, "CLOCK_STRIDE", 0)
+    code, out, err = run(capsys, "verify", "--timeout", "1e-9", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: check did not finish")
 
 
 def test_verify_timeout_keeps_a_known_violation(tmp_path, capsys):
@@ -471,6 +497,15 @@ def test_table_json_explicit_range(capsys):
     assert all(
         isinstance(row["millis"], int) and row["millis"] >= 0 for row in doc["rows"]
     )
+
+
+def test_table_row_left_open_exits_1(capsys):
+    """A row whose search stops at its first node keeps the bracket of the
+    clique and greedy, and does not agree with the closed form."""
+    code, out, _ = run(capsys, "table", "--r", "3", "--k", "2", "--n", "10..10",
+                       "--max-nodes", "1")
+    assert code == 1
+    assert out.splitlines()[1].startswith("10,2,3,9,TIMEOUT,5:9,9,False,")
 
 
 def test_table_bad_range_exits_2(capsys):

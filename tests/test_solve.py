@@ -40,6 +40,8 @@ from kneser_lab.solve import (
     min_partition_number,
 )
 from kneser_lab.verify import (
+    Report,
+    Violation,
     verify_coloring,
     verify_coloring_certificate,
     verify_partition_certificate,
@@ -866,6 +868,28 @@ def test_chromatic_certificate_rechecked_from_descriptor(monkeypatch):
     assert h.num_edges == 0
     with pytest.raises(SoundnessError, match="invalid certificate"):
         chromatic_number(h)
+
+
+def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
+    """A builder instance is re-checked from its descriptor alone, and a
+    hand-built one against its edge list alone: the other verifier, patched
+    to fail every result, is never called."""
+    h = build_kneser_hypergraph(GroundParams(7, 2, 2))
+    hand = Hypergraph(h.vertices, h.edges)
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        return Report((Violation("patched", (), "patched to fail"),))
+
+    monkeypatch.setattr(solve, "verify_coloring", refuse)
+    res = chromatic_number(h)
+    assert (res.status, res.upper, calls) == (EXACT, 5, [])
+    assert verify_coloring_certificate(res.certificate).ok
+    monkeypatch.undo()
+    monkeypatch.setattr(solve, "verify_coloring_certificate", refuse)
+    res = chromatic_number(hand)
+    assert (res.status, res.upper, res.certificate, calls) == (EXACT, 5, None, [])
 
 
 def test_partition_dominates_chromatic():

@@ -31,6 +31,7 @@ from kneser_lab.kneser import (
     build_stable_subhypergraph,
 )
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
+from kneser_lab import verify
 from kneser_lab.solve import chromatic_number
 from kneser_lab.verify import (
     CLOCK_STRIDE,
@@ -45,6 +46,7 @@ from kneser_lab.verify import (
 from oracle import (
     brute_force_monochromatic,
     brute_force_witnesses,
+    hilton_milner_partition,
     reference_disjoint_chains,
 )
 
@@ -98,6 +100,29 @@ def test_star_family_accepts_any_r():
         assert rep.stats["tuples_examined"] == 1
 
 
+def test_small_union_witness_is_strict():
+    """The 2-subsets of [3] span |T| = 3 points with t = 2: at r = 2,
+    2*(3 - 2) < 3 proves them without a search, and at r = 3, where
+    3*(3 - 2) = 3, the search runs and finds the triangle."""
+    fam = family(3, (1, 2), (1, 3), (2, 3))
+    rep = is_r_wise_intersecting(fam, 2)
+    assert rep.ok and rep.stats["tuples_examined"] == 1
+    rep = is_r_wise_intersecting(fam, 3)
+    assert rep.violations[0].indices == (0, 1, 2)
+    assert rep.stats["tuples_examined"] > 1
+
+
+@pytest.mark.parametrize("n,k", [(18, 9), (20, 10)])
+def test_large_tight_partitions_verify_quickly(n, k):
+    """Every tail family of a tight partition is proved by the small-union
+    witness: (18,9,2) took 34-51 s and 295,500,206 chains without it."""
+    cert = build_tight_partition(GroundParams(n, k, 2))
+    t0 = perf_counter()
+    rep = verify_partition_certificate(cert)
+    assert perf_counter() - t0 < 2
+    assert rep.ok and rep.stats["tuples_examined"] == 2
+
+
 def test_witness_is_lex_least_minimal():
     # two bad triples exist; (0,1,2) must win over anything later
     fam = family(6, (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))
@@ -114,6 +139,15 @@ def test_invalid_inputs():
         is_r_wise_intersecting(family(4, (1, 2)), 1)
     with pytest.raises(InvalidParams):
         is_r_wise_intersecting(SetFamily(4, ()), 2)
+
+
+def test_verifiers_refuse_the_other_certificate_type():
+    partition = build_tight_partition(GroundParams(5, 2, 2))
+    coloring, _ = blow_up(partition)
+    with pytest.raises(InvalidParams, match="expected a PartitionCertificate"):
+        verify_partition_certificate(coloring)
+    with pytest.raises(InvalidParams, match="expected a ColoringCertificate"):
+        verify_coloring_certificate(partition)
 
 
 @given(st.data())
@@ -512,9 +546,9 @@ def test_disjoint_chains_matches_reference(r):
         for keep in (0, 1, 20):
             got = _disjoint_chains(points, inc, ids, r, keep)
             want = reference_disjoint_chains(masks, ids, r, keep)
-            assert got == want, (masks, ids, keep)
+            assert got == (*want, True), (masks, ids, keep)
         totals.append(got[1])
-    assert _disjoint_chains([], [0], [], r, 20) == ([], 0, 0)
+    assert _disjoint_chains([], [0], [], r, 20) == ([], 0, 0, True)
     assert min(totals) == 0 and max(totals) > 20  # both kinds of class were met
 
 
@@ -580,13 +614,15 @@ def test_valid_12_4_3_lift_verifies_quickly():
 
 
 def test_searches_stop_at_their_deadline():
-    """Each search that can run long raises past a deadline and returns what
-    it returns without one when the deadline is far.  The 5-subsets of [9]
-    are pairwise intersecting with no common point, so the witness search
-    examines more than CLOCK_STRIDE chains."""
-    fam = family(9, *combinations(range(1, 10), 5))
+    """Each search that can run long stops past a deadline, the witness
+    search by raising and the chain walk by returning what it has with
+    complete False, and returns what it returns without one when the
+    deadline is far.  HM(10,5) is intersecting, spans all of [10] and has
+    no common point, so the witness search examines 8,001 chains, more than
+    CLOCK_STRIDE."""
+    fam = hilton_milner_partition(10, 5).families[0]
     rep = is_r_wise_intersecting(fam, 2)
-    assert rep.ok and rep.stats["tuples_examined"] > CLOCK_STRIDE
+    assert rep.ok and rep.stats["tuples_examined"] == 8_001 > CLOCK_STRIDE
     assert is_r_wise_intersecting(fam, 2, perf_counter() + 60) == rep
     with pytest.raises(VerifyTimeout):
         is_r_wise_intersecting(fam, 2, perf_counter())
@@ -595,7 +631,27 @@ def test_searches_stop_at_their_deadline():
     ids = list(range(200))
     inc = [1 << i for i in range(200)]  # vertex i alone holds point i
     want = _disjoint_chains(points, inc, ids, 3, 5)
-    assert want[2] > CLOCK_STRIDE
+    assert want[2] > CLOCK_STRIDE and want[3]
     assert _disjoint_chains(points, inc, ids, 3, 5, perf_counter() + 60) == want
+    found, total, tests, complete = _disjoint_chains(
+        points, inc, ids, 3, 5, perf_counter())
+    assert not complete and found == want[0] and total < want[1]
+    assert CLOCK_STRIDE < tests < want[2]
+
+
+def test_coloring_timeout_with_no_edge_found_raises(monkeypatch):
+    """A class with no cover and no r pairwise disjoint members makes the
+    chain walk run to the deadline with nothing found, so the check cannot
+    say FAILED.  On KG^3(6,2), class 0 is the six edges of the triangles
+    {1,2,3} and {4,5,6}: they span 6 = r*k points, no 2 points hit them
+    all, and no 3 of them are disjoint.  Every other pair joins the star of
+    its least point."""
+    triangles = {(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)}
+    verts = [s.elements() for s in enumerate_k_subsets(6, 2)]
+    colors = tuple(0 if v in triangles else v[0] for v in verts)
+    cert = ColoringCertificate(ground_n=6, k=2, r=3, colors=colors)
+    rep = verify_coloring_certificate(cert)
+    assert rep.ok and rep.stats["classes_witnessed"] == 3
+    monkeypatch.setattr(verify, "CLOCK_STRIDE", 0)
     with pytest.raises(VerifyTimeout):
-        _disjoint_chains(points, inc, ids, 3, 5, perf_counter())
+        verify_coloring_certificate(cert, max_seconds=1e-9)
