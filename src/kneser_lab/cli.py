@@ -111,9 +111,29 @@ def _budget(args: argparse.Namespace) -> SolveBudget:
     )
 
 
+def _dumps(doc: dict, indent: str = "") -> str:
+    """doc as JSON with one key per line, a nested dict (a result's
+    certificate) laid out the same way, and each entry of a list of lists
+    (a partition's families) on a line of its own.  Every other value is
+    one json.dumps call with no indent, which the C encoder serves: indent
+    would encode element by element in Python."""
+    inner = indent + "  "
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            text = _dumps(value, inner)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            rows = ",\n".join(inner + "  " + json.dumps(row) for row in value)
+            text = f"[\n{rows}\n{inner}]"
+        else:
+            text = json.dumps(value)
+        items.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(_dumps(doc) + "\n")
 
 
 def _emit_kv(args: argparse.Namespace, doc: dict, text: str) -> None:
@@ -166,7 +186,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             f"sizes {list(cert.family_sizes())}",
         )
     else:
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     return 0
 
 

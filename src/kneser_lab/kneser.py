@@ -5,7 +5,9 @@ the r-tuples of pairwise disjoint vertices.  Two induced variants restrict
 the vertex set: the s-stable sub-hypergraph keeps only subsets whose
 elements are pairwise at cyclic distance >= s, and the partition-constrained
 sub-hypergraph keeps only subsets meeting each block of a given partition of
-[n] in at most one element.
+[n] in at most one element.  A builder's Hypergraph lists its edges only
+when they are first read, by `_disjoint_tuples` or, for the conflict
+hypergraph of solve, by the witness lister `_minimal_witnesses`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,22 @@ class PartSpec:
         return tuple(out)
 
 
+@dataclass(frozen=True, slots=True)
+class _Rule:
+    """Which vertex sets are edges, read off the vertices' point masks: r
+    pairwise disjoint vertices (the Kneser-type rule), or, with `meet`, an
+    inclusion-minimal family of at most r vertices with empty intersection
+    (the conflict rule)."""
+
+    r: int
+    meet: bool = False
+
+    def edges(self, masks: list[int]) -> list[tuple[int, ...]]:
+        if self.meet:
+            return _minimal_witnesses(masks, self.r)
+        return _disjoint_tuples(masks, self.r)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertices plus edges as sorted vertex-id tuples: the one instance
@@ -69,9 +87,14 @@ class Hypergraph:
     solve.build_conflict_hypergraph are minimal empty-intersection
     witnesses.  Callers set only vertices and edges, and the builders
     grant the rest: params / stability / parts name the Kneser-type
-    variant for chromatic_number's certificate, and `cells` are point
-    masks whose permutations keep the edges, for orbital pruning.  A
-    hand-built or edited Hypergraph has neither: no certificate, no pruning.
+    variant for chromatic_number's certificate, `cells` are point masks
+    whose permutations keep the edges, for orbital pruning, and `rule`
+    says which vertex sets are edges.  A builder lists no edges: the first
+    read of `edges` lists them off the rule and keeps them, and the search
+    engine reads its tables off the rule where every edge has 2 or 3
+    members, so it never lists them.  A hand-built or edited Hypergraph
+    has none of these: no certificate, no pruning, and the engine indexes
+    its edge list.
     """
 
     vertices: tuple[KSubset, ...]
@@ -80,6 +103,15 @@ class Hypergraph:
     stability: int | None = field(default=None, init=False)
     parts: PartSpec | None = field(default=None, init=False)
     cells: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    rule: _Rule | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # reached only for a builder's edges before their first read
+        if name != "edges" or self.rule is None:
+            raise AttributeError(name)
+        edges = tuple(self.rule.edges([v.bits for v in self.vertices]))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def num_vertices(self) -> int:
@@ -95,11 +127,17 @@ class Hypergraph:
         return self.edges
 
 
-def _granted(vertices, edges, cells, params=None, stability=None, parts=None):
-    """A builder's Hypergraph, with the fields that no caller can set."""
-    h = Hypergraph(tuple(vertices), tuple(edges))
-    for name, value in zip(("params", "stability", "parts", "cells"),
-                           (params, stability, parts, cells)):
+def _granted(vertices, edges, cells, params=None, stability=None, parts=None,
+             rule=None):
+    """A builder's Hypergraph, with the fields that no caller can set; with
+    edges None, the rule lists them on their first read."""
+    h = object.__new__(Hypergraph)
+    fields = {"vertices": tuple(vertices), "params": params,
+              "stability": stability, "parts": parts, "cells": cells,
+              "rule": rule}
+    if edges is not None:
+        fields["edges"] = tuple(edges)
+    for name, value in fields.items():
         object.__setattr__(h, name, value)
     return h
 
@@ -177,6 +215,61 @@ def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _minimal_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
+    """Every inclusion-minimal family of at most r masks with empty
+    intersection, as increasing index tuples in lexicographic order.
+
+    A strict-shrink DFS.  Every inclusion-minimal empty-intersection
+    family, listed in index order, shrinks the running intersection at each
+    member (a member that leaves the intersection unchanged could be
+    dropped).  A chain also carries its leave-one-out intersections `loos`,
+    the intersection of the chain without each member: a member that
+    misses one of them would leave that member droppable from every
+    witness grown from it.  So a chain extends only by the later members
+    that strictly shrink its intersection and meet each of its loos, read
+    as bitmasks of ids from per-point incidence.  Every chain the DFS grows
+    is minimal so far, and each one whose intersection reaches empty is a
+    minimal witness, visited once.  Chains die after at most k shrinks for
+    masks of k points, so the depth is min(r, k+1).
+    """
+    union = 0
+    for m in masks:
+        union |= m
+    meets = _Meets(masks)
+    misses = _Meets([union & ~m for m in masks])  # ids missing a point
+    out: list[tuple[int, ...]] = []
+
+    def grow(chain: tuple[int, ...], cand: int, inter: int, loos: list[int]) -> None:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            mj = masks[j]
+            nxt = inter & mj
+            if nxt == 0:
+                out.append(chain + (j,))
+                if len(out) > MAX_EDGES:
+                    raise InstanceTooLarge(
+                        f"witness count exceeds limit {MAX_EDGES}"
+                    )
+            elif len(chain) + 1 < r:
+                later = cand & misses[nxt] & meets[inter]
+                for lo in loos:
+                    if not later:
+                        break
+                    later &= meets[lo & mj]
+                if later:
+                    grow(chain + (j,), later, nxt, [lo & mj for lo in loos] + [inter])
+
+    try:
+        grow((), (1 << len(masks)) - 1, -1, [])
+    finally:
+        # grow reaches itself through its closure; without this the cycle
+        # keeps every witness alive until the next full garbage collection
+        del grow
+    return out
+
+
 def _induced_hypergraph(
     p: GroundParams,
     keep=None,
@@ -190,8 +283,7 @@ def _induced_hypergraph(
     vertices = enumerate_k_subsets(p.n, p.k)
     if keep is not None:
         vertices = [v for v in vertices if keep(v)]
-    edges = _disjoint_tuples([v.bits for v in vertices], p.r)
-    return _granted(vertices, edges, cells, p, stability, parts)
+    return _granted(vertices, None, cells, p, stability, parts, _Rule(p.r))
 
 
 def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:

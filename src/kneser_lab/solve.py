@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph, _granted, _incidence, _Meets
+from .kneser import Hypergraph, _granted, _incidence, _Meets, _Rule
 from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
@@ -124,59 +124,12 @@ def build_conflict_hypergraph(p: GroundParams) -> Hypergraph:
     """The k-subsets of [n] in colex order, with every inclusion-minimal
     empty-intersection subfamily of size <= r as an edge, [n] as its cell
     and no descriptor.  A coloring has no monochromatic edge iff each
-    class is r-wise intersecting.
-
-    The edges come from a strict-shrink DFS.  Every inclusion-minimal
-    empty-intersection subfamily, listed in vertex order, shrinks the
-    running intersection at each member (a member that leaves the
-    intersection unchanged could be dropped).  A chain also carries its
-    leave-one-out intersections `loos`, the intersection of the chain
-    without each member: a member that misses one of them would leave
-    that member droppable from every witness grown from it.  So a chain
-    extends only by the later members that strictly shrink its
-    intersection and meet each of its loos, read as bitmasks of vertex
-    ids from per-point incidence.  Every chain the DFS grows is minimal
-    so far, and each one whose intersection reaches empty is a minimal
-    witness, visited once.  Chains die after at most k shrinks, so the
-    depth is min(r, k+1).
+    class is r-wise intersecting.  The edges are listed on their first
+    read, by the strict-shrink DFS of kneser._minimal_witnesses.
     """
     guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
     vertices = enumerate_k_subsets(p.n, p.k)
-    masks = [v.bits for v in vertices]
-    meets = _Meets(masks)
-    misses = _Meets([((1 << p.n) - 1) & ~m for m in masks])  # ids missing a point
-    r = p.r
-    out: list[tuple[int, ...]] = []
-
-    def grow(chain: tuple[int, ...], cand: int, inter: int, loos: list[int]) -> None:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = low.bit_length() - 1
-            mj = masks[j]
-            nxt = inter & mj
-            if nxt == 0:
-                out.append(chain + (j,))
-                if len(out) > MAX_EDGES:
-                    raise InstanceTooLarge(
-                        f"witness count exceeds limit {MAX_EDGES}"
-                    )
-            elif len(chain) + 1 < r:
-                later = cand & misses[nxt] & meets[inter]
-                for lo in loos:
-                    if not later:
-                        break
-                    later &= meets[lo & mj]
-                if later:
-                    grow(chain + (j,), later, nxt, [lo & mj for lo in loos] + [inter])
-
-    try:
-        grow((), (1 << len(masks)) - 1, -1, [])
-    finally:
-        # grow reaches itself through its closure; without this the cycle
-        # keeps every witness alive until the next full garbage collection
-        del grow
-    return _granted(vertices, out, ((1 << p.n) - 1,))
+    return _granted(vertices, None, ((1 << p.n) - 1,), rule=_Rule(p.r, meet=True))
 
 
 class _Timeout(Exception):
@@ -202,6 +155,141 @@ def _plus_one(planes: list[int], bits: int) -> list[int]:
     except IndexError:
         out.append(bits)
     return out
+
+
+def _edge_tables(nv: int, constraints) -> tuple:
+    """The engine's tables (adj, partners, third, w1, w2, watch) indexed
+    from a constraint list in one pass; see _Engine, "Propagation"."""
+    bits = [1 << i for i in range(nv)]
+    adj = [0] * nv
+    # one pass, each arity unpacked by hand.  A triple a < b < c ORs
+    # each member into the entry of the other two, third[a][b],
+    # third[a][c] and third[b][c], so each row holds only its higher
+    # partners until the pass below mirrors it.  An in-order member
+    # list passes one chained comparison, which also rejects a
+    # repeated, negative (bits[-1] would wrap) or too large id; any
+    # other order is sorted and compared again.
+    third: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nv)]
+    watch: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(nv)]
+    entries = 0
+    try:
+        for t in constraints:
+            size = len(t)
+            if size == 3:
+                a, b, c = t
+                if not 0 <= a < b < c < nv:
+                    a, b, c = sorted(t)
+                    if not 0 <= a < b < c < nv:
+                        raise ValueError
+                third[a][b] |= bits[c]
+                third[a][c] |= bits[b]
+                third[b][c] |= bits[a]
+            elif size == 2:
+                a, b = t
+                if not 0 <= a < b < nv:
+                    b, a = t
+                    if not 0 <= a < b < nv:
+                        raise ValueError
+                adj[a] |= bits[b]
+                adj[b] |= bits[a]
+            elif size > 3:
+                members = sorted(t)
+                if members[0] < 0 or members[-1] >= nv:
+                    raise ValueError
+                mask = 0
+                for u in members:
+                    mask |= bits[u]
+                if mask.bit_count() != size:
+                    raise ValueError
+                entries += 3 * size
+                if entries > MAX_EDGES:
+                    raise InstanceTooLarge(
+                        f"watch entries exceed limit {MAX_EDGES}"
+                    )
+                # R - v is watched under the pairs of its three lowest
+                # members, in watch[v][a*nv + b] for a pair a < b
+                a, b, d, e = members[:4]
+                ab, ad, ae = a * nv + b, a * nv + d, a * nv + e
+                bd, be, de = b * nv + d, b * nv + e, d * nv + e
+                by_low = ((bd, be, de), (ad, ae, de), (ab, ae, be))
+                for i, v in enumerate(members):
+                    x, y, z = by_low[i] if i < 3 else (ab, ad, bd)
+                    rest = mask ^ bits[v]
+                    wv = watch[v]
+                    wv[x].append(rest)
+                    wv[y].append(rest)
+                    wv[z].append(rest)
+            else:
+                raise InvalidParams(f"constraint {t} has fewer than 2 members")
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InvalidParams(
+            f"constraint {t} needs distinct ids of the {nv} vertices"
+        ) from exc
+    partners = [0] * nv
+    # from the top row down: each row is read before any lower partner
+    # is mirrored into it, so each entry is mirrored once
+    for a in range(nv - 1, -1, -1):
+        for b, mask in third[a].items():
+            third[b][a] = mask
+            partners[a] |= bits[b]
+            partners[b] |= bits[a]
+    w1 = [0] * nv
+    w2: list[dict[int, int]] = [{} for _ in range(nv)]
+    for v, wv in enumerate(watch):
+        w2v = w2[v]
+        for ab in wv:
+            a, b = divmod(ab, nv)
+            w1[v] |= bits[a]
+            w2v[a] = w2v.get(a, 0) | bits[b]
+    return adj, partners, third, w1, w2, watch
+
+
+def _rule_tables(rule, points: tuple[int, ...]) -> tuple | None:
+    """The engine's tables read off a builder's rule and the point masks,
+    equal to the ones _edge_tables folds from the listed edges; None when
+    the rule gives constraints of 4 or more members.
+
+    With D(x) the vertices disjoint from mask x and M(x) those meeting it,
+    the disjoint rule gives adj[v] = D(v) at r = 2, and third[v][u] =
+    D(v) & D(u) for disjoint u, v at r = 3.  The meet rule gives adj[v] =
+    D(v), and third[v][u] = D(v & u) & M(v) & M(u) for meeting u != v: the
+    w that meet both but none of their common points, which are exactly
+    the minimal empty-intersection triples.  Its witnesses have at most
+    min(r, k + 1) members.  Only nonzero third entries are kept, and like
+    the watch entries they count against MAX_EDGES.
+    """
+    nv = len(points)
+    arity = min(rule.r, points[0].bit_count() + 1) if rule.meet and nv else rule.r
+    if arity > 3:
+        return None
+    meets = _Meets(points)
+    full = (1 << nv) - 1
+    near = [meets[x] for x in points]
+    apart = [full & ~m for m in near]
+    adj = apart if rule.meet or arity == 2 else [0] * nv
+    partners = [0] * nv
+    third: list[dict[int, int]] = [{} for _ in range(nv)]
+    entries = 0
+    for v in range(nv if arity == 3 else 0):
+        # each pair {v, u} with u above v, mirrored into u's row
+        cand = (near[v] if rule.meet else apart[v]) & ~((2 << v) - 1)
+        row = third[v]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            if rule.meet:
+                w = near[v] & near[u] & ~meets[points[v] & points[u]]
+            else:
+                w = apart[v] & apart[u]
+            if w:
+                row[u] = third[u][v] = w
+                partners[v] |= low
+                partners[u] |= 1 << v
+                entries += 2
+        if entries > MAX_EDGES:
+            raise InstanceTooLarge(f"table entries exceed limit {MAX_EDGES}")
+    return adj, partners, third, [0] * nv, (), ()
 
 
 class _Engine:
@@ -235,8 +323,11 @@ class _Engine:
     most m forbidden colors, so a count of m is one with every plane set
     where m has a one bit.
 
-    Propagation works per arity, off tables the constructor builds in
-    one pass over the constraints.  A pair ORs v's adjacency mask into
+    Propagation works per arity, off tables that `_edge_tables` indexes
+    in one pass over the constraints or, for a builder's instance whose
+    constraints all have 2 or 3 members, `_rule_tables` reads off its rule
+    and the point masks without listing a constraint; both give the same
+    tables, so the same tree.  A pair ORs v's adjacency mask into
     forb[c].  A triple walks only the partners u of v already colored c
     and ORs in third[v][u], the mask of every w that makes {v, u, w} a
     constraint, so its cost scales with those partners rather than with
@@ -250,9 +341,11 @@ class _Engine:
     (u, w), forbidding the one member a rest has left outside c.  Every
     rest that can fire is scanned, so forb[c] is what a scan of all of
     v's rests gives.  The tables hold 3 entries per member of each larger
-    constraint, bounded by MAX_EDGES.  The wipeout check looks only at the
-    vertices newly added to forb[c], and reads their counts off the
-    planes.
+    constraint and one third entry per ordered pair of members of a
+    triple; MAX_EDGES bounds the former, and the latter where they are
+    read off a rule, since no listed edge bounds them there.  The wipeout
+    check looks only at the vertices newly added to forb[c], and reads
+    their counts off the planes.
 
     Pair clashes.  An assignment also fails when one of those new vertices
     is left one allowed color d (a count of m - 1) and has a pair
@@ -295,92 +388,14 @@ class _Engine:
         constraints: tuple[tuple[int, ...], ...],
         points: tuple[int, ...] = (),
         cells: tuple[int, ...] = (),
+        tables: tuple | None = None,
     ):
         self.nv = nv
-        bits = [1 << i for i in range(nv)]
-        adj = [0] * nv
-        # one pass, each arity unpacked by hand.  A triple a < b < c ORs
-        # each member into the entry of the other two, third[a][b],
-        # third[a][c] and third[b][c], so each row holds only its higher
-        # partners until the pass below mirrors it.  An in-order member
-        # list passes one chained comparison, which also rejects a
-        # repeated, negative (bits[-1] would wrap) or too large id; any
-        # other order is sorted and compared again.
-        third: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nv)]
-        watch: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(nv)]
-        entries = 0
-        try:
-            for t in constraints:
-                size = len(t)
-                if size == 3:
-                    a, b, c = t
-                    if not 0 <= a < b < c < nv:
-                        a, b, c = sorted(t)
-                        if not 0 <= a < b < c < nv:
-                            raise ValueError
-                    third[a][b] |= bits[c]
-                    third[a][c] |= bits[b]
-                    third[b][c] |= bits[a]
-                elif size == 2:
-                    a, b = t
-                    if not 0 <= a < b < nv:
-                        b, a = t
-                        if not 0 <= a < b < nv:
-                            raise ValueError
-                    adj[a] |= bits[b]
-                    adj[b] |= bits[a]
-                elif size > 3:
-                    members = sorted(t)
-                    if members[0] < 0 or members[-1] >= nv:
-                        raise ValueError
-                    mask = 0
-                    for u in members:
-                        mask |= bits[u]
-                    if mask.bit_count() != size:
-                        raise ValueError
-                    entries += 3 * size
-                    if entries > MAX_EDGES:
-                        raise InstanceTooLarge(
-                            f"watch entries exceed limit {MAX_EDGES}"
-                        )
-                    # R - v is watched under the pairs of its three lowest
-                    # members, in watch[v][a*nv + b] for a pair a < b
-                    a, b, d, e = members[:4]
-                    ab, ad, ae = a * nv + b, a * nv + d, a * nv + e
-                    bd, be, de = b * nv + d, b * nv + e, d * nv + e
-                    by_low = ((bd, be, de), (ad, ae, de), (ab, ae, be))
-                    for i, v in enumerate(members):
-                        x, y, z = by_low[i] if i < 3 else (ab, ad, bd)
-                        rest = mask ^ bits[v]
-                        wv = watch[v]
-                        wv[x].append(rest)
-                        wv[y].append(rest)
-                        wv[z].append(rest)
-                else:
-                    raise InvalidParams(f"constraint {t} has fewer than 2 members")
-        except (IndexError, TypeError, ValueError) as exc:
-            raise InvalidParams(
-                f"constraint {t} needs distinct ids of the {nv} vertices"
-            ) from exc
-        partners = [0] * nv
-        # from the top row down: each row is read before any lower partner
-        # is mirrored into it, so each entry is mirrored once
-        for a in range(nv - 1, -1, -1):
-            for b, mask in third[a].items():
-                third[b][a] = mask
-                partners[a] |= bits[b]
-                partners[b] |= bits[a]
-        w1 = [0] * nv
-        w2: list[dict[int, int]] = [{} for _ in range(nv)]
-        for v, wv in enumerate(watch):
-            w2v = w2[v]
-            for ab in wv:
-                a, b = divmod(ab, nv)
-                w1[v] |= bits[a]
-                w2v[a] = w2v.get(a, 0) | bits[b]
-        self.adj, self.partners, self.third = adj, partners, third
-        self.has_pairs = any(adj)
-        self.w1, self.w2, self.watch = w1, w2, watch
+        if tables is None:
+            tables = _edge_tables(nv, constraints)
+        self.adj, self.partners, self.third, self.w1, self.w2, self.watch = tables
+        self.has_pairs = any(self.adj)
+        self.constrained = self.has_pairs or any(self.partners) or any(self.w1)
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
         self.incidence = _incidence(points) if self.cells else []
@@ -685,7 +700,9 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     the budget leaves open is TIMEOUT.
 
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
-    only when the builder granted cells.
+    only when the builder granted cells, and reads its tables off
+    `h.rule` where the rule gives them, so `h.edges` is never listed
+    there; whether any constraint exists is the engine's to say.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
@@ -700,9 +717,10 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     at 0 for the caller to fill in.
     """
     nv = len(h.vertices)
-    points = tuple(v.bits for v in h.vertices) if h.cells else ()
+    points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
+    tables = _rule_tables(h.rule, points) if h.rule else None
     # built before the empty case returns, so that it checks every edge
-    engine = _Engine(nv, h.edges, points, h.cells)
+    engine = _Engine(nv, h.edges if tables is None else (), points, h.cells, tables)
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
@@ -713,7 +731,7 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     clique = engine.pair_clique()
     best = engine.first_fit()
     ub = max(best) + 1
-    lb = max(2 if h.edges else 1, len(clique))
+    lb = max(2 if engine.constrained else 1, len(clique))
 
     initial_lb = lb
     # _dfs recurses once per branching vertex; Python-to-Python calls take
@@ -787,7 +805,8 @@ def chromatic_number(
     which force two colors apart whatever the other edges are.  Raw colors
     are always attached and re-checked once.  A Kneser-type hypergraph from
     the kneser builders gets a certificate named by its descriptor, which
-    alone re-checks them, so an edge list that misses edges cannot pass.  A
+    alone re-checks them, so engine tables that miss constraints cannot
+    pass.  A
     hand-built or edited hypergraph has no descriptor and no cells: it is
     searched without orbital pruning, gets no certificate, and its colors
     are checked against its edge list.  An edge with fewer than 2 members,

@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -110,6 +113,28 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert out.startswith("ok")
+
+
+def test_certificate_files_hold_one_family_per_line(tmp_path, capsys):
+    """A certificate file has one top-level key per line and each family,
+    or the whole color list, on one line, and it verifies."""
+    path = tmp_path / "partition.json"
+    assert run(capsys, "construct", "8", "3", "3", "-o", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    doc = json.loads(path.read_text())
+    rows = lines[lines.index('  "families": [') + 1:-2]
+    assert [json.loads(row.rstrip(",")) for row in rows] == doc["families"]
+    assert len(lines) == 8 + len(doc["families"]) and len(rows) == 5
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("ok")
+
+    lift = tmp_path / "coloring.json"
+    assert run(capsys, "blowup", str(path), "-o", str(lift))[0] == 0
+    lines = lift.read_text().splitlines()
+    doc = json.loads(lift.read_text())
+    assert '  "colors": ' + json.dumps(doc["colors"]) in lines
+    assert len(lines) == 9 + len(doc["parts"])  # a line per block, too
+    assert run(capsys, "verify", str(lift))[0] == 0
 
 
 def test_verify_catches_tampering(tmp_path, capsys):
@@ -361,6 +386,23 @@ def test_chi_timeout_counts_the_build(monkeypatch, capsys):
     assert code == 3 and out.startswith("TIMEOUT"), out
     assert re.search(r" nodes=1 ", out), out
     assert int(re.search(r"millis=(\d+)", out).group(1)) >= 1100
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_chi_kg3_set_up_fits_the_budget(n):
+    """KG^3(17,3) and KG^3(20,3) have 6.8 M and 47 M edges.  chi lists none
+    of them, so a fresh process builds its tables within a 1 s budget and
+    the search stops at the deadline with its bracket, exit 3."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.monotonic()
+    out = subprocess.run(
+        [sys.executable, "-m", "kneser_lab.cli", "chi", str(n), "3", "3",
+         "--timeout", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    wall = time.monotonic() - t0
+    assert out.returncode == 3 and out.stdout.startswith("TIMEOUT"), out
+    assert "Traceback" not in out.stderr and wall < 4, wall
 
 
 def test_closed_bracket_exits_0_whatever_the_budget(capsys):

@@ -169,7 +169,9 @@ def test_size_guards(monkeypatch):
     for r in (2, 3):  # C(20,10) = 184,756 vertices
         with pytest.raises(InstanceTooLarge, match="vertices exceeds limit 100000"):
             build_kneser_hypergraph(GroundParams(20, 10, r))
+    # the builder lists no edges; MAX_EDGES bounds them when they are read
     monkeypatch.setattr(kneser, "MAX_EDGES", 3)
-    with pytest.raises(InstanceTooLarge):
-        build_kneser_hypergraph(GroundParams(6, 2, 2))
+    h = build_kneser_hypergraph(GroundParams(6, 2, 2))
+    with pytest.raises(InstanceTooLarge, match="edge count exceeds configured limit 3"):
+        h.edges
 

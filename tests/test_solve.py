@@ -138,9 +138,11 @@ def test_conflict_edges_are_every_minimal_witness(n, k, r):
 def test_conflict_size_caps(monkeypatch):
     with pytest.raises(InstanceTooLarge, match="vertices exceeds limit 100000"):
         build_conflict_hypergraph(GroundParams(20, 10, 3))  # 184,756 vertices
-    monkeypatch.setattr(solve, "MAX_EDGES", 10)
-    with pytest.raises(InstanceTooLarge):
-        build_conflict_hypergraph(GroundParams(6, 2, 3))
+    # the builder lists no witnesses; MAX_EDGES bounds them when they are read
+    monkeypatch.setattr(kneser, "MAX_EDGES", 10)
+    h = build_conflict_hypergraph(GroundParams(6, 2, 3))
+    with pytest.raises(InstanceTooLarge, match="witness count exceeds limit 10"):
+        h.edges
 
 
 def test_builders_leave_no_cyclic_garbage():
@@ -759,7 +761,7 @@ def test_hand_built_hypergraph_gets_no_cells():
     for i, (h, value, nodes) in enumerate(cases):
         res = chromatic_number(h)
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
-    for name in ("params", "stability", "parts", "cells"):
+    for name in ("params", "stability", "parts", "cells", "rule"):
         with pytest.raises(TypeError):
             Hypergraph(kg.vertices, kg.edges, **{name: getattr(kg, name)})
 
@@ -773,7 +775,7 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     assert kg.cells == ((1 << 8) - 1,) and kg.params == GroundParams(8, 2, 2)
     same = dataclasses.replace(kg)
-    assert same.cells == () and same.params is None
+    assert same.cells == () and same.params is None and same.rule is None
     assert chromatic_number(same).nodes == 56
     edited = dataclasses.replace(kg, edges=kg.edges[::2])
     assert edited.params is None and edited.cells == ()
@@ -861,13 +863,19 @@ def test_soundness_guards_survive_optimize():
 
 
 def test_chromatic_certificate_rechecked_from_descriptor(monkeypatch):
-    """A builder that drops edges cannot make an improper coloring pass:
-    the certificate is re-verified from its descriptor alone."""
-    monkeypatch.setattr(kneser, "_disjoint_tuples", lambda *args: [])
-    h = build_kneser_hypergraph(GroundParams(5, 2, 2))
-    assert h.num_edges == 0
+    """Engine tables that drop constraints cannot make an improper coloring
+    pass: the certificate is re-verified from its descriptor alone.  KG(5,2)
+    with its rule tables patched to hold no pair is one-colorable to the
+    engine."""
+    derive = solve._rule_tables
+
+    def no_pairs(rule, points):
+        adj, *rest = derive(rule, points)
+        return ([0] * len(adj), *rest)
+
+    monkeypatch.setattr(solve, "_rule_tables", no_pairs)
     with pytest.raises(SoundnessError, match="invalid certificate"):
-        chromatic_number(h)
+        chromatic_number(build_kneser_hypergraph(GroundParams(5, 2, 2)))
 
 
 def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
@@ -1090,6 +1098,98 @@ def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
     assert main(["chi", "8", "2", "4"]) == 4
     err = capsys.readouterr().err
     assert "watch entries exceed limit 1259" in err and "Traceback" not in err
+
+
+def test_rule_tables_bounded_by_max_edges(monkeypatch, capsys):
+    """Tables read off a rule hold one third entry per ordered pair of
+    vertices in a common triple, 6 per triple of KG^3(6,2); past MAX_EDGES
+    the engine refuses the instance as it refuses too many watch entries,
+    and the CLI exits 4."""
+    from kneser_lab.cli import main
+
+    need = 6 * build_kneser_hypergraph(GroundParams(6, 2, 3)).num_edges
+    assert need == 90
+    monkeypatch.setattr(solve, "MAX_EDGES", need)
+    assert chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3))).upper == 2
+    monkeypatch.setattr(solve, "MAX_EDGES", need - 1)
+    with pytest.raises(InstanceTooLarge, match="table entries exceed limit 89"):
+        chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3)))
+    assert main(["chi", "6", "2", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "table entries exceed limit 89" in err and "Traceback" not in err
+
+
+def rule_sweep():
+    """Builder instances with at most 130 vertices and n <= 9: conflict
+    instances for r = 2..6, and for r <= 3 KG^r, its s-stable variants for
+    s in {2, 3} and block-constrained KG^r with blocks of r - 1 points."""
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            if comb(n, k) > 130:
+                continue
+            for r in range(2, 7):
+                p = GroundParams(n, k, r)
+                yield p, build_conflict_hypergraph(p)
+                if r > 3:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    yield p, build_kneser_hypergraph(p)
+                for s in (2, 3):
+                    yield (p, s), build_stable_subhypergraph(p, s)
+                blocks = PartSpec(consecutive_blocks(n, r - 1))
+                yield (p, blocks), build_partition_constrained(p, blocks)
+
+
+def test_rule_tables_equal_the_edge_tables():
+    """The engine's tables read off a builder's rule are the ones its
+    listed edges fold into: adj, partners and third (as dicts) agree, so
+    every search tree is the edge path's.  The rule gives no tables exactly
+    where the edges can have 4 or more members, conflict instances with
+    r >= 4 and k >= 3, which keep the edge path."""
+    derived = 0
+    for name, h in rule_sweep():
+        points = tuple(v.bits for v in h.vertices)
+        got = solve._rule_tables(h.rule, points)
+        if got is None:
+            assert h.rule.meet and h.rule.r >= 4 and points[0].bit_count() >= 3, name
+            continue
+        assert all(len(edge) <= 3 for edge in h.edges), name
+        want = solve._edge_tables(len(points), h.edges)
+        assert got[:2] == want[:2], name
+        assert [dict(row) for row in got[2]] == [dict(row) for row in want[2]], name
+        derived += 1
+    assert derived == 501
+
+
+def test_rule_instances_list_no_edges(monkeypatch):
+    """Neither lister runs while chromatic_number searches a Kneser-type
+    builder instance or min_partition_number one whose witnesses have at
+    most 3 members; reading `edges` lists them once, and a conflict
+    instance with witnesses of 4 members lists them for its engine."""
+    calls = []
+    for name in ("_disjoint_tuples", "_minimal_witnesses"):
+        def spy(*args, name=name, lister=getattr(kneser, name)):
+            calls.append(name)
+            return lister(*args)
+
+        monkeypatch.setattr(kneser, name, spy)
+    blocks = PartSpec(consecutive_blocks(10, 2))
+    results = [
+        min_partition_number(GroundParams(9, 2, 3)),
+        min_partition_number(GroundParams(8, 3, 3)),
+        chromatic_number(build_kneser_hypergraph(GroundParams(11, 3, 3))),
+        chromatic_number(build_partition_constrained(GroundParams(10, 2, 3), blocks)),
+        chromatic_number(build_kneser_hypergraph(GroundParams(10, 2, 2))),
+        chromatic_number(build_stable_subhypergraph(GroundParams(10, 3, 2), 2)),
+    ]
+    assert [res.nodes for res in results] == [1101, 424, 748, 1655, 265, 29646]
+    assert calls == []
+    h = build_kneser_hypergraph(GroundParams(8, 2, 2))
+    assert h.num_edges == 210 and h.edges is h.edges
+    assert calls == ["_disjoint_tuples"]
+    assert min_partition_number(GroundParams(7, 3, 4)).nodes == 1910
+    assert calls == ["_disjoint_tuples", "_minimal_witnesses"]
 
 
 def test_chromatic_number_of_the_empty_hypergraph():
