@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import factorial
 
 from .errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
 from .setsys import (
@@ -170,6 +171,19 @@ class _Meets(dict):
         return ids
 
 
+class _Apart(_Meets):
+    """Point mask -> bitmask of the ids whose masks miss it: the complement
+    of what `_Meets` gives, memoised the same way."""
+
+    def __init__(self, masks) -> None:
+        super().__init__(masks)
+        self.full = (1 << len(masks)) - 1
+
+    def __missing__(self, pm: int) -> int:
+        ids = self[pm] = self.full & ~super().__missing__(pm)
+        return ids
+
+
 def _disjoint_tuples(masks: list[int], r: int) -> list[tuple[int, ...]]:
     """All r-tuples of pairwise disjoint masks, as increasing index tuples.
 
@@ -286,14 +300,29 @@ def _induced_hypergraph(
     return _granted(vertices, None, cells, p, stability, parts, _Rule(p.r))
 
 
+def _edge_count(p: GroundParams) -> int:
+    """Edges of KG^r(k, n): ordered choices of r disjoint k-subsets,
+    n! / (k!^r (n - rk)!), over the r! orders of each."""
+    if p.n < p.r * p.k:
+        return 0
+    return factorial(p.n) // (
+        factorial(p.k) ** p.r * factorial(p.r) * factorial(p.n - p.r * p.k))
+
+
 def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
     """The Kneser hypergraph KG^r(k, n).
 
     For n < r*k no r pairwise disjoint k-subsets exist; the builder then
     returns the vertex-only instance with a warning instead of erroring.
     Every permutation of [n] maps disjoint r-tuples to disjoint r-tuples,
-    so [n] is its cell.
+    so [n] is its cell.  At r >= 4, where the search engine reads every
+    edge off the listed edges, an instance of more than MAX_EDGES edges is
+    refused from the closed-form count, before a vertex is enumerated.
     """
+    if p.r >= 4 and (count := _edge_count(p)) > MAX_EDGES:
+        raise InstanceTooLarge(
+            f"KG^{p.r}({p.n},{p.k}) has {count} edges, over the limit {MAX_EDGES}"
+        )
     h = _induced_hypergraph(p, cells=((1 << p.n) - 1,))
     if p.n < p.r * p.k:
         warnings.warn(

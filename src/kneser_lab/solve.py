@@ -5,30 +5,33 @@ the conflict hypergraph, whose edges are the empty-intersection witnesses;
 the two entry points share one search core and differ only in their
 certificates.  The engine below keeps two bitmasks per color, the vertices
 holding it and the uncolored vertices it would complete a constraint on,
-so an assignment touches one color's masks and undo restores them.  It
-branches on the vertex with the fewest remaining candidate colors, the
-saturation degree of DSATUR (Brélaz, "New methods to color the vertices
-of a graph", CACM 1979), which it keeps up to date per assignment rather
-than recounting it at every node.  An assignment also fails when two
-uncolored vertices of a pair constraint are left the same one allowed
-color, the failure test of arc consistency on the pair constraints (Sabin
-and Freuder, "Contradicting conventional wisdom in constraint
-satisfaction", 1994), so a forced chain stops where it clashes rather than
-where branching reaches the clash.  It breaks ties by how often assigning
+so an assignment touches one color's masks and undo restores them; the
+uncolored vertices and their counts of forbidden colors are values that
+each search node hands down, so they need no undo.  It branches on the
+vertex with the fewest remaining candidate colors, the saturation degree
+of DSATUR (Brélaz, "New methods to color the vertices of a graph", CACM
+1979), which it keeps up to date per assignment rather than recounting it
+at every node.  An assignment also fails when two uncolored vertices of a
+pair constraint are left the same one allowed color, the failure test of
+arc consistency on the pair constraints (Sabin and Freuder,
+"Contradicting conventional wisdom in constraint satisfaction", 1994), so
+a forced chain stops where it clashes rather than where branching
+reaches the clash.  It breaks ties by how often assigning
 a vertex has failed, by a wipeout or a clash, so far in the solve (the
 variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
 Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
-optimality by iterative deepening on the class count.  A constraint of
-four or more members is indexed under pairs of its members, so an
-assignment looks only at those whose watched pair is all one color: the
-watched literals of Chaff (Moskewicz, Madigan, Zhao, Zhang and Malik,
-"Chaff: engineering an efficient SAT solver", DAC 2001) and Minion
-(Gent, Jefferson and Miguel, "Watched literals for constraint
+optimality by iterative deepening on the class count.  Where a builder's
+constraints have 2 or 3 members, the vertices a coloring forbids are read
+off the vertices' point masks, so no constraint is listed.  A listed
+constraint of four or more members is indexed under pairs of its
+members, so an assignment looks only at those whose watched pair is all
+one color: the watched literals of Chaff (Moskewicz, Madigan, Zhao, Zhang
+and Malik, "Chaff: engineering an efficient SAT solver", DAC 2001) and
+Minion (Gent, Jefferson and Miguel, "Watched literals for constraint
 propagation in Minion", CP 2006), with watches that never move, since a
-color class only grows along a search path.  Closed-form values
-are never consulted, so agreement with the formulas is evidence, not
-circularity.
+color class only grows along a search path.  Closed-form values are never
+consulted, so agreement with the formulas is evidence, not circularity.
 
 Point symmetry is broken by orbital branching (Margot 2002; Ostrowski,
 Linderoth, Rossi and Smriglio 2011) over a subgroup that needs no group
@@ -50,10 +53,11 @@ from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
 from .errors import InstanceTooLarge, InvalidParams, SoundnessError
-from .kneser import Hypergraph, _granted, _incidence, _Meets, _Rule
+from .kneser import Hypergraph, _Apart, _granted, _incidence, _Rule
 from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
+    is_r_wise_intersecting,
     verify_coloring,
     verify_coloring_certificate,
     verify_partition_certificate,
@@ -158,8 +162,9 @@ def _plus_one(planes: list[int], bits: int) -> list[int]:
 
 
 def _edge_tables(nv: int, constraints) -> tuple:
-    """The engine's tables (adj, partners, third, w1, w2, watch) indexed
-    from a constraint list in one pass; see _Engine, "Propagation"."""
+    """The engine's tables (adj, partners, third, w1, w2, watch, and the
+    triple step "rows") indexed from a constraint list in one pass; see
+    _Engine, "Propagation"."""
     bits = [1 << i for i in range(nv)]
     adj = [0] * nv
     # one pass, each arity unpacked by hand.  A triple a < b < c ORs
@@ -241,69 +246,48 @@ def _edge_tables(nv: int, constraints) -> tuple:
             a, b = divmod(ab, nv)
             w1[v] |= bits[a]
             w2v[a] = w2v.get(a, 0) | bits[b]
-    return adj, partners, third, w1, w2, watch
+    return adj, partners, third, w1, w2, watch, "rows"
 
 
 def _rule_tables(rule, points: tuple[int, ...]) -> tuple | None:
-    """The engine's tables read off a builder's rule and the point masks,
-    equal to the ones _edge_tables folds from the listed edges; None when
-    the rule gives constraints of 4 or more members.
-
-    With D(x) the vertices disjoint from mask x and M(x) those meeting it,
-    the disjoint rule gives adj[v] = D(v) at r = 2, and third[v][u] =
-    D(v) & D(u) for disjoint u, v at r = 3.  The meet rule gives adj[v] =
-    D(v), and third[v][u] = D(v & u) & M(v) & M(u) for meeting u != v: the
-    w that meet both but none of their common points, which are exactly
-    the minimal empty-intersection triples.  Its witnesses have at most
-    min(r, k + 1) members.  Only nonzero third entries are kept, and like
-    the watch entries they count against MAX_EDGES.
+    """The engine's tables for a builder's rule, read off the point masks
+    with no constraint listed, forbidding what _edge_tables' would; None
+    where the rule gives constraints of 4 or more members.  With D(x) the
+    vertices disjoint from mask x (memoised in `_Apart`), the pairs are
+    adj[v] = D(v), the disjoint rule's at r = 2 and the meet rule's always;
+    triples are read at assignment time (see _Engine, "Propagation"), off
+    D(v) for the disjoint rule at r = 3, and off the memo and the other
+    vertices meeting v for the meet rule, whose witnesses have at most
+    min(r, k + 1) members.
     """
     nv = len(points)
     arity = min(rule.r, points[0].bit_count() + 1) if rule.meet and nv else rule.r
     if arity > 3:
         return None
-    meets = _Meets(points)
-    full = (1 << nv) - 1
-    near = [meets[x] for x in points]
-    apart = [full & ~m for m in near]
-    adj = apart if rule.meet or arity == 2 else [0] * nv
-    partners = [0] * nv
-    third: list[dict[int, int]] = [{} for _ in range(nv)]
-    entries = 0
-    for v in range(nv if arity == 3 else 0):
-        # each pair {v, u} with u above v, mirrored into u's row
-        cand = (near[v] if rule.meet else apart[v]) & ~((2 << v) - 1)
-        row = third[v]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            u = low.bit_length() - 1
-            if rule.meet:
-                w = near[v] & near[u] & ~meets[points[v] & points[u]]
-            else:
-                w = apart[v] & apart[u]
-            if w:
-                row[u] = third[u][v] = w
-                partners[v] |= low
-                partners[u] |= 1 << v
-                entries += 2
-        if entries > MAX_EDGES:
-            raise InstanceTooLarge(f"table entries exceed limit {MAX_EDGES}")
-    return adj, partners, third, [0] * nv, (), ()
+    memo = _Apart(points)
+    apart = [memo[x] for x in points]
+    none = [0] * nv
+    if rule.meet:
+        near = none if arity < 3 else [
+            memo.full ^ d ^ 1 << v for v, d in enumerate(apart)]
+        return apart, near, memo, none, (), (), "meet"
+    if arity == 2:
+        return apart, none, apart, none, (), (), "apart"
+    return none, apart, apart, none, (), (), "apart"
 
 
 class _Engine:
     """Backtracking m-class feasibility checker over fixed constraints.
 
-    The state is one bitmask per color plus the mask `uncol` of uncolored
-    vertices: col[c] holds the vertices colored c, and forb[c] the vertices
-    on which c would complete a constraint because every other member of it
-    is already c.  forb[c] may keep the bits of vertices colored since, so
-    it is only ever read through `uncol`.  An uncolored vertex in forb[c]
-    for all m colors is a wipeout.  Assigning v color c touches only
-    col[c], forb[c], `uncol` and the count planes below, so undo needs just
-    (v, c, old forb[c]) and the old planes, which each search frame keeps
-    in its locals.
+    The state is two bitmasks per color on the engine, plus the mask
+    `uncol` of uncolored vertices and the count planes below, which a
+    search node hands its children as new values: col[c] holds the
+    vertices colored c, and forb[c] the vertices on which c would complete
+    a constraint because every other member of it is already c.  forb[c]
+    may keep the bits of vertices colored since, so it is only ever read
+    through `uncol`.  An uncolored vertex in forb[c] for all m colors is a
+    wipeout.  Assigning v color c touches only col[c] and forb[c], so undo
+    needs just (v, c, old forb[c]), which each search frame keeps.
 
     Forbidden counts.  count holds, bit-sliced (plane j is bit j of every
     vertex's count), how many of the m forb[c] each vertex is in.  It is
@@ -312,40 +296,45 @@ class _Engine:
     forb[c] through `_plus_one`, the engine's one adder.  Every plane list
     (count, weight and `_orbit`'s counters) is copy-on-write: it is only
     ever replaced by the new list `_plus_one` returns, never mutated, so a
-    saved list stays as it was and undo is one reference store, not a
-    subtraction.  Branching ranks vertices by their forbidden colors among
-    the first p = max_used + 2 (at most m), the used colors and one fresh
-    color, and the count over all m colors is that same number, since
-    forb[c] == 0 for every c > max_used: no color above max_used is
-    assigned on the path, the fresh color's forb is empty, so it is always
-    allowed and tried last, and a prune follows only a child that is not
-    the last, so it touches a color of at most max_used.  A vertex has at
-    most m forbidden colors, so a count of m is one with every plane set
-    where m has a one bit.
+    list a node holds stays as it was and needs no undo.  Branching ranks
+    vertices by their forbidden colors among the first p = max_used + 2 (at
+    most m), the used colors and one fresh color, and the count over all m
+    colors is that same number, since forb[c] == 0 for every c > max_used:
+    no color above max_used is assigned on the path, the fresh color's forb
+    is empty, so it is always allowed and tried last, and a prune follows
+    only a child that is not the last, so it touches a color of at most
+    max_used.  A vertex has at most m forbidden colors, so a count of m is
+    one with every plane set where m has a one bit.
 
-    Propagation works per arity, off tables that `_edge_tables` indexes
-    in one pass over the constraints or, for a builder's instance whose
+    Propagation works per arity, off tables that `_edge_tables` indexes in
+    one pass over the constraints or, for a builder's instance whose
     constraints all have 2 or 3 members, `_rule_tables` reads off its rule
-    and the point masks without listing a constraint; both give the same
-    tables, so the same tree.  A pair ORs v's adjacency mask into
-    forb[c].  A triple walks only the partners u of v already colored c
-    and ORs in third[v][u], the mask of every w that makes {v, u, w} a
-    constraint, so its cost scales with those partners rather than with
-    v's incidence.  A larger constraint R can forbid a member only once at
-    most one member of R - v is not colored c.  R - v has at least three
-    members, so then one of the pairs among its three lowest is colored c
-    throughout, and the rest mask R - v is filed under those three pairs
-    (static pair watches).  An assignment walks the first members u of
-    v's watched pairs that are colored c (w1[v]), then their second
-    members w colored c (w2[v][u]), and scans only the rests filed under
-    (u, w), forbidding the one member a rest has left outside c.  Every
-    rest that can fire is scanned, so forb[c] is what a scan of all of
-    v's rests gives.  The tables hold 3 entries per member of each larger
-    constraint and one third entry per ordered pair of members of a
-    triple; MAX_EDGES bounds the former, and the latter where they are
-    read off a rule, since no listed edge bounds them there.  The wipeout
-    check looks only at the vertices newly added to forb[c], and reads
-    their counts off the planes.
+    and the point masks without listing a constraint; both forbid the same
+    vertices, so the search tree is the same.  A pair ORs v's adjacency
+    mask into forb[c].  A triple walks only the partners u of v already
+    colored c, so its cost scales with those partners rather than with v's
+    incidence; `step`, fixed per engine, says what each adds.  "rows" ORs
+    in third[v][u], the mask of every w that makes {v, u, w} a constraint.
+    The rules table nothing: with D(x) the vertices disjoint from point
+    mask x, "apart" (three disjoint vertices) ORs in D(v) & D(u) for each u
+    in D(v), and "meet" (minimal empty-intersection triples) ORs in
+    D(v & u) for each other u meeting v: the w meeting v and u but none of
+    their common points, and besides them only vertices of D(v) or D(u),
+    which the pairs of v and u have already put in forb[c].  A larger
+    constraint R can forbid a member only once at most one member of R - v
+    is not colored c.  R - v has at least three members, so then one of the
+    pairs among its three lowest is colored c throughout, and the rest mask
+    R - v is filed under those three pairs (static pair watches).  An
+    assignment walks the first members u of v's watched pairs that are
+    colored c (w1[v]), then their second members w colored c (w2[v][u]),
+    and scans only the rests filed under (u, w), forbidding the one member
+    a rest has left outside c.  Every rest that can fire is scanned, so
+    forb[c] is what a scan of all of v's rests gives.  The watch tables
+    hold 3 entries per member of each larger constraint, which MAX_EDGES
+    bounds, and the edge path's third rows one entry per ordered pair of
+    members of a triple, which the listed edges bound; tables read off a
+    rule hold a few masks per vertex.  The wipeout check looks only at the
+    vertices newly added to forb[c], and reads their counts off the planes.
 
     Pair clashes.  An assignment also fails when one of those new vertices
     is left one allowed color d (a count of m - 1) and has a pair
@@ -393,9 +382,9 @@ class _Engine:
         self.nv = nv
         if tables is None:
             tables = _edge_tables(nv, constraints)
-        self.adj, self.partners, self.third, self.w1, self.w2, self.watch = tables
+        (self.adj, self.partners, self.third, self.w1, self.w2, self.watch,
+         self.step) = tables
         self.has_pairs = any(self.adj)
-        self.constrained = self.has_pairs or any(self.partners) or any(self.w1)
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
         self.incidence = _incidence(points) if self.cells else []
@@ -404,23 +393,24 @@ class _Engine:
         self.deadline: float | None = None
         self.max_nodes: int | None = None
 
-    def _reset(self, m: int) -> None:
+    def _reset(self, m: int) -> list[int]:
+        """Empty col and forb for m colors; the count planes they give."""
         self.m = m
         self.col = [0] * m
         self.forb = [0] * m
-        self.uncol = (1 << self.nv) - 1
         planes = m.bit_length()
-        self.count = [0] * planes
         # top plane first: few counts reach it, so a filter empties soonest
         top_down = range(planes - 1, -1, -1)
         self.m_planes = [j for j in top_down if m >> j & 1]
         self.single_planes = (
             [j for j in top_down if (m - 1) >> j & 1] if self.has_pairs else None
         )
+        return [0] * planes
 
-    def _assign(self, v: int, c: int) -> bool:
-        """Color v with c; False on a wipeout or a pair clash.  The caller
-        undoes either way.
+    def _assign(self, v: int, c: int, uncol: int, count: list) -> list | None:
+        """Color v with c, given the vertices left uncolored after it and
+        the count planes before it; the count planes after it, or None on a
+        wipeout or a pair clash.  The caller undoes col and forb either way.
 
         The vertices newly in forb[c] each gain one forbidden color.  A
         wipeout is an uncolored one of them whose count is now m: O(log m)
@@ -437,15 +427,29 @@ class _Engine:
         old = forb[c]
         cc = self.col[c] | 1 << v
         self.col[c] = cc
-        self.uncol &= ~(1 << v)
         f = old | self.adj[v]
         x = self.partners[v] & cc
         if x:
-            third = self.third[v]
-            while x:
-                low = x & -x
-                f |= third[low.bit_length() - 1]
-                x ^= low
+            third, step = self.third, self.step
+            if step == "meet":
+                points, pv = self.points, self.points[v]
+                while x:
+                    low = x & -x
+                    f |= third[pv & points[low.bit_length() - 1]]
+                    x ^= low
+            elif step == "apart":
+                near = 0
+                while x:
+                    low = x & -x
+                    near |= third[low.bit_length() - 1]
+                    x ^= low
+                f |= third[v] & near
+            else:
+                row = third[v]
+                while x:
+                    low = x & -x
+                    f |= row[low.bit_length() - 1]
+                    x ^= low
         x = self.w1[v] & cc
         if x:
             w2 = self.w2[v]
@@ -468,27 +472,26 @@ class _Engine:
         forb[c] = f
         grew = f & ~old
         if not grew:
-            return True
-        count = _plus_one(self.count, grew)
-        self.count = count
-        new = grew & self.uncol
+            return count
+        count = _plus_one(count, grew)
+        new = grew & uncol
         wiped = new
         for j in self.m_planes:
             wiped &= count[j]
             if not wiped:
                 break
         else:
-            return False
+            return None
         single_planes = self.single_planes
         if single_planes is None:
-            return True
+            return count
         for j in single_planes:
             new &= count[j]
             if not new:
-                return True
+                return count
         # new holds the fresh singles; a pair neighbour of one that is
         # also a single clashes with it if its one allowed color is the same
-        single = self.uncol
+        single = uncol
         for j in single_planes:
             single &= count[j]
         adj = self.adj
@@ -500,46 +503,9 @@ class _Engine:
                 for fd in forb:
                     if not fd & low:
                         if near & ~fd:
-                            return False
+                            return None
                         break
-        return True
-
-    def _select(self, p: int) -> tuple[int, int]:
-        """The branching vertex and its allowed colors among the first p.
-
-        The key is (forbidden colors, failure weight, id): most forbidden
-        first, then heaviest, then the lowest id.
-        Filtering `uncol` through the count planes from the top down
-        leaves the vertices with the most forbidden colors; the counts run
-        over all m colors, which equals the count over the first p because
-        forb[c] == 0 for every c >= p.  The same filter over the weight
-        planes, run only while a tie is left, leaves the heaviest of those.
-        """
-        best = self.uncol
-        for plane in reversed(self.count):
-            if best & plane:
-                best &= plane
-        if best & (best - 1):
-            for plane in reversed(self.weight):
-                if best & plane:
-                    best &= plane
-                    if not best & (best - 1):
-                        break
-        v = (best & -best).bit_length() - 1
-        cand = 0
-        for c, fc in enumerate(self.forb[:p]):
-            if not fc >> v & 1:
-                cand |= 1 << c
-        return v, cand
-
-    def _check_budget(self) -> None:
-        """Raise _Timeout past max_nodes, or, at the first node and every
-        256th after it, past the deadline."""
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Timeout
-        if self.deadline is not None and self.nodes & 0xFF == 1:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
+        return count
 
     def _split(self, cells: list[int], v: int) -> list[int]:
         """Each cell cut into its points inside vertex v and those outside;
@@ -552,8 +518,8 @@ class _Engine:
                     out.append(part)
         return out
 
-    def _orbit(self, v: int, cells: list[int]) -> int:
-        """The uncolored vertices that meet every cell in as many points as
+    def _orbit(self, v: int, cells: list[int], uncol: int) -> int:
+        """The vertices of `uncol` that meet every cell in as many points as
         v does and contain v's points outside the cells.
 
         All vertices have the same size, so containing those points means
@@ -563,7 +529,7 @@ class _Engine:
         """
         bits = self.points[v]
         inc = self.incidence
-        orbit = self.uncol
+        orbit = uncol
         off = bits
         for cell in cells:
             off &= ~cell
@@ -582,54 +548,72 @@ class _Engine:
             off ^= low
         return orbit
 
-    def _dfs(self, remaining: int, max_used: int, cells: list[int]) -> bool:
-        """Search the uncolored vertices under the cell group of `cells`.
+    def _dfs(self, remaining: int, max_used: int, cells: list[int], uncol: int,
+             count: list[int]) -> bool:
+        """Search the vertices of `uncol`, with forbidden counts `count`,
+        under the cell group of `cells`; past max_nodes, or the deadline
+        (read at the first node and every 256th), raise _Timeout.
 
+        It branches on the vertex with the most forbidden colors, then the
+        heaviest, then the lowest id: the count planes, then the weight
+        planes while a tie is left, filter `uncol` from the top down.  It
+        tries v's allowed colors among the first p = max_used + 2 in order.
         Once child (v, c) fails, no solution below this node colors v with
-        c, so none colors any vertex of v's orbit with c: the orbit joins
-        forb[c] for the remaining children, and leaves it again when the
-        node returns.  The count planes saved before each child, and before
-        the node, are put back the same way.  The children search under the
-        cells v splits.  A child whose assignment fails (a wipeout or a
-        clash) adds one to v's weight.
+        c, nor any vertex of v's orbit: when a later child is reached, the
+        orbit joins forb[c] and this node's count planes until it returns.
+        The children search under the cells v splits, and a child whose
+        assignment fails adds one to v's weight.
         """
-        self.nodes += 1
-        if self.max_nodes is not None or self.nodes & 0xFF == 1:
-            self._check_budget()
+        nodes = self.nodes = self.nodes + 1
+        if self.max_nodes is not None and nodes > self.max_nodes:
+            raise _Timeout
+        if nodes & 0xFF == 1 and self.deadline is not None:
+            if time.monotonic() > self.deadline:
+                raise _Timeout
         if remaining == 0:
             return True
-        # min and max spelled out: builtin calls are a measurable share of
-        # a node's cost
-        p = max_used + 2
-        v, cand = self._select(p if p < self.m else self.m)
-        bit = 1 << v
-        col = self.col
-        forb = self.forb
+        best = uncol
+        for plane in reversed(count):
+            if best & plane:
+                best &= plane
+        if best & (best - 1):
+            for plane in reversed(self.weight):
+                if best & plane:
+                    best &= plane
+                    if not best & (best - 1):
+                        break
+        bit = best & -best
+        v = bit.bit_length() - 1
+        rest = uncol ^ bit
+        col, forb = self.col, self.forb
         inner = self._split(cells, v) if cells else cells
         pruned: list[tuple[int, int]] = []
-        entry = self.count
-        while cand:
-            c = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+        failed = -1  # a failed child's color whose orbit prune is owed
+        # min spelled out: builtin calls are a measurable share of a node
+        p = max_used + 2 if max_used + 2 < self.m else self.m
+        for c in range(p):
             old = forb[c]
-            count = self.count
-            if not self._assign(v, c):
+            if old & bit:
+                continue
+            if failed >= 0:
+                orbit = self._orbit(v, cells, uncol) & ~bit
+                if orbit:
+                    was = forb[failed]
+                    pruned.append((failed, was))
+                    forb[failed] = was | orbit
+                    count = _plus_one(count, orbit & ~was)
+            child = self._assign(v, c, rest, count)
+            if child is None:
                 self.weight = _plus_one(self.weight, bit)
-            elif self._dfs(remaining - 1, c if c > max_used else max_used, inner):
+            elif self._dfs(remaining - 1, c if c > max_used else max_used, inner,
+                           rest, child):
                 return True
             col[c] ^= bit
             forb[c] = old
-            self.uncol |= bit
-            self.count = count
-            if cand and cells:
-                orbit = self._orbit(v, cells) & ~bit
-                if orbit:
-                    pruned.append((c, old))
-                    forb[c] = old | orbit
-                    self.count = _plus_one(self.count, orbit & ~old)
+            if cells:
+                failed = c
         for c, old in pruned:
             forb[c] = old
-        self.count = entry
         return False
 
     def _colors(self) -> list[int]:
@@ -647,14 +631,16 @@ class _Engine:
             return [] if self.nv == 0 else None
         if len(seed) > m:
             return None
-        self._reset(m)
+        uncol, count = (1 << self.nv) - 1, self._reset(m)
         cells = self.cells
         for i, v in enumerate(seed):
-            if not self._assign(v, i):
+            uncol ^= 1 << v
+            count = self._assign(v, i, uncol, count)
+            if count is None:
                 return None
             if cells:
                 cells = self._split(cells, v)
-        found = self._dfs(self.nv - len(seed), len(seed) - 1, cells)
+        found = self._dfs(self.nv - len(seed), len(seed) - 1, cells, uncol, count)
         return self._colors() if found else None
 
     def pair_clique(self) -> list[int]:
@@ -679,14 +665,16 @@ class _Engine:
 
     def first_fit(self) -> list[int]:
         """Greedy coloring in id order: each vertex takes the least color
-        that completes no constraint.  Never wipes out, since nv colors
-        leave one unused while any vertex is uncolored."""
-        self._reset(self.nv)
+        that completes no constraint, so it uses a second color iff some
+        constraint exists.  It never wipes out or clashes: a vertex has at
+        most as many forbidden colors as there are colored vertices."""
+        uncol, count = (1 << self.nv) - 1, self._reset(self.nv)
         for v in range(self.nv):
             c = 0
             while self.forb[c] >> v & 1:
                 c += 1
-            self._assign(v, c)
+            uncol ^= 1 << v
+            count = self._assign(v, c, uncol, count)
         return self._colors()
 
 
@@ -702,19 +690,20 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
     only when the builder granted cells, and reads its tables off
     `h.rule` where the rule gives them, so `h.edges` is never listed
-    there; whether any constraint exists is the engine's to say.
+    there.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
     other constraints are, so pinning them to colors 0..q-1 loses no
     solutions and its size is a true lower bound, as is 2 once an edge
-    exists.  Every completed infeasible run raises the proven lower bound by
-    one, and the result is EXACT whenever the bracket closes.  When the
-    first run is already feasible, the run one class below is repeated as
-    a cross-check: it raises SoundnessError if it completes feasible, and
-    running out of budget there leaves the closed bracket EXACT.  The
-    result carries the best coloring and no certificate, with millis left
-    at 0 for the caller to fill in.
+    exists, which greedy shows by using a second color.  Every completed
+    infeasible run raises the proven lower bound by one, and the result is
+    EXACT whenever the bracket closes.  When the first run is already
+    feasible, the run one class below is repeated as a cross-check: it
+    raises SoundnessError if it completes feasible, and running out of
+    budget there leaves the closed bracket EXACT.  The result carries the
+    best coloring and no certificate, with millis left at 0 for the caller
+    to fill in.
     """
     nv = len(h.vertices)
     points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
@@ -731,7 +720,7 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     clique = engine.pair_clique()
     best = engine.first_fit()
     ub = max(best) + 1
-    lb = max(2 if engine.constrained else 1, len(clique))
+    lb = max(min(2, ub), len(clique))
 
     initial_lb = lb
     # _dfs recurses once per branching vertex; Python-to-Python calls take
@@ -758,15 +747,12 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     return SolveResult(EXACT, ub, ub, engine.nodes, 0, colors=tuple(best))
 
 
-def _classes_to_partition(
-    p: GroundParams, base: tuple[KSubset, ...], cols: tuple[int, ...]
-) -> PartitionCertificate:
-    m = max(cols) + 1
-    groups: list[list[KSubset]] = [[] for _ in range(m)]
+def _classes(n: int, base: tuple[KSubset, ...], cols: tuple[int, ...]) -> tuple:
+    """The color classes of the coloring `cols` of `base`, in color order."""
+    groups: list[list[KSubset]] = [[] for _ in range(max(cols) + 1)]
     for vid, c in enumerate(cols):
         groups[c].append(base[vid])
-    families = tuple(SetFamily(p.n, tuple(g)) for g in groups)
-    return PartitionCertificate(p, families)
+    return tuple(SetFamily(n, tuple(g)) for g in groups)
 
 
 def min_partition_number(
@@ -785,7 +771,7 @@ def min_partition_number(
     out = _search(h, budget, t0)
     millis = int((time.monotonic() - t0) * 1000)
 
-    cert = _classes_to_partition(p, h.vertices, out.colors)
+    cert = PartitionCertificate(p, _classes(p.n, h.vertices, out.colors))
     rep = verify_partition_certificate(cert)
     if not rep.ok:
         raise SoundnessError(f"solver emitted an invalid partition: {rep.summary()}")
@@ -806,10 +792,12 @@ def chromatic_number(
     are always attached and re-checked once.  A Kneser-type hypergraph from
     the kneser builders gets a certificate named by its descriptor, which
     alone re-checks them, so engine tables that miss constraints cannot
-    pass.  A
-    hand-built or edited hypergraph has no descriptor and no cells: it is
-    searched without orbital pruning, gets no certificate, and its colors
-    are checked against its edge list.  An edge with fewer than 2 members,
+    pass.  A conflict hypergraph (build_conflict_hypergraph) gets no
+    certificate; each color class is checked to be r-wise intersecting
+    (verify.is_r_wise_intersecting), so no witness is listed.  A hand-built
+    or edited hypergraph has no descriptor and no cells: it is searched
+    without orbital pruning, gets no certificate, and its colors are
+    checked against its edge list.  An edge with fewer than 2 members,
     a repeated member or an id outside the vertices raises InvalidParams.
     """
     t0 = time.monotonic()
@@ -817,7 +805,14 @@ def chromatic_number(
     millis = int((time.monotonic() - t0) * 1000)
 
     cert = None
-    if h.params is None:
+    if h.rule is not None and h.rule.meet:
+        # a conflict hypergraph has vertices, so at least one class
+        what = "improper coloring"
+        for fam in _classes(h.vertices[0].n, h.vertices, out.colors):
+            rep = is_r_wise_intersecting(fam, h.rule.r)
+            if not rep.ok:
+                break
+    elif h.params is None:
         rep, what = verify_coloring(h, out.colors), "improper coloring"
     else:
         cert = ColoringCertificate(

@@ -405,6 +405,21 @@ def test_chi_kg3_set_up_fits_the_budget(n):
     assert "Traceback" not in out.stderr and wall < 4, wall
 
 
+def test_chi_kg4_refused_before_listing():
+    """KG^4(16,3) has 28,028,000 edges, past MAX_EDGES.  chi reads the
+    count off the closed form and exits 4 at once, listing none."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.monotonic()
+    out = subprocess.run(
+        [sys.executable, "-m", "kneser_lab.cli", "chi", "16", "3", "4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    wall = time.monotonic() - t0
+    assert out.returncode == 4, out
+    assert "28028000 edges, over the limit 10000000" in out.stderr, out.stderr
+    assert "Traceback" not in out.stderr and wall < 2, wall
+
+
 def test_closed_bracket_exits_0_whatever_the_budget(capsys):
     """The edge proves 2 classes and greedy finds 2, so the node budget
     that stops the cross-check one class below leaves the result EXACT."""

@@ -175,3 +175,17 @@ def test_size_guards(monkeypatch):
     with pytest.raises(InstanceTooLarge, match="edge count exceeds configured limit 3"):
         h.edges
 
+
+def test_closed_form_edge_count():
+    """The count the r >= 4 refusal reads equals the number of listed edges
+    of the full KG^4 for every n <= 13 and k <= 3, the edgeless n < 4k
+    included."""
+    checked = 0
+    for n in range(1, 14):
+        for k in range(1, min(n, 3) + 1):
+            p = GroundParams(n, k, 4)
+            masks = [v.bits for v in enumerate_k_subsets(n, k)]
+            assert kneser._edge_count(p) == len(kneser._disjoint_tuples(masks, 4)), p
+            checked += 1
+    assert checked == 36
+    assert kneser._edge_count(GroundParams(16, 3, 4)) == 28_028_000

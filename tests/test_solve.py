@@ -266,13 +266,13 @@ def test_solver_matches_brute_force(monkeypatch):
     clashes = 0
     assign_fn = solve._Engine._assign
 
-    def assign(self, v, c):
+    def assign(self, v, c, uncol, count):
         nonlocal clashes
-        ok = assign_fn(self, v, c)
-        clashes += not ok and not any(
-            self.uncol >> x & 1 and all(f >> x & 1 for f in self.forb)
+        out = assign_fn(self, v, c, uncol, count)
+        clashes += out is None and not any(
+            uncol >> x & 1 and all(f >> x & 1 for f in self.forb)
             for x in range(self.nv))
-        return ok
+        return out
 
     monkeypatch.setattr(solve._Engine, "_assign", assign)
     for trial in range(50):
@@ -484,19 +484,20 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
     """White-box checks at every prune, since extra pruning seldom flips a
     decision: each colored vertex is a union of cells and outside points
     (so the cell group fixes it), the orbit is the naive one, and a node
-    that fails leaves forb, col and uncol as it found them."""
+    that fails leaves forb, col and the count planes it was given as it
+    found them."""
     orbit_fn, dfs_fn = solve._Engine._orbit, solve._Engine._dfs
     sizes = []
 
-    def orbit(self, v, cells):
-        out = orbit_fn(self, v, cells)
+    def orbit(self, v, cells, uncol):
+        out = orbit_fn(self, v, cells, uncol)
         pts, covered = self.points, sum(cells)
         for w in range(self.nv):
-            if not self.uncol >> w & 1:
+            if not uncol >> w & 1:
                 assert all(pts[w] & cell in (0, cell) for cell in cells)
         naive = {
             u for u in range(self.nv)
-            if self.uncol >> u & 1
+            if uncol >> u & 1
             and pts[u] & ~covered == pts[v] & ~covered
             and all((pts[u] & cell).bit_count() == (pts[v] & cell).bit_count()
                     for cell in cells)
@@ -505,10 +506,10 @@ def test_orbit_prunes_stay_in_the_cell_group(monkeypatch):
         sizes.append(len(naive))
         return out
 
-    def dfs(self, remaining, max_used, cells):
-        before = (list(self.forb), list(self.col), self.uncol)
-        found = dfs_fn(self, remaining, max_used, cells)
-        assert found or (list(self.forb), list(self.col), self.uncol) == before
+    def dfs(self, remaining, max_used, cells, uncol, count):
+        before = (list(self.forb), list(self.col), list(count))
+        found = dfs_fn(self, remaining, max_used, cells, uncol, count)
+        assert found or (list(self.forb), list(self.col), list(count)) == before
         return found
 
     monkeypatch.setattr(solve._Engine, "_orbit", orbit)
@@ -558,44 +559,50 @@ def test_plus_one_matches_integer_arithmetic():
 
 
 def test_forbidden_counts_match_a_recount(monkeypatch):
-    """White-box checks at every node: the count planes, read through
-    uncol, equal a recount over forb; no color above max_used is forbidden
-    anywhere, which makes a count over all m colors the count over the
-    colors branching looks at; and a node that fails leaves count, forb,
-    col and uncol as it found them.  After each run(m), every vertex's
-    weight equals the number of search children so far in the solve
-    whose assignment of that vertex failed, by a wipeout or a clash."""
+    """White-box checks at every node: the uncol it is given holds exactly
+    the `remaining` vertices no color class holds, and the count planes it
+    is given, read through that uncol, equal a recount over forb; no color
+    above max_used is forbidden anywhere, which makes a count over all m
+    colors the count over the colors branching looks at; and a node that
+    fails leaves its count planes, forb and col as it found them.  After
+    each run(m), every vertex's weight equals the number of search
+    children so far in the solve whose assignment of that vertex failed,
+    by a wipeout or a clash."""
     dfs_fn = solve._Engine._dfs
     seen = {"nodes": 0, "cells": 0, "pruned": 0, "depth": 0, "wipeouts": 0}
     wiped = weakref.WeakKeyDictionary()
 
-    def dfs(self, remaining, max_used, cells):
+    def dfs(self, remaining, max_used, cells, uncol, count):
+        colored = 0
+        for col in self.col:
+            colored |= col
+        assert colored == (1 << self.nv) - 1 ^ uncol
+        assert uncol.bit_count() == remaining
         for v in range(self.nv):
-            if self.uncol >> v & 1:
-                got = plane_value(self.count, v)
+            if uncol >> v & 1:
+                got = plane_value(count, v)
                 assert got == sum(fc >> v & 1 for fc in self.forb), v
         assert not any(self.forb[max_used + 1:])
-        before = (list(self.count), list(self.forb), list(self.col), self.uncol)
+        before = (list(count), list(self.forb), list(self.col))
         seen["depth"] += 1
         try:
-            found = dfs_fn(self, remaining, max_used, cells)
+            found = dfs_fn(self, remaining, max_used, cells, uncol, count)
         finally:
             seen["depth"] -= 1
-        assert found or (
-            list(self.count), list(self.forb), list(self.col), self.uncol) == before
+        assert found or (list(count), list(self.forb), list(self.col)) == before
         seen["nodes"] += 1
         seen["cells"] += bool(cells)
         return found
 
     assign_fn = solve._Engine._assign
 
-    def assign(self, v, c):
-        ok = assign_fn(self, v, c)
-        if not ok and seen["depth"]:  # a search child, not a pinned seed
+    def assign(self, v, c, uncol, count):
+        out = assign_fn(self, v, c, uncol, count)
+        if out is None and seen["depth"]:  # a search child, not a pinned seed
             counts = wiped.setdefault(self, [0] * self.nv)
             counts[v] += 1
             seen["wipeouts"] += 1
-        return ok
+        return out
 
     run_fn = solve._Engine.run
 
@@ -607,8 +614,8 @@ def test_forbidden_counts_match_a_recount(monkeypatch):
 
     orbit_fn = solve._Engine._orbit
 
-    def orbit(self, v, cells):
-        out = orbit_fn(self, v, cells)
+    def orbit(self, v, cells, uncol):
+        out = orbit_fn(self, v, cells, uncol)
         seen["pruned"] += out.bit_count() > 1
         return out
 
@@ -900,6 +907,40 @@ def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
     assert (res.status, res.upper, res.certificate, calls) == (EXACT, 5, None, [])
 
 
+def test_conflict_colorings_list_no_witnesses(monkeypatch):
+    """chromatic_number checks a conflict hypergraph's colors class by
+    class for r-wise intersection: neither the witness lister nor the
+    edge-list verifier runs, and the value is the partition number."""
+    calls = []
+
+    def spy(*args, lister=kneser._minimal_witnesses):
+        calls.append(args)
+        return lister(*args)
+
+    monkeypatch.setattr(kneser, "_minimal_witnesses", spy)
+    monkeypatch.setattr(solve, "verify_coloring", spy)
+    res = chromatic_number(build_conflict_hypergraph(GroundParams(8, 3, 3)))
+    assert (res.status, res.upper, res.nodes, res.certificate) == (EXACT, 5, 424, None)
+    assert calls == []
+
+
+def test_conflict_coloring_with_a_bad_class_is_refused(monkeypatch):
+    """A search result whose colors merge two classes of the (8,3,3)
+    conflict hypergraph, planted behind the engine, raises SoundnessError
+    from the class check."""
+    search = solve._search
+
+    def merged(h, budget, t0):
+        out = search(h, budget, t0)
+        colors = tuple(0 if c == 1 else c - (c > 1) for c in out.colors)
+        return dataclasses.replace(out, lower=out.upper - 1, upper=out.upper - 1,
+                                   colors=colors)
+
+    monkeypatch.setattr(solve, "_search", merged)
+    with pytest.raises(SoundnessError, match="improper coloring.*empty intersection"):
+        chromatic_number(build_conflict_hypergraph(GroundParams(8, 3, 3)))
+
+
 def test_partition_dominates_chromatic():
     p = GroundParams(6, 2, 3)
     part = min_partition_number(p)
@@ -1046,27 +1087,28 @@ def test_propagation_matches_a_naive_recount():
         assert engine.first_fit() == naive_first_fit(nv, constraints)
         for _ in range(3):
             m = rng.randint(2, 4)
-            engine._reset(m)
+            uncol, count = (1 << nv) - 1, engine._reset(m)
             order = rng.sample(range(nv), nv)
             for v in order:
                 allowed = [c for c in range(m) if not engine.forb[c] >> v & 1]
                 c = rng.choice(allowed)
-                ok = engine._assign(v, c)
+                uncol ^= 1 << v
+                count = engine._assign(v, c, uncol, count)
+                ok = count is not None
                 assigned += 1
                 for d in range(m):
                     want = naive_forbidden(constraints, engine.col[d])
                     assert engine.forb[d] == want, (constraints, v, d)
                 for x in range(nv):
-                    if engine.uncol >> x & 1:
-                        got = plane_value(engine.count, x)
+                    if ok and uncol >> x & 1:
+                        got = plane_value(count, x)
                         assert got == sum(f >> x & 1 for f in engine.forb)
                 stuck = any(
-                    engine.uncol >> x & 1
-                    and all(f >> x & 1 for f in engine.forb)
+                    uncol >> x & 1 and all(f >> x & 1 for f in engine.forb)
                     for x in range(nv)
                 )
                 only = {x: [d for d in range(m) if not engine.forb[d] >> x & 1]
-                        for x in range(nv) if engine.uncol >> x & 1}
+                        for x in range(nv) if uncol >> x & 1}
                 clash = any(
                     len(members) == 2 and all(x in only for x in members)
                     and len(only[members[0]]) == 1
@@ -1100,23 +1142,17 @@ def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
     assert "watch entries exceed limit 1259" in err and "Traceback" not in err
 
 
-def test_rule_tables_bounded_by_max_edges(monkeypatch, capsys):
-    """Tables read off a rule hold one third entry per ordered pair of
-    vertices in a common triple, 6 per triple of KG^3(6,2); past MAX_EDGES
-    the engine refuses the instance as it refuses too many watch entries,
-    and the CLI exits 4."""
-    from kneser_lab.cli import main
-
-    need = 6 * build_kneser_hypergraph(GroundParams(6, 2, 3)).num_edges
-    assert need == 90
-    monkeypatch.setattr(solve, "MAX_EDGES", need)
-    assert chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3))).upper == 2
-    monkeypatch.setattr(solve, "MAX_EDGES", need - 1)
-    with pytest.raises(InstanceTooLarge, match="table entries exceed limit 89"):
-        chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3)))
-    assert main(["chi", "6", "2", "3"]) == 4
-    err = capsys.readouterr().err
-    assert "table entries exceed limit 89" in err and "Traceback" not in err
+def test_rule_tables_need_no_edge_limit(monkeypatch):
+    """Tables read off a rule hold no per-constraint entry, so MAX_EDGES
+    never binds them: with the limit at 1, KG^3(6,2) (90 triples) and the
+    conflict instance (8,3,3) (5,320 witnesses) still prove EXACT, and
+    neither lists an edge."""
+    monkeypatch.setattr(solve, "MAX_EDGES", 1)
+    monkeypatch.setattr(kneser, "MAX_EDGES", 1)
+    res = chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3)))
+    assert (res.status, res.upper) == (EXACT, 2)
+    res = min_partition_number(GroundParams(8, 3, 3))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 5, 424)
 
 
 def rule_sweep():
@@ -1142,12 +1178,15 @@ def rule_sweep():
 
 
 def test_rule_tables_equal_the_edge_tables():
-    """The engine's tables read off a builder's rule are the ones its
-    listed edges fold into: adj, partners and third (as dicts) agree, so
-    every search tree is the edge path's.  The rule gives no tables exactly
-    where the edges can have 4 or more members, conflict instances with
-    r >= 4 and k >= 3, which keep the edge path."""
-    derived = 0
+    """An engine on the tables read off a builder's rule propagates as one
+    on the tables its listed edges fold into: on random partial colorings,
+    each assignment leaves every forb[c] and the count planes equal, and
+    fails on both or on neither, so every search tree is the edge path's.
+    The rule gives no tables exactly where the edges can have 4 or more
+    members, conflict instances with r >= 4 and k >= 3, which keep the
+    edge path."""
+    rng = random.Random(28)
+    derived = assigned = failed = 0
     for name, h in rule_sweep():
         points = tuple(v.bits for v in h.vertices)
         got = solve._rule_tables(h.rule, points)
@@ -1155,11 +1194,27 @@ def test_rule_tables_equal_the_edge_tables():
             assert h.rule.meet and h.rule.r >= 4 and points[0].bit_count() >= 3, name
             continue
         assert all(len(edge) <= 3 for edge in h.edges), name
-        want = solve._edge_tables(len(points), h.edges)
-        assert got[:2] == want[:2], name
-        assert [dict(row) for row in got[2]] == [dict(row) for row in want[2]], name
+        nv = len(points)
+        rule = solve._Engine(nv, (), points, (), got)
+        edge = solve._Engine(nv, h.edges)
+        for _ in range(3):
+            m = rng.randint(2, 5)
+            uncol, count = (1 << nv) - 1, rule._reset(m)
+            assert edge._reset(m) == count
+            for v in rng.sample(range(nv), nv):
+                allowed = [c for c in range(m) if not rule.forb[c] >> v & 1]
+                c = rng.choice(allowed)
+                uncol ^= 1 << v
+                want = edge._assign(v, c, uncol, count)
+                count = rule._assign(v, c, uncol, count)
+                assert (rule.col, rule.forb, count) == (edge.col, edge.forb, want), name
+                assigned += 1
+                if count is None:
+                    failed += 1
+                    break
         derived += 1
     assert derived == 501
+    assert assigned > 12_000 and failed > 300, (assigned, failed)
 
 
 def test_rule_instances_list_no_edges(monkeypatch):
