@@ -92,10 +92,9 @@ class Hypergraph:
     whose permutations keep the edges, for orbital pruning, and `rule`
     says which vertex sets are edges.  A builder lists no edges: the first
     read of `edges` lists them off the rule and keeps them, and the search
-    engine reads its tables off the rule where every edge has 2 or 3
-    members, so it never lists them.  A hand-built or edited Hypergraph
-    has none of these: no certificate, no pruning, and the engine indexes
-    its edge list.
+    engine reads its tables off the rule, so a search never lists them.  A
+    hand-built or edited Hypergraph has none of these: no certificate, no
+    pruning, and the engine scans its edge list.
     """
 
     vertices: tuple[KSubset, ...]
@@ -315,9 +314,10 @@ def build_kneser_hypergraph(p: GroundParams) -> Hypergraph:
     For n < r*k no r pairwise disjoint k-subsets exist; the builder then
     returns the vertex-only instance with a warning instead of erroring.
     Every permutation of [n] maps disjoint r-tuples to disjoint r-tuples,
-    so [n] is its cell.  At r >= 4, where the search engine reads every
-    edge off the listed edges, an instance of more than MAX_EDGES edges is
-    refused from the closed-form count, before a vertex is enumerated.
+    so [n] is its cell.  At r >= 4 an instance of more than MAX_EDGES
+    edges is refused from the closed-form count, before a vertex is
+    enumerated: the search lists no edge, but its walk over chains of
+    disjoint class members grows with them, in greedy first of all.
     """
     if p.r >= 4 and (count := _edge_count(p)) > MAX_EDGES:
         raise InstanceTooLarge(

@@ -24,7 +24,8 @@ DEFAULT_GROUND_CAP = 64
 MAX_SUBSETS = 1_000_000
 # Vertices of a generated instance: solve, chi and the blow-up lift.
 MAX_VERTICES = 100_000
-# Edges of a Kneser hypergraph, or witnesses of a conflict hypergraph.
+# Edges of a Kneser hypergraph or witnesses of a conflict hypergraph, listed
+# only when a `Hypergraph.edges` is read: the search lists none.
 MAX_EDGES = 10_000_000
 
 

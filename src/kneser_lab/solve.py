@@ -21,16 +21,11 @@ a vertex has failed, by a wipeout or a clash, so far in the solve (the
 variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
 Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
-optimality by iterative deepening on the class count.  Where a builder's
-constraints have 2 or 3 members, the vertices a coloring forbids are read
-off the vertices' point masks, so no constraint is listed.  A listed
-constraint of four or more members is indexed under pairs of its
-members, so an assignment looks only at those whose watched pair is all
-one color: the watched literals of Chaff (Moskewicz, Madigan, Zhao, Zhang
-and Malik, "Chaff: engineering an efficient SAT solver", DAC 2001) and
-Minion (Gent, Jefferson and Miguel, "Watched literals for constraint
-propagation in Minion", CP 2006), with watches that never move, since a
-color class only grows along a search path.  Closed-form values are never
+optimality by iterative deepening on the class count.  What an
+assignment forbids is read off the vertices' point masks and the class
+it joins, or, for a hand-built instance, off its constraints; forb[c] is
+a function of col[c] alone, which only grows along a search path, so no
+propagation state needs an undo of its own.  Closed-form values are never
 consulted, so agreement with the formulas is evidence, not circularity.
 
 Point symmetry is broken by orbital branching (Margot 2002; Ostrowski,
@@ -48,13 +43,12 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .constructions import ColoringCertificate, PartitionCertificate
-from .errors import InstanceTooLarge, InvalidParams, SoundnessError
+from .errors import InvalidParams, SoundnessError
 from .kneser import Hypergraph, _Apart, _granted, _incidence, _Rule
-from .setsys import MAX_EDGES, GroundParams, KSubset, SetFamily, enumerate_k_subsets
+from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
     is_r_wise_intersecting,
@@ -162,118 +156,93 @@ def _plus_one(planes: list[int], bits: int) -> list[int]:
 
 
 def _edge_tables(nv: int, constraints) -> tuple:
-    """The engine's tables (adj, partners, third, w1, w2, watch, and the
-    triple step "rows") indexed from a constraint list in one pass; see
-    _Engine, "Propagation"."""
+    """The engine's tables (adj, table, step, depth) for a constraint
+    list, in one pass: each pair in adj, and each larger constraint R
+    filed as its rest R - v under every member v, for the "scan" step;
+    see _Engine, "Propagation"."""
+    if not hasattr(constraints, "__iter__"):
+        raise InvalidParams(f"edges {constraints!r} are not a list of constraints")
     bits = [1 << i for i in range(nv)]
     adj = [0] * nv
-    # one pass, each arity unpacked by hand.  A triple a < b < c ORs
-    # each member into the entry of the other two, third[a][b],
-    # third[a][c] and third[b][c], so each row holds only its higher
-    # partners until the pass below mirrors it.  An in-order member
-    # list passes one chained comparison, which also rejects a
-    # repeated, negative (bits[-1] would wrap) or too large id; any
-    # other order is sorted and compared again.
-    third: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nv)]
-    watch: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(nv)]
-    entries = 0
+    rests: list[list[int]] = [[] for _ in range(nv)]
     try:
         for t in constraints:
-            size = len(t)
-            if size == 3:
-                a, b, c = t
-                if not 0 <= a < b < c < nv:
-                    a, b, c = sorted(t)
-                    if not 0 <= a < b < c < nv:
-                        raise ValueError
-                third[a][b] |= bits[c]
-                third[a][c] |= bits[b]
-                third[b][c] |= bits[a]
-            elif size == 2:
-                a, b = t
-                if not 0 <= a < b < nv:
-                    b, a = t
-                    if not 0 <= a < b < nv:
-                        raise ValueError
-                adj[a] |= bits[b]
-                adj[b] |= bits[a]
-            elif size > 3:
-                members = sorted(t)
-                if members[0] < 0 or members[-1] >= nv:
-                    raise ValueError
-                mask = 0
-                for u in members:
-                    mask |= bits[u]
-                if mask.bit_count() != size:
-                    raise ValueError
-                entries += 3 * size
-                if entries > MAX_EDGES:
-                    raise InstanceTooLarge(
-                        f"watch entries exceed limit {MAX_EDGES}"
-                    )
-                # R - v is watched under the pairs of its three lowest
-                # members, in watch[v][a*nv + b] for a pair a < b
-                a, b, d, e = members[:4]
-                ab, ad, ae = a * nv + b, a * nv + d, a * nv + e
-                bd, be, de = b * nv + d, b * nv + e, d * nv + e
-                by_low = ((bd, be, de), (ad, ae, de), (ab, ae, be))
-                for i, v in enumerate(members):
-                    x, y, z = by_low[i] if i < 3 else (ab, ad, bd)
-                    rest = mask ^ bits[v]
-                    wv = watch[v]
-                    wv[x].append(rest)
-                    wv[y].append(rest)
-                    wv[z].append(rest)
-            else:
+            if len(t) < 2:
                 raise InvalidParams(f"constraint {t} has fewer than 2 members")
+            mask = 0
+            for u in t:
+                mask |= bits[u]
+            # bits[-1] would wrap to the last vertex
+            if mask.bit_count() != len(t) or min(t) < 0:
+                raise ValueError
+            for u in t:
+                if len(t) == 2:
+                    adj[u] |= mask ^ bits[u]
+                else:
+                    rests[u].append(mask ^ bits[u])
     except (IndexError, TypeError, ValueError) as exc:
         raise InvalidParams(
             f"constraint {t} needs distinct ids of the {nv} vertices"
         ) from exc
-    partners = [0] * nv
-    # from the top row down: each row is read before any lower partner
-    # is mirrored into it, so each entry is mirrored once
-    for a in range(nv - 1, -1, -1):
-        for b, mask in third[a].items():
-            third[b][a] = mask
-            partners[a] |= bits[b]
-            partners[b] |= bits[a]
-    w1 = [0] * nv
-    w2: list[dict[int, int]] = [{} for _ in range(nv)]
-    for v, wv in enumerate(watch):
-        w2v = w2[v]
-        for ab in wv:
-            a, b = divmod(ab, nv)
-            w1[v] |= bits[a]
-            w2v[a] = w2v.get(a, 0) | bits[b]
-    return adj, partners, third, w1, w2, watch, "rows"
+    return adj, rests, "scan", 0
 
 
-def _rule_tables(rule, points: tuple[int, ...]) -> tuple | None:
+def _rule_tables(rule, points: tuple[int, ...]) -> tuple:
     """The engine's tables for a builder's rule, read off the point masks
-    with no constraint listed, forbidding what _edge_tables' would; None
-    where the rule gives constraints of 4 or more members.  With D(x) the
-    vertices disjoint from mask x (memoised in `_Apart`), the pairs are
-    adj[v] = D(v), the disjoint rule's at r = 2 and the meet rule's always;
-    triples are read at assignment time (see _Engine, "Propagation"), off
-    D(v) for the disjoint rule at r = 3, and off the memo and the other
-    vertices meeting v for the meet rule, whose witnesses have at most
-    min(r, k + 1) members.
-    """
-    nv = len(points)
-    arity = min(rule.r, points[0].bit_count() + 1) if rule.meet and nv else rule.r
-    if arity > 3:
-        return None
+    (see _Engine, "Propagation"): adj[v] = D(v) where pairs are edges, and
+    a step of depth r - 2, or a - 2 for the meet rule, where a minimal
+    witness has at most a = min(r, k + 1) members.  A disjoint rule with
+    fewer points in all than r disjoint vertices need gets no step."""
     memo = _Apart(points)
+    k = points[0].bit_count() if points else 0
+    if not rule.meet and rule.r * k > sum(map(bool, memo.inc)):
+        return [0] * len(points), None, None, 0
     apart = [memo[x] for x in points]
-    none = [0] * nv
+    arity = min(rule.r, k + 1) if rule.meet else rule.r
+    if arity < 3:
+        return apart, None, None, 0
     if rule.meet:
-        near = none if arity < 3 else [
-            memo.full ^ d ^ 1 << v for v, d in enumerate(apart)]
-        return apart, near, memo, none, (), (), "meet"
-    if arity == 2:
-        return apart, none, apart, none, (), (), "apart"
-    return none, apart, apart, none, (), (), "apart"
+        return apart, memo, "meet", arity - 2
+    return [0] * len(points), apart, "apart", arity - 2
+
+
+def _meet_closure(apart, pv: int, points, x: int, depth: int) -> int:
+    """The OR of D(y) over every y that is the AND of at most `depth` of
+    the meets pv & points[u], u in x, grown level by level from the
+    distinct meets; every y is a subset of pv."""
+    meets = set()
+    while x:
+        low = x & -x
+        meets.add(pv & points[low.bit_length() - 1])
+        x ^= low
+    seen, level = set(meets), meets
+    for _ in range(depth - 1):
+        level = {y & z for y in level for z in meets} - seen
+        seen |= level
+    f = 0
+    for y in seen:
+        f |= apart[y]
+    return f
+
+
+def _chains(apart: list[int], cand: int, need: int, acc: int, f: int) -> int:
+    """f ORed with acc & the AND of apart[u] over every increasing chain of
+    `need` pairwise disjoint ids u of cand.  A chain whose candidates are
+    fewer than the members it still needs, or whose AND adds nothing to
+    f, is not grown."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        d = apart[low.bit_length() - 1]
+        y = acc & d
+        if y & ~f:
+            if need == 1:
+                f |= y
+            else:
+                nxt = cand & d
+                if nxt.bit_count() >= need - 1:
+                    f = _chains(apart, nxt, need - 1, y, f)
+    return f
 
 
 class _Engine:
@@ -306,35 +275,27 @@ class _Engine:
     max_used.  A vertex has at most m forbidden colors, so a count of m is
     one with every plane set where m has a one bit.
 
-    Propagation works per arity, off tables that `_edge_tables` indexes in
-    one pass over the constraints or, for a builder's instance whose
-    constraints all have 2 or 3 members, `_rule_tables` reads off its rule
-    and the point masks without listing a constraint; both forbid the same
-    vertices, so the search tree is the same.  A pair ORs v's adjacency
-    mask into forb[c].  A triple walks only the partners u of v already
-    colored c, so its cost scales with those partners rather than with v's
-    incidence; `step`, fixed per engine, says what each adds.  "rows" ORs
-    in third[v][u], the mask of every w that makes {v, u, w} a constraint.
-    The rules table nothing: with D(x) the vertices disjoint from point
-    mask x, "apart" (three disjoint vertices) ORs in D(v) & D(u) for each u
-    in D(v), and "meet" (minimal empty-intersection triples) ORs in
-    D(v & u) for each other u meeting v: the w meeting v and u but none of
-    their common points, and besides them only vertices of D(v) or D(u),
-    which the pairs of v and u have already put in forb[c].  A larger
-    constraint R can forbid a member only once at most one member of R - v
-    is not colored c.  R - v has at least three members, so then one of the
-    pairs among its three lowest is colored c throughout, and the rest mask
-    R - v is filed under those three pairs (static pair watches).  An
-    assignment walks the first members u of v's watched pairs that are
-    colored c (w1[v]), then their second members w colored c (w2[v][u]),
-    and scans only the rests filed under (u, w), forbidding the one member
-    a rest has left outside c.  Every rest that can fire is scanned, so
-    forb[c] is what a scan of all of v's rests gives.  The watch tables
-    hold 3 entries per member of each larger constraint, which MAX_EDGES
-    bounds, and the edge path's third rows one entry per ordered pair of
-    members of a triple, which the listed edges bound; tables read off a
-    rule hold a few masks per vertex.  The wipeout check looks only at the
-    vertices newly added to forb[c], and reads their counts off the planes.
+    Propagation.  A builder's instance gets its tables from `_rule_tables`,
+    read off its rule and the point masks, and a hand-built or edited one
+    from `_edge_tables`; both forbid the same vertices, so the search tree
+    is the same.  A pair ORs v's adjacency mask into forb[c].  Larger
+    constraints go through `step`, fixed per engine.  "scan" walks v's
+    rests R - v and forbids the one member a rest has left outside c.  The
+    rules walk only the members u of class c, which is what makes them
+    cheap.  With D(x) the vertices disjoint from point mask x, "apart" (r
+    pairwise disjoint vertices) ORs in D(v) & D(u_1) & ... for every
+    increasing chain of depth = r - 2 pairwise disjoint members u_i in
+    D(v).  "meet" (minimal empty-intersection witnesses of at most a
+    members) forbids each w with ∩S ∩ v ∩ w empty for some set S of at most
+    depth = a - 2 members of the class: such a family holds a witness
+    through w, and one that misses v is already in forb[c].  As ∩S ∩ v is
+    the AND of the meets v & u over the members u of S, the step ORs in
+    D(y) for every AND y of at most depth distinct meets of v with the
+    other members, each of which meets v, or v would be in forb[c].  No
+    step keeps state of its own: forb[c] is a function of col[c], which
+    only grows along a search path, so an assignment only ORs into it and
+    undo restores one mask.  The wipeout check looks only at the vertices
+    newly added to forb[c], and reads their counts off the planes.
 
     Pair clashes.  An assignment also fails when one of those new vertices
     is left one allowed color d (a count of m - 1) and has a pair
@@ -382,8 +343,7 @@ class _Engine:
         self.nv = nv
         if tables is None:
             tables = _edge_tables(nv, constraints)
-        (self.adj, self.partners, self.third, self.w1, self.w2, self.watch,
-         self.step) = tables
+        self.adj, self.table, self.step, self.depth = tables
         self.has_pairs = any(self.adj)
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
@@ -428,47 +388,39 @@ class _Engine:
         cc = self.col[c] | 1 << v
         self.col[c] = cc
         f = old | self.adj[v]
-        x = self.partners[v] & cc
-        if x:
-            third, step = self.third, self.step
+        step = self.step
+        if step:
             if step == "meet":
-                points, pv = self.points, self.points[v]
-                while x:
-                    low = x & -x
-                    f |= third[pv & points[low.bit_length() - 1]]
-                    x ^= low
+                # the other members of c: each meets v, or v would be in forb[c]
+                x = (cc ^ 1 << v) & ~self.adj[v]
+                if x:
+                    memo, points, pv = self.table, self.points, self.points[v]
+                    if self.depth > 1:
+                        f |= _meet_closure(memo, pv, points, x, self.depth)
+                    else:
+                        while x:
+                            low = x & -x
+                            f |= memo[pv & points[low.bit_length() - 1]]
+                            x ^= low
             elif step == "apart":
-                near = 0
-                while x:
-                    low = x & -x
-                    near |= third[low.bit_length() - 1]
-                    x ^= low
-                f |= third[v] & near
+                apart = self.table
+                x = cc & apart[v]
+                if x:
+                    if self.depth > 1:
+                        f = _chains(apart, x, self.depth, apart[v], f)
+                    else:
+                        near = 0
+                        while x:
+                            low = x & -x
+                            near |= apart[low.bit_length() - 1]
+                            x ^= low
+                        f |= apart[v] & near
             else:
-                row = third[v]
-                while x:
-                    low = x & -x
-                    f |= row[low.bit_length() - 1]
-                    x ^= low
-        x = self.w1[v] & cc
-        if x:
-            w2 = self.w2[v]
-            watch = self.watch[v]
-            nv = self.nv
-            out = ~cc
-            while x:
-                low = x & -x
-                x ^= low
-                u = low.bit_length() - 1
-                y = w2[u] & cc
-                uw = u * nv
-                while y:
-                    wb = y & -y
-                    y ^= wb
-                    for rest in watch[uw + wb.bit_length() - 1]:
-                        left = rest & out
-                        if left & (left - 1) == 0:
-                            f |= left
+                out = ~cc
+                for rest in self.table[v]:
+                    left = rest & out
+                    if left & (left - 1) == 0:
+                        f |= left
         forb[c] = f
         grew = f & ~old
         if not grew:
@@ -667,9 +619,14 @@ class _Engine:
         """Greedy coloring in id order: each vertex takes the least color
         that completes no constraint, so it uses a second color iff some
         constraint exists.  It never wipes out or clashes: a vertex has at
-        most as many forbidden colors as there are colored vertices."""
+        most as many forbidden colors as there are colored vertices.  Past
+        the deadline, read before every 256th vertex but the first, it
+        raises _Timeout."""
         uncol, count = (1 << self.nv) - 1, self._reset(self.nv)
         for v in range(self.nv):
+            if v & 0xFF == 0 and v and self.deadline is not None:
+                if time.monotonic() > self.deadline:
+                    raise _Timeout
             c = 0
             while self.forb[c] >> v & 1:
                 c += 1
@@ -683,14 +640,15 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     deepening, in one engine, on every instance.
 
     The deadline is budget.max_seconds past t0, the entry point's start,
-    so set-up spends the same budget, though nothing interrupts it; a
-    search that starts past it stops at its first node.  A bracket that
-    the budget leaves open is TIMEOUT.
+    so set-up spends the same budget.  Greedy reads it every 256 vertices;
+    past it, the bracket is the one known without search, the clique (at
+    least 1) below and the vertex count above.  A search that starts past
+    it stops at its first node.  A bracket the budget leaves open is
+    TIMEOUT.
 
     The engine prunes orbits over `h.cells`, with each vertex's point mask,
-    only when the builder granted cells, and reads its tables off
-    `h.rule` where the rule gives them, so `h.edges` is never listed
-    there.
+    only when the builder granted cells, and reads its tables off `h.rule`
+    when a builder granted one, so a builder's `h.edges` is never listed.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
@@ -707,9 +665,9 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     """
     nv = len(h.vertices)
     points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
-    tables = _rule_tables(h.rule, points) if h.rule else None
     # built before the empty case returns, so that it checks every edge
-    engine = _Engine(nv, h.edges if tables is None else (), points, h.cells, tables)
+    tables = _rule_tables(h.rule, points) if h.rule else _edge_tables(nv, h.edges)
+    engine = _Engine(nv, (), points, h.cells, tables)
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
@@ -718,16 +676,16 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
         engine.deadline = t0 + budget.max_seconds
 
     clique = engine.pair_clique()
-    best = engine.first_fit()
-    ub = max(best) + 1
-    lb = max(min(2, ub), len(clique))
-
-    initial_lb = lb
+    # the bracket known without search, each vertex in its own class above
+    lb, ub, best = max(1, len(clique)), nv, list(range(nv))
     # _dfs recurses once per branching vertex; Python-to-Python calls take
     # no C stack on CPython 3.11+, so only the interpreter's limit needs room
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + nv)
     try:
+        best = engine.first_fit()
+        ub = max(best) + 1
+        lb = initial_lb = max(min(2, ub), len(clique))
         for m in range(lb, ub):
             cols = engine.run(m, clique)
             if cols is not None:

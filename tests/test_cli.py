@@ -388,19 +388,23 @@ def test_chi_timeout_counts_the_build(monkeypatch, capsys):
     assert int(re.search(r"millis=(\d+)", out).group(1)) >= 1100
 
 
+def cli_process(*argv):
+    """The CLI run in a fresh process on this checkout's sources: its
+    completed process and its wall time."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "kneser_lab.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    return out, time.monotonic() - t0
+
+
 @pytest.mark.parametrize("n", [17, 20])
 def test_chi_kg3_set_up_fits_the_budget(n):
     """KG^3(17,3) and KG^3(20,3) have 6.8 M and 47 M edges.  chi lists none
     of them, so a fresh process builds its tables within a 1 s budget and
     the search stops at the deadline with its bracket, exit 3."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    t0 = time.monotonic()
-    out = subprocess.run(
-        [sys.executable, "-m", "kneser_lab.cli", "chi", str(n), "3", "3",
-         "--timeout", "1"],
-        env=env, capture_output=True, text=True, timeout=60)
-    wall = time.monotonic() - t0
+    out, wall = cli_process("chi", str(n), "3", "3", "--timeout", "1")
     assert out.returncode == 3 and out.stdout.startswith("TIMEOUT"), out
     assert "Traceback" not in out.stderr and wall < 4, wall
 
@@ -408,16 +412,37 @@ def test_chi_kg3_set_up_fits_the_budget(n):
 def test_chi_kg4_refused_before_listing():
     """KG^4(16,3) has 28,028,000 edges, past MAX_EDGES.  chi reads the
     count off the closed form and exits 4 at once, listing none."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    t0 = time.monotonic()
-    out = subprocess.run(
-        [sys.executable, "-m", "kneser_lab.cli", "chi", "16", "3", "4"],
-        env=env, capture_output=True, text=True, timeout=60)
-    wall = time.monotonic() - t0
+    out, wall = cli_process("chi", "16", "3", "4")
     assert out.returncode == 4, out
     assert "28028000 edges, over the limit 10000000" in out.stderr, out.stderr
     assert "Traceback" not in out.stderr and wall < 2, wall
+
+
+def test_greedy_stops_at_the_deadline():
+    """(16,8,9) has 12,870 vertices and witnesses of up to 9 members, so
+    greedy alone takes far longer than the budget.  It reads the clock
+    every 256 vertices and stops with the bracket known without search:
+    the clique of 2 below, every vertex in its own class above."""
+    out, wall = cli_process("solve", "16", "8", "9", "--timeout", "1")
+    assert out.returncode == 3, out
+    assert out.stdout.startswith("TIMEOUT lower=2 upper=12870 nodes=0 "), out.stdout
+    assert "Traceback" not in out.stderr and wall < 4, wall
+
+
+@pytest.mark.parametrize("argv", [("30", "3", "12"), ("60", "2", "40")])
+def test_edgeless_kneser_needs_no_search(argv):
+    """KG^12(30,3) and KG^40(60,2) have no edge, since r*k passes n: the
+    rule gives the engine nothing to walk, so chi proves 1 color at once."""
+    out, wall = cli_process("chi", *argv, "--timeout", "1")
+    assert out.returncode == 0 and out.stdout.startswith("EXACT value=1 "), out
+    assert "Traceback" not in out.stderr and wall < 2, wall
+
+
+def test_solve_9_6_6_is_exact(capsys):
+    """(9,6,6) has witnesses of up to 6 members; the engine reads them off
+    the point masks, lists none, and proves 3 in 67 nodes."""
+    code, out, _ = run(capsys, "solve", "9", "6", "6")
+    assert code == 0 and out.startswith("EXACT value=3 nodes=67 "), out
 
 
 def test_closed_bracket_exits_0_whatever_the_budget(capsys):

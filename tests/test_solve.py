@@ -327,10 +327,15 @@ def test_search_tree_pinned():
 
 
 def test_long_constraint_tree_pinned():
-    """(8,5,6) has minimal witnesses of 2 to 6 members, so its tree pins
-    the propagation of constraints of 4 or more members."""
+    """(8,5,6) has minimal witnesses of 2 to 6 members and (9,4,4) of 2 to
+    4, and KG^4(14,2) edges of 4 members, so their trees pin the
+    propagation of constraints of 4 or more members."""
     res = min_partition_number(GroundParams(8, 5, 6))
     assert (res.status, res.upper, res.nodes) == (EXACT, 4, 54637)
+    res = min_partition_number(GroundParams(9, 4, 4))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 5, 52666)
+    res = chromatic_number(build_kneser_hypergraph(GroundParams(14, 2, 4)))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 4, 22444)
 
 
 BENCH_LADDER_NODES = {
@@ -1070,14 +1075,14 @@ def random_constraints(rng, nv):
 
 
 def test_propagation_matches_a_naive_recount():
-    """The folded triple table and the pair-watched larger constraints,
-    against a recount from the constraint list: on random hypergraphs, at
-    every assignment of a random proper partial coloring, every forb[c]
-    is the set of vertices some constraint would complete in color c, the
-    count planes agree with forb, and an assignment fails exactly when an
-    uncolored vertex has every color forbidden (a wipeout) or two
-    uncolored vertices of a pair constraint have the same one color left
-    (a clash).  first_fit is the naive greedy."""
+    """The scan of the rests of larger constraints, against a recount from
+    the constraint list: on random hypergraphs, at every assignment of a
+    random proper partial coloring, every forb[c] is the set of vertices
+    some constraint would complete in color c, the count planes agree with
+    forb, and an assignment fails exactly when an uncolored vertex has
+    every color forbidden (a wipeout) or two uncolored vertices of a pair
+    constraint have the same one color left (a clash).  first_fit is the
+    naive greedy."""
     rng = random.Random(2006)
     assigned = wipeouts = clashes = 0
     for _ in range(150):
@@ -1123,50 +1128,42 @@ def test_propagation_matches_a_naive_recount():
     assert assigned > 1000 and wipeouts > 40 and clashes > 5
 
 
-def test_watch_tables_bounded_by_max_edges(monkeypatch, capsys):
-    """The pair watches hold 3 entries per member of each constraint of 4
-    or more members; past MAX_EDGES the engine refuses the instance with
-    InstanceTooLarge, and the CLI with exit 4."""
-    from kneser_lab.cli import main
-
-    h = build_kneser_hypergraph(GroundParams(8, 2, 4))
-    need = 3 * sum(len(edge) for edge in h.edges if len(edge) > 3)
-    assert need == 1260
-    monkeypatch.setattr(solve, "MAX_EDGES", need)
-    assert chromatic_number(h).upper == 2
-    monkeypatch.setattr(solve, "MAX_EDGES", need - 1)
-    with pytest.raises(InstanceTooLarge, match="watch entries exceed limit 1259"):
-        chromatic_number(h)
-    assert main(["chi", "8", "2", "4"]) == 4
-    err = capsys.readouterr().err
-    assert "watch entries exceed limit 1259" in err and "Traceback" not in err
-
-
 def test_rule_tables_need_no_edge_limit(monkeypatch):
     """Tables read off a rule hold no per-constraint entry, so MAX_EDGES
-    never binds them: with the limit at 1, KG^3(6,2) (90 triples) and the
-    conflict instance (8,3,3) (5,320 witnesses) still prove EXACT, and
-    neither lists an edge."""
-    monkeypatch.setattr(solve, "MAX_EDGES", 1)
+    never binds them: with the limit at 1, KG^3(6,2) (90 triples), KG^4(8,2)
+    (105 quadruples, built before the limit drops, since its builder checks
+    the closed form) and the conflict instances (8,3,3) (5,320 witnesses)
+    and (7,3,4) (with witnesses of 4 members) still prove EXACT, and none
+    lists an edge."""
+    kg4 = build_kneser_hypergraph(GroundParams(8, 2, 4))
     monkeypatch.setattr(kneser, "MAX_EDGES", 1)
     res = chromatic_number(build_kneser_hypergraph(GroundParams(6, 2, 3)))
     assert (res.status, res.upper) == (EXACT, 2)
+    res = chromatic_number(kg4)
+    assert (res.status, res.upper) == (EXACT, 2)
     res = min_partition_number(GroundParams(8, 3, 3))
     assert (res.status, res.upper, res.nodes) == (EXACT, 5, 424)
+    res = min_partition_number(GroundParams(7, 3, 4))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 5, 1910)
 
 
 def rule_sweep():
     """Builder instances with at most 130 vertices and n <= 9: conflict
-    instances for r = 2..6, and for r <= 3 KG^r, its s-stable variants for
-    s in {2, 3} and block-constrained KG^r with blocks of r - 1 points."""
+    instances for r = 2..6, and for r <= 5 KG^r, its s-stable variants for
+    s in {2, 3} and block-constrained KG^r with blocks of r - 1 points.
+    Where edges can have 4 or more members (conflict instances with
+    min(r, k + 1) >= 4, Kneser-type ones with r >= 4) the scan engine
+    needs them listed, so those stop at n <= 8 and 56 vertices."""
     for n in range(1, 10):
         for k in range(1, n + 1):
             if comb(n, k) > 130:
                 continue
+            small = n <= 8 and comb(n, k) <= 56
             for r in range(2, 7):
                 p = GroundParams(n, k, r)
-                yield p, build_conflict_hypergraph(p)
-                if r > 3:
+                if min(r, k + 1) <= 3 or small:
+                    yield p, build_conflict_hypergraph(p)
+                if r > 5 or r > 3 and not small:
                     continue
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -1179,21 +1176,16 @@ def rule_sweep():
 
 def test_rule_tables_equal_the_edge_tables():
     """An engine on the tables read off a builder's rule propagates as one
-    on the tables its listed edges fold into: on random partial colorings,
-    each assignment leaves every forb[c] and the count planes equal, and
-    fails on both or on neither, so every search tree is the edge path's.
-    The rule gives no tables exactly where the edges can have 4 or more
-    members, conflict instances with r >= 4 and k >= 3, which keep the
-    edge path."""
+    that scans its listed edges: on random partial colorings, each
+    assignment leaves every forb[c] and the count planes equal, and fails
+    on both or on neither, so every search tree is the scan path's.  Every
+    rule gives tables, at every arity: the meet rule up to witnesses of 6
+    members, the disjoint rule up to r = 5."""
     rng = random.Random(28)
     derived = assigned = failed = 0
     for name, h in rule_sweep():
         points = tuple(v.bits for v in h.vertices)
         got = solve._rule_tables(h.rule, points)
-        if got is None:
-            assert h.rule.meet and h.rule.r >= 4 and points[0].bit_count() >= 3, name
-            continue
-        assert all(len(edge) <= 3 for edge in h.edges), name
         nv = len(points)
         rule = solve._Engine(nv, (), points, (), got)
         edge = solve._Engine(nv, h.edges)
@@ -1213,15 +1205,15 @@ def test_rule_tables_equal_the_edge_tables():
                     failed += 1
                     break
         derived += 1
-    assert derived == 501
-    assert assigned > 12_000 and failed > 300, (assigned, failed)
+    assert derived == 841
+    assert assigned > 18_000 and failed > 400, (assigned, failed)
 
 
 def test_rule_instances_list_no_edges(monkeypatch):
     """Neither lister runs while chromatic_number searches a Kneser-type
-    builder instance or min_partition_number one whose witnesses have at
-    most 3 members; reading `edges` lists them once, and a conflict
-    instance with witnesses of 4 members lists them for its engine."""
+    builder instance or min_partition_number a conflict instance, at any
+    arity: KG^4(12,2) has edges of 4 members, and (7,3,4) and (7,4,5)
+    witnesses of 4 and 5.  Reading `edges` lists them once."""
     calls = []
     for name in ("_disjoint_tuples", "_minimal_witnesses"):
         def spy(*args, name=name, lister=getattr(kneser, name)):
@@ -1237,13 +1229,19 @@ def test_rule_instances_list_no_edges(monkeypatch):
         chromatic_number(build_partition_constrained(GroundParams(10, 2, 3), blocks)),
         chromatic_number(build_kneser_hypergraph(GroundParams(10, 2, 2))),
         chromatic_number(build_stable_subhypergraph(GroundParams(10, 3, 2), 2)),
+        min_partition_number(GroundParams(7, 3, 4)),
+        min_partition_number(GroundParams(7, 4, 5)),
+        chromatic_number(build_kneser_hypergraph(GroundParams(12, 2, 4))),
     ]
-    assert [res.nodes for res in results] == [1101, 424, 748, 1655, 265, 29646]
+    assert [(res.status, res.nodes) for res in results[:8]] == [
+        (EXACT, nodes) for nodes in (1101, 424, 748, 1655, 265, 29646, 1910, 3073)]
+    assert (results[8].status, results[8].upper, results[8].nodes) == (EXACT, 3, 170)
     assert calls == []
     h = build_kneser_hypergraph(GroundParams(8, 2, 2))
     assert h.num_edges == 210 and h.edges is h.edges
     assert calls == ["_disjoint_tuples"]
-    assert min_partition_number(GroundParams(7, 3, 4)).nodes == 1910
+    h = build_conflict_hypergraph(GroundParams(7, 3, 4))
+    assert h.num_edges and h.edges is h.edges
     assert calls == ["_disjoint_tuples", "_minimal_witnesses"]
 
 
@@ -1255,13 +1253,15 @@ def test_chromatic_number_of_the_empty_hypergraph():
 
 @pytest.mark.parametrize("vertices, edges", [
     (4, ((0, 0),)), (4, ((0, 1, 1),)), (4, ((0, 9),)), (4, ((0, -1),)),
-    (0, ((0, 1),)),
+    (0, ((0, 1),)), (4, 5), (4, None),
 ])
 def test_chromatic_number_rejects_malformed_edges(vertices, edges):
-    """A hand-built Hypergraph with a malformed edge raises InvalidParams
-    through the public entry point, the empty one included."""
+    """A hand-built Hypergraph with a malformed edge, or with edges that
+    are not a collection at all, raises InvalidParams through the public
+    entry point, the empty one included."""
     h = Hypergraph(tuple(KSubset(1 << i, 4) for i in range(vertices)), edges)
-    with pytest.raises(InvalidParams, match=re.escape(f"constraint {edges[0]}")):
+    what = f"constraint {edges[0]}" if isinstance(edges, tuple) else f"edges {edges} "
+    with pytest.raises(InvalidParams, match=re.escape(what)):
         chromatic_number(h)
 
 
