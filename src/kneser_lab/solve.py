@@ -225,23 +225,32 @@ def _meet_closure(apart, pv: int, points, x: int, depth: int) -> int:
     return f
 
 
-def _chains(apart: list[int], cand: int, need: int, acc: int, f: int) -> int:
+def _chains(apart: list[int], cand: int, need: int, acc: int, f: int,
+            deadline: float | None) -> int:
     """f ORed with acc & the AND of apart[u] over every increasing chain of
     `need` pairwise disjoint ids u of cand.  A chain whose candidates are
     fewer than the members it still needs, or whose AND adds nothing to
-    f, is not grown."""
+    f, is not grown; its last member is any of them, so the walk ends in
+    one OR over cand.  Past the deadline, read before a chain is grown, it
+    raises _Timeout: one walk at large r can take seconds."""
+    if need == 1:
+        near = 0
+        while cand:
+            low = cand & -cand
+            near |= apart[low.bit_length() - 1]
+            cand ^= low
+        return f | acc & near
     while cand:
         low = cand & -cand
         cand ^= low
         d = apart[low.bit_length() - 1]
         y = acc & d
         if y & ~f:
-            if need == 1:
-                f |= y
-            else:
-                nxt = cand & d
-                if nxt.bit_count() >= need - 1:
-                    f = _chains(apart, nxt, need - 1, y, f)
+            nxt = cand & d
+            if nxt.bit_count() >= need - 1:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _Timeout
+                f = _chains(apart, nxt, need - 1, y, f, deadline)
     return f
 
 
@@ -335,14 +344,11 @@ class _Engine:
     def __init__(
         self,
         nv: int,
-        constraints: tuple[tuple[int, ...], ...],
+        tables: tuple,
         points: tuple[int, ...] = (),
         cells: tuple[int, ...] = (),
-        tables: tuple | None = None,
     ):
         self.nv = nv
-        if tables is None:
-            tables = _edge_tables(nv, constraints)
         self.adj, self.table, self.step, self.depth = tables
         self.has_pairs = any(self.adj)
         self.points = points
@@ -394,27 +400,13 @@ class _Engine:
                 # the other members of c: each meets v, or v would be in forb[c]
                 x = (cc ^ 1 << v) & ~self.adj[v]
                 if x:
-                    memo, points, pv = self.table, self.points, self.points[v]
-                    if self.depth > 1:
-                        f |= _meet_closure(memo, pv, points, x, self.depth)
-                    else:
-                        while x:
-                            low = x & -x
-                            f |= memo[pv & points[low.bit_length() - 1]]
-                            x ^= low
+                    f |= _meet_closure(self.table, self.points[v], self.points, x,
+                                       self.depth)
             elif step == "apart":
                 apart = self.table
                 x = cc & apart[v]
                 if x:
-                    if self.depth > 1:
-                        f = _chains(apart, x, self.depth, apart[v], f)
-                    else:
-                        near = 0
-                        while x:
-                            low = x & -x
-                            near |= apart[low.bit_length() - 1]
-                            x ^= low
-                        f |= apart[v] & near
+                    f = _chains(apart, x, self.depth, apart[v], f, self.deadline)
             else:
                 out = ~cc
                 for rest in self.table[v]:
@@ -667,7 +659,7 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
     # built before the empty case returns, so that it checks every edge
     tables = _rule_tables(h.rule, points) if h.rule else _edge_tables(nv, h.edges)
-    engine = _Engine(nv, (), points, h.cells, tables)
+    engine = _Engine(nv, tables, points, h.cells)
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 

@@ -418,14 +418,21 @@ def test_chi_kg4_refused_before_listing():
     assert "Traceback" not in out.stderr and wall < 2, wall
 
 
-def test_greedy_stops_at_the_deadline():
-    """(16,8,9) has 12,870 vertices and witnesses of up to 9 members, so
-    greedy alone takes far longer than the budget.  It reads the clock
-    every 256 vertices and stops with the bracket known without search:
-    the clique of 2 below, every vertex in its own class above."""
-    out, wall = cli_process("solve", "16", "8", "9", "--timeout", "1")
+@pytest.mark.parametrize("argv, head", [
+    (("solve", "16", "8", "9"), "TIMEOUT lower=2 upper=12870 nodes=0 "),
+    (("chi", "30", "2", "8", "--stable", "2"), "TIMEOUT lower=1 upper=405 nodes=0 "),
+], ids=["solve-16-8-9", "chi-30-2-8-stable"])
+def test_greedy_stops_at_the_deadline(argv, head):
+    """Greedy alone takes far longer than the budget on both: (16,8,9) has
+    12,870 vertices and witnesses of up to 9 members, and on the 2-stable
+    KG^8(30,2), with 405 vertices, one assignment can walk chains of 6
+    disjoint class members for seconds.  Greedy reads the clock every 256
+    vertices, and the chain walk before it grows a chain, so each run
+    stops with the bracket known without search: the clique below (1
+    where no constraint is a pair), every vertex in its own class above."""
+    out, wall = cli_process(*argv, "--timeout", "1")
     assert out.returncode == 3, out
-    assert out.stdout.startswith("TIMEOUT lower=2 upper=12870 nodes=0 "), out.stdout
+    assert out.stdout.startswith(head), out.stdout
     assert "Traceback" not in out.stderr and wall < 4, wall
 
 

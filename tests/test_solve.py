@@ -470,8 +470,9 @@ def test_orbital_pruning_keeps_every_decision():
         for shift in {0, nv // 2}:
             g = relabelled(h, shift)
             points = tuple(v.bits for v in g.vertices)
-            plain = solve._Engine(nv, g.edges)
-            pruned = solve._Engine(nv, g.edges, points, cells)
+            tables = solve._edge_tables(nv, g.edges)
+            plain = solve._Engine(nv, tables)
+            pruned = solve._Engine(nv, tables, points, cells)
             clique = plain.pair_clique()
             m = max(1, len(clique))
             while True:
@@ -1030,7 +1031,7 @@ def test_engine_rejects_short_constraints(constraint):
     """Too few members, a repeated member or an id outside the vertices is
     bad input, not a soundness failure, and the message names it."""
     with pytest.raises(InvalidParams, match=re.escape(f"constraint {constraint}")):
-        solve._Engine(5, ((0, 1), (0, 1, 2), (0, 1, 2, 3, 4), constraint))
+        solve._edge_tables(5, ((0, 1), (0, 1, 2), (0, 1, 2, 3, 4), constraint))
 
 
 def naive_forbidden(constraints, col_c):
@@ -1088,7 +1089,7 @@ def test_propagation_matches_a_naive_recount():
     for _ in range(150):
         nv = rng.randint(4, 12)
         constraints = random_constraints(rng, nv)
-        engine = solve._Engine(nv, tuple(constraints))
+        engine = solve._Engine(nv, solve._edge_tables(nv, constraints))
         assert engine.first_fit() == naive_first_fit(nv, constraints)
         for _ in range(3):
             m = rng.randint(2, 4)
@@ -1187,8 +1188,8 @@ def test_rule_tables_equal_the_edge_tables():
         points = tuple(v.bits for v in h.vertices)
         got = solve._rule_tables(h.rule, points)
         nv = len(points)
-        rule = solve._Engine(nv, (), points, (), got)
-        edge = solve._Engine(nv, h.edges)
+        rule = solve._Engine(nv, got, points)
+        edge = solve._Engine(nv, solve._edge_tables(nv, h.edges))
         for _ in range(3):
             m = rng.randint(2, 5)
             uncol, count = (1 << nv) - 1, rule._reset(m)
