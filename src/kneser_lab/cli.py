@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -53,7 +52,7 @@ from .solve import (
     TIMEOUT,
     SolveBudget,
     SolveResult,
-    chromatic_number,
+    _solve,
     min_partition_number,
 )
 from .verify import (
@@ -223,8 +222,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
-    """Build the hypergraph, then solve it; --timeout and millis both
-    count the build, as they count the witness build for solve."""
+    """Build the hypergraph and solve it from one start time, so --timeout
+    and millis count the build, as solve's count its conflict build."""
     t0 = time.monotonic()
     p = GroundParams(args.n, args.k, args.r)
     if args.stable is not None:
@@ -233,13 +232,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
         h = build_partition_constrained(p, _parse_parts(args.parts))
     else:
         h = build_kneser_hypergraph(p)
-    budget = _budget(args)
-    build_s = time.monotonic() - t0
-    if budget.max_seconds is not None:
-        budget = dataclasses.replace(budget, max_seconds=budget.max_seconds - build_s)
-    res = chromatic_number(h, budget)
-    res = dataclasses.replace(res, millis=res.millis + int(build_s * 1000))
-    return _report_solve(args, res)
+    return _report_solve(args, _solve(h, _budget(args), t0))
 
 
 def cmd_blowup(args: argparse.Namespace) -> int:
@@ -346,7 +339,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body + "\n")
-        print(f"wrote {args.out}: {len(rows)} rows, all_agree={all_agree}")
+        _emit_kv(args, {"out": args.out, "rows": len(rows), "all_agree": all_agree},
+                 f"wrote {args.out}: {len(rows)} rows, all_agree={all_agree}")
     else:
         print(body)
     return 0 if all_agree else 1

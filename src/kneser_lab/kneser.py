@@ -87,14 +87,15 @@ class Hypergraph:
     Kneser edges are r ids of pairwise disjoint subsets; the edges of
     solve.build_conflict_hypergraph are minimal empty-intersection
     witnesses.  Callers set only vertices and edges, and the builders
-    grant the rest: params / stability / parts name the Kneser-type
-    variant for chromatic_number's certificate, `cells` are point masks
-    whose permutations keep the edges, for orbital pruning, and `rule`
-    says which vertex sets are edges.  A builder lists no edges: the first
-    read of `edges` lists them off the rule and keeps them, and the search
-    engine reads its tables off the rule, so a search never lists them.  A
-    hand-built or edited Hypergraph has none of these: no certificate, no
-    pruning, and the engine scans its edge list.
+    grant the rest: params / stability / parts name the instance for its
+    certificate (a conflict hypergraph by its n, k, r, a Kneser-type one
+    by its variant too), `cells` are point masks whose permutations keep
+    the edges, for orbital pruning, and `rule` says which vertex sets are
+    edges.  A builder lists no edges: the first read of `edges` lists them
+    off the rule and keeps them, and the search engine reads its tables off
+    the rule, so a search never lists them.  A hand-built or edited
+    Hypergraph has none of these: no certificate, no pruning, and the
+    engine scans its edge list.
     """
 
     vertices: tuple[KSubset, ...]

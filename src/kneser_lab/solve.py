@@ -1,9 +1,10 @@
 """Exact solvers for the partition number and hypergraph chromatic numbers.
 
 Both are chromatic numbers of a Hypergraph, the partition number that of
-the conflict hypergraph, whose edges are the empty-intersection witnesses;
-the two entry points share one search core and differ only in their
-certificates.  The engine below keeps two bitmasks per color, the vertices
+the conflict hypergraph, whose edges are the empty-intersection witnesses.
+Both entry points run `_solve`: one search, then the certificate the
+instance record names (a partition, a coloring, or none for a hand-built
+record).  The engine below keeps two bitmasks per color, the vertices
 holding it and the uncolored vertices it would complete a constraint on,
 so an assignment touches one color's masks and undo restores them; the
 uncolored vertices and their counts of forbidden colors are values that
@@ -51,7 +52,6 @@ from .kneser import Hypergraph, _Apart, _granted, _incidence, _Rule
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
 from .verify import (
-    is_r_wise_intersecting,
     verify_coloring,
     verify_coloring_certificate,
     verify_partition_certificate,
@@ -66,10 +66,11 @@ class SolveBudget:
     """Resource limits for one solve call.
 
     Every solve is one search in one process, bounded only by max_seconds
-    and max_nodes; with neither set it runs until the bracket closes.
-    proof_cap and workers limit nothing: they stay only because the
-    benchmark's design.json passes them, and go with the next change to the
-    benchmark.  workers accepts only 1.
+    (> 0) and max_nodes (>= 1), like the CLI's flags: any other limit, NaN
+    included, is InvalidParams.  With neither set it runs until the bracket
+    closes.  proof_cap and workers limit nothing: they stay only because
+    the benchmark's design.json passes them, and go with the next change to
+    the benchmark.  workers accepts only 1.
     """
 
     max_seconds: float | None = None
@@ -80,12 +81,16 @@ class SolveBudget:
     def __post_init__(self) -> None:
         if self.workers != 1:
             raise InvalidParams(f"workers must be 1, got {self.workers}")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise InvalidParams(f"max_seconds must be > 0, got {self.max_seconds}")
+        if self.max_nodes is not None and not self.max_nodes >= 1:
+            raise InvalidParams(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """The one record of a search: `_search` fills the bracket, nodes and
-    colors, and each entry point adds millis and the certificate."""
+    colors, and `_solve` adds millis and the certificate."""
 
     status: str
     lower: int
@@ -121,13 +126,13 @@ class SolveResult:
 def build_conflict_hypergraph(p: GroundParams) -> Hypergraph:
     """The k-subsets of [n] in colex order, with every inclusion-minimal
     empty-intersection subfamily of size <= r as an edge, [n] as its cell
-    and no descriptor.  A coloring has no monochromatic edge iff each
+    and p as its params.  A coloring has no monochromatic edge iff each
     class is r-wise intersecting.  The edges are listed on their first
     read, by the strict-shrink DFS of kneser._minimal_witnesses.
     """
     guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
     vertices = enumerate_k_subsets(p.n, p.k)
-    return _granted(vertices, None, ((1 << p.n) - 1,), rule=_Rule(p.r, meet=True))
+    return _granted(vertices, None, ((1 << p.n) - 1,), p, rule=_Rule(p.r, meet=True))
 
 
 class _Timeout(Exception):
@@ -628,8 +633,8 @@ class _Engine:
 
 
 def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
-    """The search both entry points share: greedy bracket, then iterative
-    deepening, in one engine, on every instance.
+    """The search of `_solve`: greedy bracket, then iterative deepening, in
+    one engine, on every instance.
 
     The deadline is budget.max_seconds past t0, the entry point's start,
     so set-up spends the same budget.  Greedy reads it every 256 vertices;
@@ -652,8 +657,7 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     feasible, the run one class below is repeated as a cross-check: it
     raises SoundnessError if it completes feasible, and running out of
     budget there leaves the closed bracket EXACT.  The result carries the
-    best coloring and no certificate, with millis left at 0 for the caller
-    to fill in.
+    best coloring; `_solve` adds millis and the certificate.
     """
     nv = len(h.vertices)
     points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
@@ -697,12 +701,36 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     return SolveResult(EXACT, ub, ub, engine.nodes, 0, colors=tuple(best))
 
 
-def _classes(n: int, base: tuple[KSubset, ...], cols: tuple[int, ...]) -> tuple:
-    """The color classes of the coloring `cols` of `base`, in color order."""
-    groups: list[list[KSubset]] = [[] for _ in range(max(cols) + 1)]
-    for vid, c in enumerate(cols):
-        groups[c].append(base[vid])
-    return tuple(SetFamily(n, tuple(g)) for g in groups)
+def _solve(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
+    """`_search` from the entry point's start t0, with millis and the
+    certificate h's record names, re-checked by code sharing nothing with
+    the search: a PartitionCertificate for a conflict hypergraph, a
+    ColoringCertificate for a Kneser-type one, none for a hand-built or
+    edited one, whose colors are checked against its edges.  A failed
+    check, or an EXACT value other than the classes used, is SoundnessError."""
+    out = _search(h, budget, t0)
+    millis = int((time.monotonic() - t0) * 1000)
+
+    p, cert = h.params, None
+    if p is None:
+        rep, what = verify_coloring(h, out.colors), "improper coloring"
+    elif h.rule.meet:
+        fams: list[list[KSubset]] = [[] for _ in range(max(out.colors) + 1)]
+        for v, c in zip(h.vertices, out.colors):
+            fams[c].append(v)
+        cert = PartitionCertificate(p, tuple(SetFamily(p.n, tuple(f)) for f in fams))
+        rep, what = verify_partition_certificate(cert), "invalid partition"
+    else:
+        parts = h.parts.parts if h.parts is not None else None
+        cert = ColoringCertificate(ground_n=p.n, k=p.k, r=p.r, colors=out.colors,
+                                   parts=parts, stability=h.stability)
+        rep, what = verify_coloring_certificate(cert), "invalid certificate"
+    if not rep.ok:
+        raise SoundnessError(f"solver emitted an {what}: {rep.summary()}")
+    used = max(out.colors, default=-1) + 1
+    if out.status == EXACT and used != out.upper:
+        raise SoundnessError(f"EXACT value {out.upper} but {used} classes")
+    return replace(out, millis=millis, certificate=cert)
 
 
 def min_partition_number(
@@ -717,19 +745,7 @@ def min_partition_number(
     the conflict hypergraph.
     """
     t0 = time.monotonic()
-    h = build_conflict_hypergraph(p)
-    out = _search(h, budget, t0)
-    millis = int((time.monotonic() - t0) * 1000)
-
-    cert = PartitionCertificate(p, _classes(p.n, h.vertices, out.colors))
-    rep = verify_partition_certificate(cert)
-    if not rep.ok:
-        raise SoundnessError(f"solver emitted an invalid partition: {rep.summary()}")
-    if out.status == EXACT and cert.num_families != out.upper:
-        raise SoundnessError(
-            f"EXACT value {out.upper} but {cert.num_families} families"
-        )
-    return replace(out, millis=millis, certificate=cert)
+    return _solve(build_conflict_hypergraph(p), budget, t0)
 
 
 def chromatic_number(
@@ -738,42 +754,13 @@ def chromatic_number(
     """Fewest colors with no monochromatic hyperedge, proved by search.
 
     The clique lower bound is read off the pair edges (`_Engine.pair_clique`),
-    which force two colors apart whatever the other edges are.  Raw colors
-    are always attached and re-checked once.  A Kneser-type hypergraph from
-    the kneser builders gets a certificate named by its descriptor, which
-    alone re-checks them, so engine tables that miss constraints cannot
-    pass.  A conflict hypergraph (build_conflict_hypergraph) gets no
-    certificate; each color class is checked to be r-wise intersecting
-    (verify.is_r_wise_intersecting), so no witness is listed.  A hand-built
-    or edited hypergraph has no descriptor and no cells: it is searched
-    without orbital pruning, gets no certificate, and its colors are
-    checked against its edge list.  An edge with fewer than 2 members,
-    a repeated member or an id outside the vertices raises InvalidParams.
+    which force two colors apart whatever the other edges are.  The
+    certificate and its check are `_solve`'s: a builder's hypergraph is
+    re-checked from its descriptor alone, so engine tables that miss
+    constraints cannot pass, and a conflict hypergraph gets the
+    PartitionCertificate of min_partition_number.  A hand-built or edited
+    hypergraph is searched without orbital pruning and gets no
+    certificate.  An edge with fewer than 2 members, a repeated member or
+    an id outside the vertices raises InvalidParams.
     """
-    t0 = time.monotonic()
-    out = _search(h, budget, t0)
-    millis = int((time.monotonic() - t0) * 1000)
-
-    cert = None
-    if h.rule is not None and h.rule.meet:
-        # a conflict hypergraph has vertices, so at least one class
-        what = "improper coloring"
-        for fam in _classes(h.vertices[0].n, h.vertices, out.colors):
-            rep = is_r_wise_intersecting(fam, h.rule.r)
-            if not rep.ok:
-                break
-    elif h.params is None:
-        rep, what = verify_coloring(h, out.colors), "improper coloring"
-    else:
-        cert = ColoringCertificate(
-            ground_n=h.params.n,
-            k=h.params.k,
-            r=h.params.r,
-            colors=out.colors,
-            parts=h.parts.parts if h.parts is not None else None,
-            stability=h.stability,
-        )
-        rep, what = verify_coloring_certificate(cert), "invalid certificate"
-    if not rep.ok:
-        raise SoundnessError(f"solver emitted an {what}: {rep.summary()}")
-    return replace(out, millis=millis, certificate=cert)
+    return _solve(h, budget, time.monotonic())

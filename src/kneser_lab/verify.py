@@ -44,6 +44,14 @@ CLOCK_STRIDE = 4096
 TIMED_OUT = "check did not finish within its time budget"
 
 
+def _deadline(max_seconds: float | None) -> float | None:
+    """perf_counter() max_seconds from now, or None for no limit; a limit
+    not above 0, NaN included, is InvalidParams."""
+    if max_seconds is not None and not max_seconds > 0:
+        raise InvalidParams(f"max_seconds must be > 0, got {max_seconds}")
+    return None if max_seconds is None else perf_counter() + max_seconds
+
+
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One witness record: offending member indices plus a readable reason."""
@@ -193,7 +201,7 @@ def verify_partition_certificate(cert, max_seconds: float | None = None) -> Repo
 
     if not isinstance(cert, PartitionCertificate):
         raise InvalidParams("expected a PartitionCertificate")
-    deadline = None if max_seconds is None else perf_counter() + max_seconds
+    deadline = _deadline(max_seconds)
     p = cert.params
     guard_subsets(p.n, p.k)
     violations: list[Violation] = []
@@ -472,7 +480,7 @@ def verify_coloring_certificate(cert, max_seconds: float | None = None) -> Repor
 
     if not isinstance(cert, ColoringCertificate):
         raise InvalidParams("expected a ColoringCertificate")
-    deadline = None if max_seconds is None else perf_counter() + max_seconds
+    deadline = _deadline(max_seconds)
     n, k, r = cert.ground_n, cert.k, cert.r
     if not (1 <= k <= n and r >= 2):
         raise InvalidParams(f"bad descriptor n={n} k={k} r={r}")

@@ -630,6 +630,16 @@ def test_table_writes_csv_file(tmp_path, capsys):
     assert [row["n"] for row in csv.DictReader(io.StringIO(shown))] == ["4", "5", "6"]
 
 
+def test_table_out_summary_follows_format(tmp_path, capsys):
+    """With -o, table prints its summary in --format, as construct does."""
+    path = tmp_path / "table.json"
+    code, out, _ = run(capsys, "--format", "json", "table", "--r", "2..2",
+                       "--k", "1..1", "-o", str(path))
+    assert code == 0
+    assert json.loads(out) == {"out": str(path), "rows": 2, "all_agree": True}
+    assert len(json.loads(path.read_text())["rows"]) == 2
+
+
 @pytest.mark.parametrize("r_range, extra, low", [
     ("1", [], 1),
     ("0", [], 0),

@@ -12,6 +12,7 @@ import textwrap
 import time
 import warnings
 import weakref
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -20,7 +21,12 @@ import pytest
 
 import kneser_lab
 from kneser_lab import kneser, solve
-from kneser_lab.constructions import blow_up, build_tight_partition, tight_bound
+from kneser_lab.constructions import (
+    PartitionCertificate,
+    blow_up,
+    build_tight_partition,
+    tight_bound,
+)
 from kneser_lab.errors import InstanceTooLarge, InvalidParams, SoundnessError
 from kneser_lab.kneser import (
     Hypergraph,
@@ -814,8 +820,8 @@ def test_edited_hypergraph_gets_no_cells(monkeypatch):
 
 def test_conflict_hypergraph_solves_like_the_partition_number():
     """One record, one search core: the chromatic number of the conflict
-    hypergraph is the partition number, found in the same tree.  It names
-    no Kneser-type variant, so it gets no certificate."""
+    hypergraph is the partition number, found in the same tree, with the
+    same verified partition certificate."""
     checked = 0
     for n in range(1, 8):
         for k in range(1, n + 1):
@@ -827,7 +833,7 @@ def test_conflict_hypergraph_solves_like_the_partition_number():
                 part = min_partition_number(p)
                 assert (chi.status, chi.upper, chi.nodes) == (
                     part.status, part.upper, part.nodes), (n, k, r)
-                assert chi.certificate is None
+                assert chi.certificate == part.certificate
                 checked += 1
     assert checked == 84
 
@@ -914,9 +920,9 @@ def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
 
 
 def test_conflict_colorings_list_no_witnesses(monkeypatch):
-    """chromatic_number checks a conflict hypergraph's colors class by
-    class for r-wise intersection: neither the witness lister nor the
-    edge-list verifier runs, and the value is the partition number."""
+    """chromatic_number gives a conflict hypergraph the verified partition
+    certificate: neither the witness lister nor the edge-list verifier
+    runs, and the value is the partition number."""
     calls = []
 
     def spy(*args, lister=kneser._minimal_witnesses):
@@ -926,14 +932,16 @@ def test_conflict_colorings_list_no_witnesses(monkeypatch):
     monkeypatch.setattr(kneser, "_minimal_witnesses", spy)
     monkeypatch.setattr(solve, "verify_coloring", spy)
     res = chromatic_number(build_conflict_hypergraph(GroundParams(8, 3, 3)))
-    assert (res.status, res.upper, res.nodes, res.certificate) == (EXACT, 5, 424, None)
+    assert (res.status, res.upper, res.nodes) == (EXACT, 5, 424)
+    assert isinstance(res.certificate, PartitionCertificate)
+    assert res.certificate.num_families == 5
     assert calls == []
 
 
 def test_conflict_coloring_with_a_bad_class_is_refused(monkeypatch):
     """A search result whose colors merge two classes of the (8,3,3)
     conflict hypergraph, planted behind the engine, raises SoundnessError
-    from the class check."""
+    from the partition check."""
     search = solve._search
 
     def merged(h, budget, t0):
@@ -943,7 +951,7 @@ def test_conflict_coloring_with_a_bad_class_is_refused(monkeypatch):
                                    colors=colors)
 
     monkeypatch.setattr(solve, "_search", merged)
-    with pytest.raises(SoundnessError, match="improper coloring.*empty intersection"):
+    with pytest.raises(SoundnessError, match="invalid partition.*empty intersection"):
         chromatic_number(build_conflict_hypergraph(GroundParams(8, 3, 3)))
 
 
@@ -986,6 +994,30 @@ def test_budget_accepts_one_worker_only():
     for workers in (2, 0):
         with pytest.raises(InvalidParams, match="workers"):
             SolveBudget(workers=workers)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_seconds", float("nan")),
+    ("max_seconds", 0),
+    ("max_seconds", -1.0),
+    ("max_nodes", 0),
+    ("max_nodes", -5),
+    ("max_nodes", float("nan")),
+])
+def test_budgets_refuse_nan_and_non_positive_limits(field, value):
+    """A NaN deadline is never passed, since time.monotonic() > nan is
+    never true, and a node limit below 1 stops at the first node: the
+    library refuses both, as the CLI's flags do, in SolveBudget and in
+    both verifiers' max_seconds."""
+    with pytest.raises(InvalidParams, match=field):
+        SolveBudget(**{field: value})
+    if field == "max_seconds":
+        part = build_tight_partition(GroundParams(6, 2, 3))
+        coloring, _ = blow_up(part)
+        for verify, cert in ((verify_partition_certificate, part),
+                             (verify_coloring_certificate, coloring)):
+            with pytest.raises(InvalidParams, match=field):
+                verify(cert, value)
 
 
 def test_solve_result_json_shape():
@@ -1075,58 +1107,78 @@ def random_constraints(rng, nv):
     return out
 
 
+def recount(engine, nv, constraints, m, rng):
+    """One random proper partial coloring with m colors on the engine, each
+    assignment checked against a recount from the constraint list: every
+    forb[c] is the set of vertices some constraint would complete in color
+    c, the count planes agree with forb, and an assignment fails exactly
+    when an uncolored vertex has every color forbidden (a wipeout) or two
+    uncolored vertices of a pair constraint have the same one color left
+    (a clash).  Returns the assignments made and how the last one failed."""
+    uncol, count = (1 << nv) - 1, engine._reset(m)
+    tally = Counter()
+    for v in rng.sample(range(nv), nv):
+        allowed = [c for c in range(m) if not engine.forb[c] >> v & 1]
+        c = rng.choice(allowed)
+        uncol ^= 1 << v
+        count = engine._assign(v, c, uncol, count)
+        ok = count is not None
+        tally["assigned"] += 1
+        for d in range(m):
+            want = naive_forbidden(constraints, engine.col[d])
+            assert engine.forb[d] == want, (constraints, v, d)
+        for x in range(nv):
+            if ok and uncol >> x & 1:
+                got = plane_value(count, x)
+                assert got == sum(f >> x & 1 for f in engine.forb)
+        stuck = any(
+            uncol >> x & 1 and all(f >> x & 1 for f in engine.forb)
+            for x in range(nv)
+        )
+        only = {x: [d for d in range(m) if not engine.forb[d] >> x & 1]
+                for x in range(nv) if uncol >> x & 1}
+        clash = any(
+            len(members) == 2 and all(x in only for x in members)
+            and len(only[members[0]]) == 1
+            and only[members[0]] == only[members[1]]
+            for members in constraints
+        )
+        assert ok == (not stuck and not clash), (constraints, v, c)
+        if not ok:
+            tally["wipeouts" if stuck else "clashes"] += 1
+            break
+    return tally
+
+
 def test_propagation_matches_a_naive_recount():
-    """The scan of the rests of larger constraints, against a recount from
-    the constraint list: on random hypergraphs, at every assignment of a
-    random proper partial coloring, every forb[c] is the set of vertices
-    some constraint would complete in color c, the count planes agree with
-    forb, and an assignment fails exactly when an uncolored vertex has
-    every color forbidden (a wipeout) or two uncolored vertices of a pair
-    constraint have the same one color left (a clash).  first_fit is the
-    naive greedy."""
+    """Both kinds of engine tables, against a recount from the constraint
+    list (see `recount`): the scan of the rests of larger constraints on
+    random hypergraphs, and the rule tables of small conflict instances,
+    with witnesses of 2 to 5 members, against the brute-force witness
+    list.  first_fit is the naive greedy on both."""
     rng = random.Random(2006)
-    assigned = wipeouts = clashes = 0
+    tally = Counter()
     for _ in range(150):
         nv = rng.randint(4, 12)
         constraints = random_constraints(rng, nv)
         engine = solve._Engine(nv, solve._edge_tables(nv, constraints))
         assert engine.first_fit() == naive_first_fit(nv, constraints)
         for _ in range(3):
-            m = rng.randint(2, 4)
-            uncol, count = (1 << nv) - 1, engine._reset(m)
-            order = rng.sample(range(nv), nv)
-            for v in order:
-                allowed = [c for c in range(m) if not engine.forb[c] >> v & 1]
-                c = rng.choice(allowed)
-                uncol ^= 1 << v
-                count = engine._assign(v, c, uncol, count)
-                ok = count is not None
-                assigned += 1
-                for d in range(m):
-                    want = naive_forbidden(constraints, engine.col[d])
-                    assert engine.forb[d] == want, (constraints, v, d)
-                for x in range(nv):
-                    if ok and uncol >> x & 1:
-                        got = plane_value(count, x)
-                        assert got == sum(f >> x & 1 for f in engine.forb)
-                stuck = any(
-                    uncol >> x & 1 and all(f >> x & 1 for f in engine.forb)
-                    for x in range(nv)
-                )
-                only = {x: [d for d in range(m) if not engine.forb[d] >> x & 1]
-                        for x in range(nv) if uncol >> x & 1}
-                clash = any(
-                    len(members) == 2 and all(x in only for x in members)
-                    and len(only[members[0]]) == 1
-                    and only[members[0]] == only[members[1]]
-                    for members in constraints
-                )
-                assert ok == (not stuck and not clash), (constraints, v, c)
-                if not ok:
-                    wipeouts += stuck
-                    clashes += not stuck
-                    break
-    assert assigned > 1000 and wipeouts > 40 and clashes > 5
+            tally += recount(engine, nv, constraints, rng.randint(2, 4), rng)
+    assert tally["assigned"] > 1000 and tally["wipeouts"] > 40
+    assert tally["clashes"] > 5
+    tally = Counter()
+    for n, k, r in [(5, 2, 2), (6, 2, 2), (6, 2, 3), (5, 3, 3), (5, 3, 4),
+                    (6, 4, 5)]:
+        h = build_conflict_hypergraph(GroundParams(n, k, r))
+        points = tuple(v.bits for v in h.vertices)
+        nv, witnesses = len(points), brute_force_witnesses(list(points), r)
+        engine = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        assert engine.first_fit() == naive_first_fit(nv, witnesses)
+        for m in (2, 2, 3, 3, 4, 4, 5, 5):
+            tally += recount(engine, nv, witnesses, m, rng)
+    assert tally["assigned"] > 350 and tally["wipeouts"] > 12
+    assert tally["clashes"] > 3
 
 
 def test_rule_tables_need_no_edge_limit(monkeypatch):

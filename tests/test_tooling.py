@@ -93,6 +93,23 @@ def test_traced_pass_covers_every_bench_call():
     assert tracer.counts["constructions.lift_vertices"] > 0
 
 
+def test_both_entry_points_certify_in_one_engine_span():
+    """min_partition_number and chromatic_number on a conflict hypergraph
+    share one certify step: each call is one solve.engine span whose child
+    verify.partition re-checks the partition, and only the first builds
+    its conflict hypergraph inside the span."""
+    p = GroundParams(6, 2, 3)
+    tracer = load_tracing().Tracer()
+    tracer.run(lambda: (solve.min_partition_number(p),
+                        solve.chromatic_number(solve.build_conflict_hypergraph(p))))
+    spans = tracer.spans
+    engines = [i for i, (layer, _, _) in enumerate(spans) if layer == "solve.engine"]
+    assert len(engines) == 2
+    children = [sorted(layer for layer, parent, _ in spans if parent == i)
+                for i in engines]
+    assert children == [["solve.conflict", "verify.partition"], ["verify.partition"]]
+
+
 def test_bench_passes_run_against_the_library(monkeypatch):
     """passes.py calls the library by name and keyword (SolveBudget's
     fields, blow_up's pair, the builders and verifiers); a rename there
