@@ -26,8 +26,11 @@ optimality by iterative deepening on the class count.  What an
 assignment forbids is read off the vertices' point masks and the class
 it joins, or, for a hand-built instance, off its constraints; forb[c] is
 a function of col[c] alone, which only grows along a search path, so no
-propagation state needs an undo of its own.  Closed-form values are never
-consulted, so agreement with the formulas is evidence, not circularity.
+propagation state needs an undo of its own.  The conflict rule's step
+memoises, per engine, the part of forb[c] that the distinct meets of v
+with the class give, since that part depends on nothing else.
+Closed-form values are never consulted, so agreement with the formulas
+is evidence, not circularity.
 
 Point symmetry is broken by orbital branching (Margot 2002; Ostrowski,
 Linderoth, Rossi and Smriglio 2011) over a subgroup that needs no group
@@ -211,15 +214,48 @@ def _rule_tables(rule, points: tuple[int, ...]) -> tuple:
     return [0] * len(points), apart, "apart", arity - 2
 
 
-def _meet_closure(apart, pv: int, points, x: int, depth: int) -> int:
+class _Closures(dict):
+    """The meet step's memo for one engine, one entry per distinct meet
+    set: a call's distinct meets, sorted and packed into one int of
+    `width`-bit fields, map to its closure.  Every meet is nonzero and fits
+    in `width` bits, so the packing is one to one, at a few bytes a meet
+    where a tuple would hold an int object per meet.  Closures repeat
+    across meet sets ((8,5,6) fills 16,441 entries with 73 distinct
+    closures), so equal ones share one int through `shared`."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+        self.shared: dict[int, int] = {}
+
+
+def _meet_closure(apart, pv: int, points, x: int, depth: int,
+                  memo: _Closures) -> int:
     """The OR of D(y) over every y that is the AND of at most `depth` of
     the meets pv & points[u], u in x, grown level by level from the
-    distinct meets; every y is a subset of pv."""
+    distinct meets; every y is a subset of pv.  The OR depends only on the
+    meets, as apart and depth are fixed per engine, so it is looked up in
+    `memo` and computed only on a miss.  At depth 1 every y is a meet, so
+    the OR is one lookup per member, which a memo would not save: it is
+    ORed in directly."""
+    if depth == 1:
+        f = 0
+        while x:
+            low = x & -x
+            f |= apart[pv & points[low.bit_length() - 1]]
+            x ^= low
+        return f
     meets = set()
     while x:
         low = x & -x
         meets.add(pv & points[low.bit_length() - 1])
         x ^= low
+    key, width = 0, memo.width
+    for y in sorted(meets):
+        key = key << width | y
+    f = memo.get(key)
+    if f is not None:
+        return f
     seen, level = set(meets), meets
     for _ in range(depth - 1):
         level = {y & z for y in level for z in meets} - seen
@@ -227,6 +263,7 @@ def _meet_closure(apart, pv: int, points, x: int, depth: int) -> int:
     f = 0
     for y in seen:
         f |= apart[y]
+    f = memo[key] = memo.shared.setdefault(f, f)
     return f
 
 
@@ -305,11 +342,16 @@ class _Engine:
     through w, and one that misses v is already in forb[c].  As ∩S ∩ v is
     the AND of the meets v & u over the members u of S, the step ORs in
     D(y) for every AND y of at most depth distinct meets of v with the
-    other members, each of which meets v, or v would be in forb[c].  No
-    step keeps state of its own: forb[c] is a function of col[c], which
-    only grows along a search path, so an assignment only ORs into it and
-    undo restores one mask.  The wipeout check looks only at the vertices
-    newly added to forb[c], and reads their counts off the planes.
+    other members, each of which meets v, or v would be in forb[c].  That
+    OR depends only on the set of distinct meets, since D and depth are
+    fixed per engine, so `closures` memoises it per meet set
+    (`_Closures`): an assignment whose meets were seen before reads it
+    back, and the engine's memory grows by one entry per distinct meet set.
+    The memo is a cache of a function, not search state: forb[c] is a
+    function of col[c], which only grows along a search path, so an
+    assignment only ORs into it and undo restores one mask.  The wipeout
+    check looks only at the vertices newly added to forb[c], and reads
+    their counts off the planes.
 
     Pair clashes.  An assignment also fails when one of those new vertices
     is left one allowed color d (a count of m - 1) and has a pair
@@ -359,6 +401,10 @@ class _Engine:
         self.points = points
         self.cells = [cell for cell in cells if cell & (cell - 1)]
         self.incidence = _incidence(points) if self.cells else []
+        # every point mask fits in as many bits as the incidence list has points
+        self.closures = (
+            _Closures(len(self.table.inc)) if self.step == "meet" else None
+        )
         self.weight: list[int] = []
         self.nodes = 0
         self.deadline: float | None = None
@@ -406,7 +452,7 @@ class _Engine:
                 x = (cc ^ 1 << v) & ~self.adj[v]
                 if x:
                     f |= _meet_closure(self.table, self.points[v], self.points, x,
-                                       self.depth)
+                                       self.depth, self.closures)
             elif step == "apart":
                 apart = self.table
                 x = cc & apart[v]

@@ -255,12 +255,14 @@ def test_criterion_10_partition_strictly_above_chromatic():
 
 
 def test_criterion_11_exact_frontier():
-    """The instances that timed out before the weighted tie-break, and
-    (8,5,6), which took 53 s before its constraints of 4 or more members
-    were pair-watched: each proved EXACT at its closed form within 20 s."""
+    """The instances that timed out before the weighted tie-break, (8,5,6),
+    which took 53 s before its constraints of 4 or more members were
+    pair-watched, and (8,4,5), which took 12-19 s before the meet step's
+    closures were memoised: each proved EXACT at its closed form within
+    20 s."""
     solved = []
     for n, k, r, want in [(10, 2, 3, 9), (11, 2, 3, 10), (12, 2, 3, 11), (8, 3, 4, 6),
-                          (8, 5, 6, 4)]:
+                          (8, 5, 6, 4), (8, 4, 5, 5)]:
         start = time.monotonic()
         p = GroundParams(n, k, r)
         res = min_partition_number(p)

@@ -1181,6 +1181,64 @@ def test_propagation_matches_a_naive_recount():
     assert tally["clashes"] > 3
 
 
+def test_meet_closure_memo_is_exact():
+    """The meet step's memo gives what a fresh computation gives.  On
+    conflict instances with witnesses of up to a = 3..6 members, for a
+    random vertex v and a random class x of vertices that meet v (with no
+    witness inside x and v), the closure from one warm memo shared by every
+    draw equals the closure from a fresh memo, and ORed with what x alone
+    forbids it is what a recount of the brute-force witnesses forbids
+    once v joins x.  Each new engine starts with an empty memo, and at
+    depth 1 (a = 3) the closure is ORed in directly and the memo stays
+    empty."""
+
+    def forbidden(col):
+        # naive_forbidden over witness masks: a witness with at most one
+        # member outside col forbids that member, or all of them
+        out = 0
+        for w in masks:
+            left = w & ~col
+            if not left & (left - 1):
+                out |= left or w
+        return out
+
+    rng = random.Random(31)
+    for n, k, r in [(7, 2, 3), (6, 3, 4), (6, 4, 5), (7, 5, 6)]:
+        h = build_conflict_hypergraph(GroundParams(n, k, r))
+        points = tuple(v.bits for v in h.vertices)
+        nv = len(points)
+        masks = [sum(1 << u for u in w)
+                 for w in brute_force_witnesses(list(points), r)]
+        engine = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        assert engine.step == "meet" and engine.depth == min(r, k + 1) - 2
+        warm = engine.closures
+        assert warm == {} and warm.shared == {}
+        calls = 0
+        for _ in range(150):
+            v = rng.randrange(nv)
+            x, size = 0, rng.randint(1, nv)
+            forb = forbidden(1 << v)
+            for u in rng.sample(range(nv), nv):
+                if x.bit_count() == size:
+                    break
+                if u != v and not forb >> u & 1:
+                    x |= 1 << u
+                    forb = forbidden(x | 1 << v)
+            if not x:
+                continue
+            args = (engine.table, points[v], points, x, engine.depth)
+            got = solve._meet_closure(*args, warm)
+            calls += 1
+            assert got == solve._meet_closure(*args, solve._Closures(warm.width))
+            assert got | forbidden(x) == forb, (n, k, r, v, x)
+        if engine.depth == 1:
+            assert warm == {}
+        else:
+            assert 0 < len(warm) < calls, (n, k, r)
+        fresh = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        assert fresh.closures == {} and fresh.closures.shared == {}
+
+
 def test_rule_tables_need_no_edge_limit(monkeypatch):
     """Tables read off a rule hold no per-constraint entry, so MAX_EDGES
     never binds them: with the limit at 1, KG^3(6,2) (90 triples), KG^4(8,2)
