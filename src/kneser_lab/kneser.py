@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 from .errors import InstanceTooLarge, InvalidParams, InvalidPartSpec
@@ -79,40 +80,35 @@ class _Rule:
         return _disjoint_tuples(masks, self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hypergraph:
-    """Vertices plus edges as sorted vertex-id tuples: the one instance
-    record, for Kneser-type and conflict instances alike.
+    """The k-subsets of a builder's instance and the rule that says which
+    of their sets are edges: the one instance record, for Kneser-type and
+    conflict instances alike.
 
     Kneser edges are r ids of pairwise disjoint subsets; the edges of
     solve.build_conflict_hypergraph are minimal empty-intersection
-    witnesses.  Callers set only vertices and edges, and the builders
-    grant the rest: params / stability / parts name the instance for its
-    certificate (a conflict hypergraph by its n, k, r, a Kneser-type one
-    by its variant too), `cells` are point masks whose permutations keep
-    the edges, for orbital pruning, and `rule` says which vertex sets are
-    edges.  A builder lists no edges: the first read of `edges` lists them
-    off the rule and keeps them, and the search engine reads its tables off
-    the rule, so a search never lists them.  A hand-built or edited
-    Hypergraph has none of these: no certificate, no pruning, and the
-    engine scans its edge list.
+    witnesses.  Only the builders make one, so every field is theirs:
+    params / stability / parts name the instance for its certificate (a
+    conflict hypergraph by its n, k, r, a Kneser-type one by its variant
+    too), `cells` are point masks whose permutations keep the edges, for
+    orbital pruning, and `rule` says which vertex sets are edges.  There is
+    no public constructor: `Hypergraph(...)` and `dataclasses.replace` raise
+    TypeError.  `edges` lists the edges off the rule on its first read, as
+    sorted vertex-id tuples, and keeps them; the search engine reads its
+    tables off the rule, so a search never lists them.
     """
 
     vertices: tuple[KSubset, ...]
-    edges: tuple[tuple[int, ...], ...]
-    params: GroundParams | None = field(default=None, init=False)
-    stability: int | None = field(default=None, init=False)
-    parts: PartSpec | None = field(default=None, init=False)
-    cells: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    rule: _Rule | None = field(default=None, init=False, repr=False, compare=False)
+    params: GroundParams
+    stability: int | None
+    parts: PartSpec | None
+    cells: tuple[int, ...] = field(repr=False, compare=False)
+    rule: _Rule = field(repr=False, compare=False)
 
-    def __getattr__(self, name: str):
-        # reached only for a builder's edges before their first read
-        if name != "edges" or self.rule is None:
-            raise AttributeError(name)
-        edges = tuple(self.rule.edges([v.bits for v in self.vertices]))
-        object.__setattr__(self, "edges", edges)
-        return edges
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.rule.edges([v.bits for v in self.vertices]))
 
     @property
     def num_vertices(self) -> int:
@@ -128,17 +124,12 @@ class Hypergraph:
         return self.edges
 
 
-def _granted(vertices, edges, cells, params=None, stability=None, parts=None,
-             rule=None):
-    """A builder's Hypergraph, with the fields that no caller can set; with
-    edges None, the rule lists them on their first read."""
+def _granted(vertices, cells, params, rule, stability=None, parts=None):
+    """A builder's Hypergraph: the record no caller can make."""
     h = object.__new__(Hypergraph)
-    fields = {"vertices": tuple(vertices), "params": params,
-              "stability": stability, "parts": parts, "cells": cells,
-              "rule": rule}
-    if edges is not None:
-        fields["edges"] = tuple(edges)
-    for name, value in fields.items():
+    for name, value in (("vertices", tuple(vertices)), ("params", params),
+                        ("stability", stability), ("parts", parts),
+                        ("cells", cells), ("rule", rule)):
         object.__setattr__(h, name, value)
     return h
 
@@ -297,7 +288,7 @@ def _induced_hypergraph(
     vertices = enumerate_k_subsets(p.n, p.k)
     if keep is not None:
         vertices = [v for v in vertices if keep(v)]
-    return _granted(vertices, None, cells, p, stability, parts, _Rule(p.r))
+    return _granted(vertices, cells, p, _Rule(p.r), stability, parts)
 
 
 def _edge_count(p: GroundParams) -> int:

@@ -3,12 +3,12 @@
 Both are chromatic numbers of a Hypergraph, the partition number that of
 the conflict hypergraph, whose edges are the empty-intersection witnesses.
 Both entry points run `_solve`: one search, then the certificate the
-instance record names (a partition, a coloring, or none for a hand-built
-record).  The engine below keeps two bitmasks per color, the vertices
-holding it and the uncolored vertices it would complete a constraint on,
-so an assignment touches one color's masks and undo restores them; the
-uncolored vertices and their counts of forbidden colors are values that
-each search node hands down, so they need no undo.  It branches on the
+instance record names, a partition or a coloring.  The engine below
+keeps two bitmasks per color, the vertices holding it and the uncolored
+vertices it would complete a constraint on, so an assignment touches
+one color's masks and undo restores them; the uncolored vertices and
+their counts of forbidden colors are values that each search node hands
+down, so they need no undo.  It branches on the
 vertex with the fewest remaining candidate colors, the saturation degree
 of DSATUR (Brélaz, "New methods to color the vertices of a graph", CACM
 1979), which it keeps up to date per assignment rather than recounting it
@@ -23,10 +23,10 @@ variable-weighted form of dom/wdeg: Boussemart, Hemery, Lecoutre and
 Sais, "Boosting systematic search by weighting constraints", ECAI 2004),
 breaks color symmetry by only ever opening one fresh color, and proves
 optimality by iterative deepening on the class count.  What an
-assignment forbids is read off the vertices' point masks and the class
-it joins, or, for a hand-built instance, off its constraints; forb[c] is
-a function of col[c] alone, which only grows along a search path, so no
-propagation state needs an undo of its own.  The conflict rule's step
+assignment forbids is read off the vertices' point masks, the builder's
+rule and the class it joins; forb[c] is a function of col[c] alone,
+which only grows along a search path, so no propagation state needs an
+undo of its own.  The conflict rule's step
 memoises, per engine, the part of forb[c] that the distinct meets of v
 with the class give, since that part depends on nothing else.
 Closed-form values are never consulted, so agreement with the formulas
@@ -39,8 +39,8 @@ inside given cells.  The conflict hypergraph and KG^r(k, n) keep their
 constraints under every permutation of [n], and the block-constrained
 variant under every permutation inside the blocks, so those are the
 starting cells; the s-stable variant is only dihedrally symmetric and gets
-none.  Cells come only from this package's builders; a hand-built or
-edited Hypergraph is searched without them and gets no certificate.
+none.  Cells come only from this package's builders, the only makers of a
+Hypergraph.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import InvalidParams, SoundnessError
 from .kneser import Hypergraph, _Apart, _granted, _incidence, _Rule
 from .setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from .setsys import guard_vertices
+# verify_coloring is bound here only for perfbench/tracing.py, which wraps it
 from .verify import (
     verify_coloring,
     verify_coloring_certificate,
@@ -135,7 +136,7 @@ def build_conflict_hypergraph(p: GroundParams) -> Hypergraph:
     """
     guard_vertices(p.num_vertices, f"C({p.n},{p.k})")
     vertices = enumerate_k_subsets(p.n, p.k)
-    return _granted(vertices, None, ((1 << p.n) - 1,), p, rule=_Rule(p.r, meet=True))
+    return _granted(vertices, ((1 << p.n) - 1,), p, _Rule(p.r, meet=True))
 
 
 class _Timeout(Exception):
@@ -161,38 +162,6 @@ def _plus_one(planes: list[int], bits: int) -> list[int]:
     except IndexError:
         out.append(bits)
     return out
-
-
-def _edge_tables(nv: int, constraints) -> tuple:
-    """The engine's tables (adj, table, step, depth) for a constraint
-    list, in one pass: each pair in adj, and each larger constraint R
-    filed as its rest R - v under every member v, for the "scan" step;
-    see _Engine, "Propagation"."""
-    if not hasattr(constraints, "__iter__"):
-        raise InvalidParams(f"edges {constraints!r} are not a list of constraints")
-    bits = [1 << i for i in range(nv)]
-    adj = [0] * nv
-    rests: list[list[int]] = [[] for _ in range(nv)]
-    try:
-        for t in constraints:
-            if len(t) < 2:
-                raise InvalidParams(f"constraint {t} has fewer than 2 members")
-            mask = 0
-            for u in t:
-                mask |= bits[u]
-            # bits[-1] would wrap to the last vertex
-            if mask.bit_count() != len(t) or min(t) < 0:
-                raise ValueError
-            for u in t:
-                if len(t) == 2:
-                    adj[u] |= mask ^ bits[u]
-                else:
-                    rests[u].append(mask ^ bits[u])
-    except (IndexError, TypeError, ValueError) as exc:
-        raise InvalidParams(
-            f"constraint {t} needs distinct ids of the {nv} vertices"
-        ) from exc
-    return adj, rests, "scan", 0
 
 
 def _rule_tables(rule, points: tuple[int, ...]) -> tuple:
@@ -326,17 +295,14 @@ class _Engine:
     max_used.  A vertex has at most m forbidden colors, so a count of m is
     one with every plane set where m has a one bit.
 
-    Propagation.  A builder's instance gets its tables from `_rule_tables`,
-    read off its rule and the point masks, and a hand-built or edited one
-    from `_edge_tables`; both forbid the same vertices, so the search tree
-    is the same.  A pair ORs v's adjacency mask into forb[c].  Larger
-    constraints go through `step`, fixed per engine.  "scan" walks v's
-    rests R - v and forbids the one member a rest has left outside c.  The
-    rules walk only the members u of class c, which is what makes them
-    cheap.  With D(x) the vertices disjoint from point mask x, "apart" (r
-    pairwise disjoint vertices) ORs in D(v) & D(u_1) & ... for every
-    increasing chain of depth = r - 2 pairwise disjoint members u_i in
-    D(v).  "meet" (minimal empty-intersection witnesses of at most a
+    Propagation.  The tables come from `_rule_tables`, read off the
+    builder's rule and the point masks; no edge is listed.  A pair ORs v's
+    adjacency mask into forb[c].  Larger constraints go through `step`,
+    fixed per engine and None where there are none, which walks only the
+    members u of class c: that is what makes it cheap.  With D(x) the
+    vertices disjoint from point mask x, "apart" (r pairwise disjoint
+    vertices) ORs in D(v) & D(u_1) & ... for every increasing chain of
+    depth = r - 2 pairwise disjoint members u_i in D(v).  "meet" (minimal empty-intersection witnesses of at most a
     members) forbids each w with ∩S ∩ v ∩ w empty for some set S of at most
     depth = a - 2 members of the class: such a family holds a witness
     through w, and one that misses v is already in forb[c].  As ∩S ∩ v is
@@ -388,14 +354,9 @@ class _Engine:
     branches and propagates.
     """
 
-    def __init__(
-        self,
-        nv: int,
-        tables: tuple,
-        points: tuple[int, ...] = (),
-        cells: tuple[int, ...] = (),
-    ):
-        self.nv = nv
+    def __init__(self, tables: tuple, points: tuple[int, ...],
+                 cells: tuple[int, ...] = ()):
+        self.nv = len(points)
         self.adj, self.table, self.step, self.depth = tables
         self.has_pairs = any(self.adj)
         self.points = points
@@ -453,17 +414,11 @@ class _Engine:
                 if x:
                     f |= _meet_closure(self.table, self.points[v], self.points, x,
                                        self.depth, self.closures)
-            elif step == "apart":
+            else:
                 apart = self.table
                 x = cc & apart[v]
                 if x:
                     f = _chains(apart, x, self.depth, apart[v], f, self.deadline)
-            else:
-                out = ~cc
-                for rest in self.table[v]:
-                    left = rest & out
-                    if left & (left - 1) == 0:
-                        f |= left
         forb[c] = f
         grew = f & ~old
         if not grew:
@@ -689,9 +644,8 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     it stops at its first node.  A bracket the budget leaves open is
     TIMEOUT.
 
-    The engine prunes orbits over `h.cells`, with each vertex's point mask,
-    only when the builder granted cells, and reads its tables off `h.rule`
-    when a builder granted one, so a builder's `h.edges` is never listed.
+    The engine reads its tables off `h.rule` and prunes orbits over
+    `h.cells`, with each vertex's point mask, so `h.edges` is never listed.
 
     The clique seed is read off the pair constraints (`pair_clique`); its
     vertices take pairwise distinct colors in every solution whatever the
@@ -706,13 +660,11 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     best coloring; `_solve` adds millis and the certificate.
     """
     nv = len(h.vertices)
-    points = tuple(v.bits for v in h.vertices) if h.cells or h.rule else ()
-    # built before the empty case returns, so that it checks every edge
-    tables = _rule_tables(h.rule, points) if h.rule else _edge_tables(nv, h.edges)
-    engine = _Engine(nv, tables, points, h.cells)
     if nv == 0:
         return SolveResult(EXACT, 0, 0, 0, 0, colors=())
 
+    points = tuple(v.bits for v in h.vertices)
+    engine = _Engine(_rule_tables(h.rule, points), points, h.cells)
     engine.max_nodes = budget.max_nodes
     if budget.max_seconds is not None:
         engine.deadline = t0 + budget.max_seconds
@@ -749,18 +701,15 @@ def _search(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
 
 def _solve(h: Hypergraph, budget: SolveBudget, t0: float) -> SolveResult:
     """`_search` from the entry point's start t0, with millis and the
-    certificate h's record names, re-checked by code sharing nothing with
-    the search: a PartitionCertificate for a conflict hypergraph, a
-    ColoringCertificate for a Kneser-type one, none for a hand-built or
-    edited one, whose colors are checked against its edges.  A failed
+    certificate h's record names, re-checked from its descriptor by code
+    sharing nothing with the search: a PartitionCertificate for a conflict
+    hypergraph, a ColoringCertificate for a Kneser-type one.  A failed
     check, or an EXACT value other than the classes used, is SoundnessError."""
     out = _search(h, budget, t0)
     millis = int((time.monotonic() - t0) * 1000)
 
-    p, cert = h.params, None
-    if p is None:
-        rep, what = verify_coloring(h, out.colors), "improper coloring"
-    elif h.rule.meet:
+    p = h.params
+    if h.rule.meet:
         fams: list[list[KSubset]] = [[] for _ in range(max(out.colors) + 1)]
         for v, c in zip(h.vertices, out.colors):
             fams[c].append(v)
@@ -804,9 +753,7 @@ def chromatic_number(
     certificate and its check are `_solve`'s: a builder's hypergraph is
     re-checked from its descriptor alone, so engine tables that miss
     constraints cannot pass, and a conflict hypergraph gets the
-    PartitionCertificate of min_partition_number.  A hand-built or edited
-    hypergraph is searched without orbital pruning and gets no
-    certificate.  An edge with fewer than 2 members, a repeated member or
-    an id outside the vertices raises InvalidParams.
+    PartitionCertificate of min_partition_number.  Only the builders make
+    a Hypergraph, so every one has a descriptor to be checked from.
     """
     return _solve(h, budget, time.monotonic())

@@ -1,32 +1,78 @@
 """Exhaustive references for tiny instances, used by the tests.
 
 brute_force_oracle colors a hypergraph and shares no code with the search
-engine in kneser_lab.solve; brute_force_monochromatic lists a coloring's
-monochromatic edges and shares no code with the chain search in
-kneser_lab.verify, and reference_disjoint_chains is that search's
-list-based form, kept to pin its counts; brute_force_witnesses lists the
-minimal empty-intersection witnesses and shares no code with the pruned DFS
-of solve.build_conflict_hypergraph; reference_tight_partition builds the
+engine in kneser_lab.solve, and ReferenceScan is the propagation that
+engine's rule tables replace, read off a listed edge set;
+brute_force_monochromatic lists a coloring's monochromatic edges and
+shares no code with the chain search in kneser_lab.verify, and
+reference_disjoint_chains is that search's list-based form, kept to pin
+its counts; brute_force_witnesses lists the minimal empty-intersection
+witnesses and shares no code with the pruned DFS of
+solve.build_conflict_hypergraph, and brute_force_disjoint lists the
+r-tuples of pairwise disjoint vertices, sharing none with the ordered
+backtracking of kneser's Kneser-type builders; reference_tight_partition builds the
 tight partition family by family from combinations and sorts, independently
 of the colex filing in constructions.build_tight_partition.  Each pair can
 cross-check the other.  hilton_milner_partition is a valid partition whose
 first family makes the partition verifier's witness search run long.
+rule_instance and random_rule_instance make the tiny sub-families of
+k-subsets that the search is cross-checked on.
 """
 
 from itertools import combinations
 
 from kneser_lab.constructions import PartitionCertificate, tail_size, tight_bound
 from kneser_lab.errors import InstanceTooLarge, InvalidParams
-from kneser_lab.kneser import Hypergraph
-from kneser_lab.setsys import GroundParams, KSubset, SetFamily, guard_subsets
+from kneser_lab.kneser import Hypergraph, _granted, _Rule
+from kneser_lab.setsys import (
+    GroundParams,
+    KSubset,
+    SetFamily,
+    enumerate_k_subsets,
+    guard_subsets,
+)
 from kneser_lab.verify import Violation
 
 # brute_force_oracle's answer when no coloring within max_colors exists
 INFEASIBLE = "INFEASIBLE"
 
 
+def rule_instance(vertices, rule: _Rule, cells: tuple[int, ...] = ()) -> Hypergraph:
+    """The given k-subsets under `rule`, with `cells`, as a builder grants
+    an instance.  No descriptor names such a sub-family, so it has no params
+    and is only ever searched (solve._search), never certified."""
+    return _granted(vertices, cells, None, rule)
+
+
+def random_rule_instance(rng, rs=range(2, 5), dense=False, fewest=4) -> Hypergraph:
+    """`fewest` to 12 random k-subsets of [n], in a random order, under the
+    disjoint rule (with n >= rk, so that r disjoint k-subsets exist) or
+    the conflict rule, for n <= 8 and an r drawn from rs.  With `dense`,
+    2-subsets of [6..9] at r = 2, where about half of all pairs are
+    disjoint and so an edge."""
+    meet = rng.random() < 0.5
+    r = 2 if dense else rng.choice(rs)
+    while True:
+        n = rng.randint(6, 9) if dense else rng.randint(r, 8)
+        k = 2 if dense else rng.randint(1, n - 1 if meet else n // r)
+        pool = enumerate_k_subsets(n, k)
+        if len(pool) >= fewest:
+            break
+    vertices = rng.sample(pool, rng.randint(fewest, min(12, len(pool))))
+    return rule_instance(vertices, _Rule(r, meet))
+
+
+def brute_force_edges(h: Hypergraph) -> list[tuple[int, ...]]:
+    """h's edges under its rule, listed by brute force: the minimal
+    empty-intersection witnesses for the conflict rule, the pairwise
+    disjoint r-tuples otherwise.  Never reads h.edges."""
+    lister = brute_force_witnesses if h.rule.meet else brute_force_disjoint
+    return lister([v.bits for v in h.vertices], h.rule.r)
+
+
 def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
-    """Exhaustive reference answer for tiny instances.
+    """Exhaustive reference answer for tiny instances, over the edges
+    `brute_force_edges` lists.
 
     Assigns the vertices in id order, over every assignment whose used
     colors form a prefix (the one safe reduction), and checks each edge as
@@ -42,7 +88,7 @@ def brute_force_oracle(h: Hypergraph, max_colors: int) -> int | str:
     if nv == 0:
         return 0
     closed_by: list[list[tuple[int, ...]]] = [[] for _ in range(nv)]
-    for e in h.edges:
+    for e in brute_force_edges(h):
         closed_by[max(e)].append(e)
 
     def exists(limit: int, assign: list[int], used: int) -> bool:
@@ -120,6 +166,72 @@ def brute_force_witnesses(masks: list[int], r: int) -> list[tuple[int, ...]]:
             ):
                 out.append(w)
     return sorted(out)
+
+
+def brute_force_disjoint(masks: list[int], r: int) -> list[tuple[int, ...]]:
+    """Every r-subset of the masks whose members are pairwise disjoint, as
+    increasing id tuples in lexicographic order: their sizes add up to the
+    size of their union."""
+    out = []
+    for w in combinations(range(len(masks)), r):
+        union = 0
+        for i in w:
+            union |= masks[i]
+        if union.bit_count() == sum(masks[i].bit_count() for i in w):
+            out.append(w)
+    return out
+
+
+class ReferenceScan:
+    """The propagation of an edge list, which the search engine's rule
+    tables replace: each pair in adj, and each larger edge R filed as its
+    rest R - v under every member v.  Coloring v with c forbids, in class
+    c, v's pair neighbours and the one member a rest of v has left outside
+    the class."""
+
+    def __init__(self, nv: int, edges) -> None:
+        self.adj = [0] * nv
+        self.rests: list[list[int]] = [[] for _ in range(nv)]
+        for e in edges:
+            mask = 0
+            for u in e:
+                mask |= 1 << u
+            for u in e:
+                if len(e) == 2:
+                    self.adj[u] |= mask ^ 1 << u
+                else:
+                    self.rests[u].append(mask ^ 1 << u)
+
+    def forbid(self, v: int, col_c: int, forb_c: int) -> int:
+        """forb_c after v joins class c, which then holds the ids of col_c."""
+        f = forb_c | self.adj[v]
+        for rest in self.rests[v]:
+            left = rest & ~col_c
+            if left & (left - 1) == 0:
+                f |= left
+        return f
+
+    def fails(self, forb: list[int], uncol: int) -> bool:
+        """Whether an uncolored vertex has every color forbidden (a
+        wipeout), or two uncolored pair neighbours have the same one color
+        left (a clash)."""
+        every = uncol
+        for f in forb:
+            every &= f
+        if every:
+            return True
+        for d in range(len(forb)):
+            single = uncol & ~forb[d]
+            for e, f in enumerate(forb):
+                if e != d:
+                    single &= f
+            x = single
+            while x:
+                low = x & -x
+                x ^= low
+                if self.adj[low.bit_length() - 1] & single:
+                    return True
+        return False
 
 
 def reference_disjoint_chains(

@@ -18,7 +18,6 @@ from kneser_lab.constructions import (
     tight_bound,
 )
 from kneser_lab.kneser import (
-    Hypergraph,
     PartSpec,
     build_kneser_hypergraph,
     build_partition_constrained,
@@ -28,6 +27,8 @@ from kneser_lab.kneser import (
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily
 from kneser_lab.solve import (
     EXACT,
+    SolveBudget,
+    _search,
     chromatic_number,
     min_partition_number,
 )
@@ -38,7 +39,7 @@ from kneser_lab.verify import (
     verify_partition_certificate,
 )
 
-from oracle import brute_force_oracle
+from oracle import brute_force_oracle, random_rule_instance
 
 
 def test_criterion_01_pair_ladder():
@@ -172,20 +173,11 @@ def test_criterion_09_property_suites():
                 assert tight_bound(p) == n - s + 1
                 assert tight_bound(p) == ceil((n * (r - 1) - r * (k - 1)) / (r - 1))
 
-    # solver vs brute force on 200 random hypergraphs
+    # search vs brute force on 200 random sets of k-subsets under a rule
     rng = random.Random(1729)
     for trial in range(200):
-        nv = rng.randint(4, 12)
-        ne = rng.randint(1, nv)
-        edges = set()
-        while len(edges) < ne:
-            sz = rng.randint(2, min(4, nv))
-            edges.add(tuple(sorted(rng.sample(range(nv), sz))))
-        h = Hypergraph(
-            vertices=tuple(KSubset(1 << i, nv) for i in range(nv)),
-            edges=tuple(sorted(edges)),
-        )
-        res = chromatic_number(h)
+        h = random_rule_instance(rng)
+        res = _search(h, SolveBudget(), time.monotonic())
         assert res.status == EXACT, trial
         assert brute_force_oracle(h, res.upper) == res.upper, trial
 

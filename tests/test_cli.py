@@ -502,6 +502,18 @@ def test_chi_stable(capsys):
     assert "EXACT value=4" in out
 
 
+def test_chi_without_vertices_writes_a_certificate_that_verifies(tmp_path, capsys):
+    """No 2-subset of [4] is 3-stable: 0 colors at no node, and the empty
+    coloring certificate passes verify."""
+    result = tmp_path / "result.json"
+    code, out, _ = run(capsys, "chi", "4", "2", "2", "--stable", "3", "-o", str(result))
+    assert code == 0
+    assert out.startswith("EXACT value=0 nodes=0 ")
+    assert json.loads(result.read_text())["certificate"]["colors"] == []
+    code, out, _ = run(capsys, "verify", str(result))
+    assert (code, out) == (0, "ok (coloring with 0 colors on ground 4)\n")
+
+
 def test_chi_parts(capsys):
     code, out, _ = run(capsys, "chi", "6", "2", "3", "--parts", "1,2/3,4/5,6")
     assert code == 0

@@ -2,10 +2,10 @@
 
 import dataclasses
 import gc
+import inspect
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import textwrap
@@ -53,7 +53,15 @@ from kneser_lab.verify import (
     verify_partition_certificate,
 )
 
-from oracle import INFEASIBLE, brute_force_oracle, brute_force_witnesses
+from oracle import (
+    INFEASIBLE,
+    ReferenceScan,
+    brute_force_edges,
+    brute_force_oracle,
+    brute_force_witnesses,
+    random_rule_instance,
+    rule_instance,
+)
 
 
 def colex_pairs(n):
@@ -200,20 +208,25 @@ def test_chromatic_known_values():
         assert verify_coloring(h, list(res.colors)).ok
 
 
-def twin_cells(nv, edges):
-    """Point classes of a hypergraph on the 1-subsets of [nv]: i and j share
-    a class when the transposition (i j) maps the edge set to itself.  That
-    relation is an equivalence (conjugating a transposition by another gives
-    the third), so every permutation inside the classes is a symmetry."""
-    edge_set = set(edges)
-
-    def swapped(e, i, j):
-        return tuple(sorted(j if x == i else i if x == j else x for x in e))
-
+def point_twins(vertices):
+    """Point classes of a set of vertices: points i and j share a class
+    when the transposition (i j) maps the vertex set to itself, and so the
+    edge set too, as a rule reads nothing but the points.  That relation is
+    an equivalence (conjugating a transposition by another gives the
+    third), so every permutation inside the classes is a symmetry.  Only
+    points some vertex holds are classed."""
+    present = {v.bits for v in vertices}
+    union = 0
+    for bits in present:
+        union |= bits
     classes = []
-    for i in range(nv):
+    for i in range(union.bit_length()):
+        if not union >> i & 1:
+            continue
         for cls in classes:
-            if all(swapped(e, i, cls[0]) in edge_set for e in edges):
+            swap = 1 << i | 1 << cls[0]
+            if all((bits if bits & swap in (0, swap) else bits ^ swap) in present
+                   for bits in present):
                 cls.append(i)
                 break
         else:
@@ -222,52 +235,48 @@ def twin_cells(nv, edges):
 
 
 def relabelled(h, s):
-    """h with vertex v renamed (v - s) mod nv, edges remapped and the
-    builder's cells and descriptor kept: the search sees the same instance
-    with the lowest-id tie-break rotated by s."""
-    nv = len(h.vertices)
+    """h with vertex v renamed (v - s) mod nv and the builder's rule, cells
+    and descriptor kept: the search sees the same instance with the
+    lowest-id tie-break rotated by s."""
     vertices = h.vertices[s:] + h.vertices[:s]
-    edges = tuple(tuple(sorted((v - s) % nv for v in e)) for e in h.edges)
-    return kneser._granted(vertices, edges, h.cells, h.params, h.stability,
+    return kneser._granted(vertices, h.cells, h.params, h.rule, h.stability,
                            h.parts)
 
 
+def proper(colors, edges):
+    """Whether no edge has all its members one color."""
+    return all(len({colors[u] for u in e}) > 1 for e in edges)
+
+
 def assert_matches_brute_force(h, trial):
-    res = chromatic_number(h)
-    assert res.status == EXACT, trial
-    # the oracle re-proves every count below the answer infeasible
-    assert brute_force_oracle(h, res.upper) == res.upper, trial
-    # every relabelling that rotates the vertex ids reaches the same
-    # value, with and without orbital pruning over the point classes
+    """The search reaches the value the oracle proves, with a coloring
+    proper on the brute-force edges, at every rotation of the vertex ids,
+    with no cells and with the point twins as cells."""
     nv = len(h.vertices)
-    pruned = kneser._granted(h.vertices, h.edges, twin_cells(nv, h.edges))
+    edges = brute_force_edges(h)
+    want = _search(h, SolveBudget(), time.monotonic())
+    assert want.status == EXACT, trial
+    # the oracle re-proves every count below the answer infeasible
+    assert brute_force_oracle(h, want.upper) == want.upper, trial
+    pruned = rule_instance(h.vertices, h.rule, point_twins(h.vertices))
     for shift in range(nv):
+        moved = [tuple((u - shift) % nv for u in e) for e in edges]
         for record in (relabelled(h, shift), relabelled(pruned, shift)):
             out = _search(record, SolveBudget(), time.monotonic())
-            assert (out.status, out.upper) == (EXACT, res.upper), (trial, shift)
-            assert verify_coloring(record, out.colors).ok, (trial, shift)
+            assert (out.status, out.upper) == (EXACT, want.upper), (trial, shift)
+            assert proper(out.colors, moved), (trial, shift)
 
 
 def test_solver_matches_brute_force(monkeypatch):
-    """Sparse random hypergraphs of 2 to 4 members per edge, then dense
-    random graphs (every pair an edge with probability 1/2), where
-    assignments fail on a clash, two adjacent uncolored vertices left the
-    same one allowed color, with no wipeout.  The dense graphs run to 12
-    vertices: the oracle checks each edge once its members are assigned,
+    """Random sets of 4 to 12 k-subsets under the disjoint or the conflict
+    rule at r = 2..4, then dense ones at r = 2 (about half of all pairs
+    disjoint), where assignments fail on a clash, two adjacent uncolored
+    vertices left the same one allowed color, with no wipeout.  The oracle
+    lists the edges itself and checks each once its members are assigned,
     so it prunes as it goes."""
     rng = random.Random(20240817)
     for trial in range(200):
-        nv = rng.randint(4, 12)
-        ne = rng.randint(1, nv)
-        edges = set()
-        while len(edges) < ne:
-            sz = rng.randint(2, min(4, nv))
-            edges.add(tuple(sorted(rng.sample(range(nv), sz))))
-        h = Hypergraph(
-            vertices=tuple(KSubset(1 << i, nv) for i in range(nv)),
-            edges=tuple(sorted(edges)),
-        )
-        assert_matches_brute_force(h, trial)
+        assert_matches_brute_force(random_rule_instance(rng), trial)
 
     clashes = 0
     assign_fn = solve._Engine._assign
@@ -282,10 +291,7 @@ def test_solver_matches_brute_force(monkeypatch):
 
     monkeypatch.setattr(solve._Engine, "_assign", assign)
     for trial in range(50):
-        nv = rng.randint(4, 12)
-        edges = tuple((a, b) for a, b in combinations(range(nv), 2)
-                      if rng.random() < 0.5)
-        h = Hypergraph(tuple(KSubset(1 << i, nv) for i in range(nv)), edges)
+        h = random_rule_instance(rng, dense=True)
         assert_matches_brute_force(h, ("dense", trial))
     assert clashes > 50
 
@@ -333,11 +339,13 @@ def test_search_tree_pinned():
 
 
 def test_long_constraint_tree_pinned():
-    """(8,5,6) has minimal witnesses of 2 to 6 members and (9,4,4) of 2 to
-    4, and KG^4(14,2) edges of 4 members, so their trees pin the
-    propagation of constraints of 4 or more members."""
+    """(8,5,6) has minimal witnesses of 2 to 6 members, (7,4,5) of 2 to 5
+    and (9,4,4) of 2 to 4, and KG^4(14,2) edges of 4 members, so their
+    trees pin the propagation of constraints of 4 or more members."""
     res = min_partition_number(GroundParams(8, 5, 6))
     assert (res.status, res.upper, res.nodes) == (EXACT, 4, 54637)
+    res = min_partition_number(GroundParams(7, 4, 5))
+    assert (res.status, res.upper, res.nodes) == (EXACT, 4, 3073)
     res = min_partition_number(GroundParams(9, 4, 4))
     assert (res.status, res.upper, res.nodes) == (EXACT, 5, 52666)
     res = chromatic_number(build_kneser_hypergraph(GroundParams(14, 2, 4)))
@@ -374,42 +382,6 @@ def test_bench_ladder_nodes_pinned(workload):
     results = [bench_instance(inst) for inst in ladder]
     assert all(res.status == EXACT for res in results)
     assert [res.nodes for res in results] == BENCH_LADDER_NODES[workload]
-
-
-def shuffled(h, seed):
-    """h with its edge list and the members of each edge in a seeded
-    random order, the builder's cells and descriptor kept."""
-    rng = random.Random(seed)
-    edges = [tuple(rng.sample(e, len(e))) for e in h.edges]
-    rng.shuffle(edges)
-    return kneser._granted(h.vertices, edges, h.cells, h.params, h.stability,
-                           h.parts)
-
-
-SHUFFLE_CASES = {
-    "conflict(9,2,3)": (lambda: build_conflict_hypergraph(GroundParams(9, 2, 3)), 1101),
-    "conflict(7,3,4)": (lambda: build_conflict_hypergraph(GroundParams(7, 3, 4)), 1910),
-    "conflict(7,4,5)": (lambda: build_conflict_hypergraph(GroundParams(7, 4, 5)), 3073),
-    "KG^3(11,3)": (lambda: build_kneser_hypergraph(GroundParams(11, 3, 3)), 748),
-    "parts(10,2,3)": (lambda: build_partition_constrained(
-        GroundParams(10, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)))),
-        1655),
-    "SG(10,3)": (lambda: build_stable_subhypergraph(GroundParams(10, 3, 2), 2), 29646),
-}
-
-
-@pytest.mark.parametrize("name", SHUFFLE_CASES)
-def test_search_does_not_depend_on_edge_order(name):
-    """The engine indexes the constraint set, not the list: with the edges
-    and the members of each edge shuffled, the search walks the same tree
-    to the same colors.  The conflict hypergraphs hold triples, and (7,3,4)
-    and (7,4,5) also witnesses of 4 and 5 members."""
-    build, nodes = SHUFFLE_CASES[name]
-    h = build()
-    want = _search(h, SolveBudget(), time.monotonic())
-    got = _search(shuffled(h, name), SolveBudget(), time.monotonic())
-    assert want.status == EXACT and want.nodes == nodes
-    assert (got.status, got.nodes, got.colors) == (EXACT, nodes, want.colors)
 
 
 def test_branching_weights_are_per_solve():
@@ -476,9 +448,9 @@ def test_orbital_pruning_keeps_every_decision():
         for shift in {0, nv // 2}:
             g = relabelled(h, shift)
             points = tuple(v.bits for v in g.vertices)
-            tables = solve._edge_tables(nv, g.edges)
-            plain = solve._Engine(nv, tables)
-            pruned = solve._Engine(nv, tables, points, cells)
+            tables = solve._rule_tables(g.rule, points)
+            plain = solve._Engine(tables, points)
+            pruned = solve._Engine(tables, points, cells)
             clique = plain.pair_clique()
             m = max(1, len(clique))
             while True:
@@ -755,67 +727,56 @@ def test_point_transpositions_are_symmetries(nkr):
 
 def test_stable_instances_get_no_cells():
     """Some transposition breaks an s-stable instance, so S_n is not its
-    symmetry group; chromatic_number gives it no cells and its search tree
-    is the plain engine's."""
+    symmetry group; its builder grants it no cells, and chromatic_number
+    searches the plain tree."""
     p = GroundParams(8, 2, 2)
     h = build_stable_subhypergraph(p, 2)
     assert not all(transposition_images(h, (1 << p.n) - 1).values())
+    assert h.cells == ()
     res = chromatic_number(h)
-    plain = _search(Hypergraph(h.vertices, h.edges), SolveBudget(), time.monotonic())
-    assert (res.upper, res.nodes) == (plain.upper, plain.nodes) == (6, 95)
+    assert (res.status, res.upper, res.nodes) == (EXACT, 6, 95)
 
 
-def test_hand_built_hypergraph_gets_no_cells():
-    """Cells and descriptors come only from the builders: the same vertices
-    and constraints built by hand search the plain tree, and the
-    constructor takes nothing but vertices and edges."""
+def test_hypergraph_is_made_only_by_builders():
+    """A Hypergraph has no public constructor: building one by hand, or
+    editing a builder's with dataclasses.replace, raises TypeError.  Its
+    cells are what the builder grants: KG(8,2) and the conflict instance
+    (6,2,3) granted none search the plain tree.  Cells that are no symmetry
+    give a wrong value: on the KG(6,2) vertices other than {1,4}, {1,5},
+    {1,6} and {2,6}, which some transposition breaks, the cells of [6]
+    refute the 3 colors a proper coloring uses."""
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
+    with pytest.raises(TypeError):
+        Hypergraph(kg.vertices, kg.edges)
+    for name in ("vertices", "params", "stability", "parts", "cells", "rule"):
+        with pytest.raises(TypeError):
+            Hypergraph(**{name: getattr(kg, name)})
+    with pytest.raises(TypeError):
+        dataclasses.replace(kg)
+    with pytest.raises(TypeError):
+        dataclasses.replace(kg, edges=kg.edges[::2])
     cases = [
-        (Hypergraph(kg.vertices, kg.edges), 6, 56),
+        (rule_instance(kg.vertices, kg.rule), 6, 56),
         (kg, 6, 35),
-        (Hypergraph(ch.vertices, ch.edges), 5, 55),
+        (rule_instance(ch.vertices, ch.rule), 5, 55),
         (ch, 5, 28),
     ]
     for i, (h, value, nodes) in enumerate(cases):
-        res = chromatic_number(h)
+        res = _search(h, SolveBudget(), time.monotonic())
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
-    for name in ("params", "stability", "parts", "cells", "rule"):
-        with pytest.raises(TypeError):
-            Hypergraph(kg.vertices, kg.edges, **{name: getattr(kg, name)})
 
-
-def test_edited_hypergraph_gets_no_cells(monkeypatch):
-    """dataclasses.replace drops the builder's descriptor and cells.  On
-    KG(8,2) with every other edge, the cells of [8] would be unsound (some
-    transposition breaks the edge set) and would refute the 4 colors a
-    proper coloring uses; chromatic_number searches without them and
-    returns raw colors with no certificate, never SoundnessError."""
-    kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
-    assert kg.cells == ((1 << 8) - 1,) and kg.params == GroundParams(8, 2, 2)
-    same = dataclasses.replace(kg)
-    assert same.cells == () and same.params is None and same.rule is None
-    assert chromatic_number(same).nodes == 56
-    edited = dataclasses.replace(kg, edges=kg.edges[::2])
-    assert edited.params is None and edited.cells == ()
-    assert not all(transposition_images(edited, (1 << 8) - 1).values())
-    unsound = kneser._granted(edited.vertices, edited.edges, kg.cells)
-    wrong = _search(unsound, SolveBudget(), time.monotonic())
-    assert (wrong.status, wrong.upper) == (EXACT, 5)
-
-    seen = []
-    search = solve._search
-
-    def spy(h, budget, t0):
-        out = search(h, budget, t0)
-        seen.append((h.cells, out.upper))
-        return out
-
-    monkeypatch.setattr(solve, "_search", spy)
-    res = chromatic_number(edited)
-    assert (res.status, res.upper, res.certificate) == (EXACT, 4, None)
-    assert verify_coloring(edited, res.colors).ok
-    assert seen == [((), 4)]
+    kg6 = build_kneser_hypergraph(GroundParams(6, 2, 2))
+    drop = {KSubset.from_elements(e, 6) for e in ((1, 4), (1, 5), (1, 6), (2, 6))}
+    subset = [v for v in kg6.vertices if v not in drop]
+    plain = rule_instance(subset, kg6.rule)
+    assert not all(transposition_images(plain, (1 << 6) - 1).values())
+    right = _search(plain, SolveBudget(), time.monotonic())
+    assert (right.status, right.upper) == (EXACT, 3)
+    assert brute_force_oracle(plain, 3) == 3
+    wrong = _search(rule_instance(subset, kg6.rule, kg6.cells), SolveBudget(),
+                    time.monotonic())
+    assert (wrong.status, wrong.upper) == (EXACT, 4)
 
 
 def test_conflict_hypergraph_solves_like_the_partition_number():
@@ -898,11 +859,10 @@ def test_chromatic_certificate_rechecked_from_descriptor(monkeypatch):
 
 
 def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
-    """A builder instance is re-checked from its descriptor alone, and a
-    hand-built one against its edge list alone: the other verifier, patched
-    to fail every result, is never called."""
+    """Every instance is a builder's and is re-checked from its descriptor
+    alone: the edge-list verifier, patched to fail every result, is never
+    called."""
     h = build_kneser_hypergraph(GroundParams(7, 2, 2))
-    hand = Hypergraph(h.vertices, h.edges)
     calls = []
 
     def refuse(*args):
@@ -913,10 +873,9 @@ def test_chromatic_number_runs_one_verifier_per_result(monkeypatch):
     res = chromatic_number(h)
     assert (res.status, res.upper, calls) == (EXACT, 5, [])
     assert verify_coloring_certificate(res.certificate).ok
-    monkeypatch.undo()
-    monkeypatch.setattr(solve, "verify_coloring_certificate", refuse)
-    res = chromatic_number(hand)
-    assert (res.status, res.upper, res.certificate, calls) == (EXACT, 5, None, [])
+    res = chromatic_number(build_stable_subhypergraph(GroundParams(7, 2, 2), 2))
+    assert (res.status, res.upper, calls) == (EXACT, 5, [])
+    assert verify_coloring_certificate(res.certificate).ok
 
 
 def test_conflict_colorings_list_no_witnesses(monkeypatch):
@@ -1030,40 +989,18 @@ def test_solve_result_json_shape():
 
 
 def test_brute_force_oracle_examples():
-    tri = Hypergraph(
-        vertices=tuple(KSubset(1 << i, 3) for i in range(3)),
-        edges=((0, 1), (0, 2), (1, 2)),
-    )
+    """The 1-subsets of [3] under r = 2 are a triangle, and those of [4]
+    under r = 4 one edge of 4 members."""
+    tri = build_kneser_hypergraph(GroundParams(3, 1, 2))
     assert brute_force_oracle(tri, 3) == 3
     assert brute_force_oracle(tri, 2) == INFEASIBLE
 
-    one_edge = Hypergraph(
-        vertices=tuple(KSubset(1 << i, 4) for i in range(4)),
-        edges=((0, 1, 2, 3),),
-    )
+    one_edge = build_kneser_hypergraph(GroundParams(4, 1, 4))
+    assert brute_force_edges(one_edge) == [(0, 1, 2, 3)]
     assert brute_force_oracle(one_edge, 4) == 2
-
-    from kneser_lab.kneser import build_stable_subhypergraph
 
     h = build_stable_subhypergraph(GroundParams(8, 2, 4), 4)
     assert brute_force_oracle(h, 4) == 2
-
-
-@pytest.mark.parametrize("constraint", [
-    (), (0,), (0, 0), (0, 1, 1), (1, 2, 1), (0, 1, 2, 2), (0, 9), (0, -1),
-    (-1, 0), (0, 1, 9), (0, 1, 2, -1),
-    # a negative id in each slot: the engine indexes a table of bits by
-    # id, where -1 would silently read the last vertex's bit
-    (0, 1, -1), (0, -1, 1), (-1, 0, 1),
-    (-1, 0, 1, 2, 3), (0, -1, 1, 2, 3), (0, 1, -1, 2, 3), (0, 1, 2, -1, 3),
-    (0, 1, 2, 3, -1),
-    (9, 0, 1), (0, 9, 1), (2, 1, 1), (1, 0, 1), (0, 1, 2, 3, 3), (4, 0, 4, 1),
-])
-def test_engine_rejects_short_constraints(constraint):
-    """Too few members, a repeated member or an id outside the vertices is
-    bad input, not a soundness failure, and the message names it."""
-    with pytest.raises(InvalidParams, match=re.escape(f"constraint {constraint}")):
-        solve._edge_tables(5, ((0, 1), (0, 1, 2), (0, 1, 2, 3, 4), constraint))
 
 
 def naive_forbidden(constraints, col_c):
@@ -1093,18 +1030,6 @@ def naive_first_fit(nv, constraints):
             c += 1
         colors.append(c)
     return colors
-
-
-def random_constraints(rng, nv):
-    """Distinct-member constraints of 2 to 6 members, each listed in a
-    random order, the list shuffled, some of them twice."""
-    out = []
-    for _ in range(rng.randint(1, 3 * nv)):
-        size = rng.randint(2, min(6, nv))
-        out.append(tuple(rng.sample(range(nv), size)))
-    out += rng.sample(out, len(out) // 4)
-    rng.shuffle(out)
-    return out
 
 
 def recount(engine, nv, constraints, m, rng):
@@ -1151,17 +1076,17 @@ def recount(engine, nv, constraints, m, rng):
 
 
 def test_propagation_matches_a_naive_recount():
-    """Both kinds of engine tables, against a recount from the constraint
-    list (see `recount`): the scan of the rests of larger constraints on
-    random hypergraphs, and the rule tables of small conflict instances,
-    with witnesses of 2 to 5 members, against the brute-force witness
-    list.  first_fit is the naive greedy on both."""
+    """The rule tables, against a recount from the brute-force edge list
+    (see `recount`): on random sets of 8 to 12 k-subsets under the disjoint
+    or the conflict rule at r = 2..6, and on small conflict instances, with
+    witnesses of 2 to 5 members.  first_fit is the naive greedy on both."""
     rng = random.Random(2006)
     tally = Counter()
     for _ in range(150):
-        nv = rng.randint(4, 12)
-        constraints = random_constraints(rng, nv)
-        engine = solve._Engine(nv, solve._edge_tables(nv, constraints))
+        h = random_rule_instance(rng, range(2, 7), fewest=8)
+        points = tuple(v.bits for v in h.vertices)
+        nv, constraints = len(points), brute_force_edges(h)
+        engine = solve._Engine(solve._rule_tables(h.rule, points), points)
         assert engine.first_fit() == naive_first_fit(nv, constraints)
         for _ in range(3):
             tally += recount(engine, nv, constraints, rng.randint(2, 4), rng)
@@ -1173,7 +1098,7 @@ def test_propagation_matches_a_naive_recount():
         h = build_conflict_hypergraph(GroundParams(n, k, r))
         points = tuple(v.bits for v in h.vertices)
         nv, witnesses = len(points), brute_force_witnesses(list(points), r)
-        engine = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        engine = solve._Engine(solve._rule_tables(h.rule, points), points)
         assert engine.first_fit() == naive_first_fit(nv, witnesses)
         for m in (2, 2, 3, 3, 4, 4, 5, 5):
             tally += recount(engine, nv, witnesses, m, rng)
@@ -1209,7 +1134,7 @@ def test_meet_closure_memo_is_exact():
         nv = len(points)
         masks = [sum(1 << u for u in w)
                  for w in brute_force_witnesses(list(points), r)]
-        engine = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        engine = solve._Engine(solve._rule_tables(h.rule, points), points)
         assert engine.step == "meet" and engine.depth == min(r, k + 1) - 2
         warm = engine.closures
         assert warm == {} and warm.shared == {}
@@ -1235,7 +1160,7 @@ def test_meet_closure_memo_is_exact():
             assert warm == {}
         else:
             assert 0 < len(warm) < calls, (n, k, r)
-        fresh = solve._Engine(nv, solve._rule_tables(h.rule, points), points)
+        fresh = solve._Engine(solve._rule_tables(h.rule, points), points)
         assert fresh.closures == {} and fresh.closures.shared == {}
 
 
@@ -1263,7 +1188,7 @@ def rule_sweep():
     instances for r = 2..6, and for r <= 5 KG^r, its s-stable variants for
     s in {2, 3} and block-constrained KG^r with blocks of r - 1 points.
     Where edges can have 4 or more members (conflict instances with
-    min(r, k + 1) >= 4, Kneser-type ones with r >= 4) the scan engine
+    min(r, k + 1) >= 4, Kneser-type ones with r >= 4) the reference scan
     needs them listed, so those stop at n <= 8 and 56 vertices."""
     for n in range(1, 10):
         for k in range(1, n + 1):
@@ -1286,31 +1211,30 @@ def rule_sweep():
 
 
 def test_rule_tables_equal_the_edge_tables():
-    """An engine on the tables read off a builder's rule propagates as one
-    that scans its listed edges: on random partial colorings, each
-    assignment leaves every forb[c] and the count planes equal, and fails
-    on both or on neither, so every search tree is the scan path's.  Every
-    rule gives tables, at every arity: the meet rule up to witnesses of 6
-    members, the disjoint rule up to r = 5."""
+    """An engine on the tables read off a builder's rule propagates as the
+    reference scan of its listed edges (oracle.ReferenceScan): on random
+    partial colorings, each assignment leaves every forb[c] as the scan
+    gives it, and fails exactly when the scan's forb leaves a wipeout or a
+    clash.  Every rule gives tables, at every arity: the meet rule up to
+    witnesses of 6 members, the disjoint rule up to r = 5."""
     rng = random.Random(28)
     derived = assigned = failed = 0
     for name, h in rule_sweep():
         points = tuple(v.bits for v in h.vertices)
-        got = solve._rule_tables(h.rule, points)
         nv = len(points)
-        rule = solve._Engine(nv, got, points)
-        edge = solve._Engine(nv, solve._edge_tables(nv, h.edges))
+        engine = solve._Engine(solve._rule_tables(h.rule, points), points)
+        scan = ReferenceScan(nv, h.edges)
         for _ in range(3):
             m = rng.randint(2, 5)
-            uncol, count = (1 << nv) - 1, rule._reset(m)
-            assert edge._reset(m) == count
+            uncol, count, forb = (1 << nv) - 1, engine._reset(m), [0] * m
             for v in rng.sample(range(nv), nv):
-                allowed = [c for c in range(m) if not rule.forb[c] >> v & 1]
+                allowed = [c for c in range(m) if not forb[c] >> v & 1]
                 c = rng.choice(allowed)
                 uncol ^= 1 << v
-                want = edge._assign(v, c, uncol, count)
-                count = rule._assign(v, c, uncol, count)
-                assert (rule.col, rule.forb, count) == (edge.col, edge.forb, want), name
+                forb[c] = scan.forbid(v, engine.col[c] | 1 << v, forb[c])
+                count = engine._assign(v, c, uncol, count)
+                assert engine.forb == forb, name
+                assert (count is None) == scan.fails(forb, uncol), name
                 assigned += 1
                 if count is None:
                     failed += 1
@@ -1357,33 +1281,21 @@ def test_rule_instances_list_no_edges(monkeypatch):
 
 
 def test_chromatic_number_of_the_empty_hypergraph():
-    res = chromatic_number(Hypergraph((), ()))
-    assert (res.status, res.lower, res.upper, res.colors) == (EXACT, 0, 0, ())
-    assert res.certificate is None
-
-
-@pytest.mark.parametrize("vertices, edges", [
-    (4, ((0, 0),)), (4, ((0, 1, 1),)), (4, ((0, 9),)), (4, ((0, -1),)),
-    (0, ((0, 1),)), (4, 5), (4, None),
-])
-def test_chromatic_number_rejects_malformed_edges(vertices, edges):
-    """A hand-built Hypergraph with a malformed edge, or with edges that
-    are not a collection at all, raises InvalidParams through the public
-    entry point, the empty one included."""
-    h = Hypergraph(tuple(KSubset(1 << i, 4) for i in range(vertices)), edges)
-    what = f"constraint {edges[0]}" if isinstance(edges, tuple) else f"edges {edges} "
-    with pytest.raises(InvalidParams, match=re.escape(what)):
-        chromatic_number(h)
+    """No 2-subset of [4] is 3-stable, so SG(4,2) at s = 3 has no vertices:
+    0 colors, at no node, with a certificate that verifies."""
+    h = build_stable_subhypergraph(GroundParams(4, 2, 2), 3)
+    assert h.num_vertices == 0
+    res = chromatic_number(h)
+    assert (res.status, res.lower, res.upper, res.nodes, res.colors) == (
+        EXACT, 0, 0, 0, ())
+    assert verify_coloring_certificate(res.certificate).ok
 
 
 def test_brute_force_oracle_guards():
-    big = Hypergraph(
-        vertices=tuple(KSubset(1 << i, 17) for i in range(17)),
-        edges=((0, 1),),
-    )
+    big = build_kneser_hypergraph(GroundParams(17, 1, 2))
     with pytest.raises(InstanceTooLarge):
         brute_force_oracle(big, 2)
-    empty = Hypergraph(vertices=(), edges=())
+    empty = build_stable_subhypergraph(GroundParams(4, 2, 2), 3)
     assert brute_force_oracle(empty, 1) == 0
     with pytest.raises(InvalidParams):
         brute_force_oracle(empty, 0)
@@ -1391,21 +1303,21 @@ def test_brute_force_oracle_guards():
 
 def test_deep_search_keeps_the_recursion_limit():
     """A search deeper than the interpreter's recursion limit still finishes:
-    the crown graph on 600 vertices (a_i joined to b_j for i != j, ids
-    interleaved) branches once per vertex, past a limit of 500, and the
+    the crown graph on {1,x} and {2,y} for x, y in 3..64 (disjoint iff
+    x != y, ids interleaved) branches once per vertex but the last, 123
+    deep, past a limit that leaves it fewer frames than that, and the
     limit is restored afterwards."""
-    half = 300
-    edges = tuple(sorted((min(2 * i, 2 * j + 1), max(2 * i, 2 * j + 1))
-                         for i in range(half) for j in range(half) if i != j))
-    h = Hypergraph(tuple(KSubset(1 << (v % 4), 4) for v in range(2 * half)), edges)
+    crown = [KSubset.from_elements((a, x), 64) for x in range(3, 65) for a in (1, 2)]
+    h = rule_instance(crown, kneser._Rule(2))
     before = sys.getrecursionlimit()
-    sys.setrecursionlimit(500)
+    limit = len(inspect.stack()) + 100
+    sys.setrecursionlimit(limit)
     try:
-        res = chromatic_number(h, SolveBudget(max_seconds=60))
-        assert sys.getrecursionlimit() == 500
+        res = _search(h, SolveBudget(max_seconds=60), time.monotonic())
+        assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(before)
-    assert res.status == EXACT and res.upper == 2
+    assert (res.status, res.upper, res.nodes) == (EXACT, 2, 123)
 
 
 def test_edgeless_hypergraph_is_one_colorable():

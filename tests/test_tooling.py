@@ -224,9 +224,11 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
-# imported only to be bound in the module: the tracer wraps
-# constructions.build_partition_constrained from outside
-UNUSED_IMPORTS_KEPT = {("constructions", "build_partition_constrained")}
+# imported only to be bound in the module: the tracer's WRAPS wraps
+# constructions.build_partition_constrained and solve.verify_coloring from
+# outside
+UNUSED_IMPORTS_KEPT = {("constructions", "build_partition_constrained"),
+                       ("solve", "verify_coloring")}
 
 
 def test_library_imports_are_used():

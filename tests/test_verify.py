@@ -24,7 +24,6 @@ from kneser_lab.errors import (
     VerifyTimeout,
 )
 from kneser_lab.kneser import (
-    Hypergraph,
     PartSpec,
     build_kneser_hypergraph,
     build_partition_constrained,
@@ -32,7 +31,7 @@ from kneser_lab.kneser import (
 )
 from kneser_lab.setsys import GroundParams, KSubset, SetFamily, enumerate_k_subsets
 from kneser_lab import verify
-from kneser_lab.solve import chromatic_number
+from kneser_lab.solve import build_conflict_hypergraph, chromatic_number
 from kneser_lab.verify import (
     CLOCK_STRIDE,
     Violation,
@@ -283,25 +282,24 @@ def test_verify_coloring_basics():
 def test_verify_coloring_report_pinned():
     """Monochromatic edges of arity 2, 3 and 4 are reported in edge order
     with their exact reasons; an edge whose first or last member alone
-    differs is not."""
-    h = Hypergraph(
-        tuple(enumerate_k_subsets(10, 1)),
-        ((0, 1), (2, 3, 4), (5, 6, 7, 8), (5, 6, 7, 9), (0, 5, 6), (0, 2), (1, 9)),
-    )
-    colors = [0, 0, 1, 1, 1, 2, 2, 2, 2, 0]
+    differs is not.  The conflict hypergraph (6,3,4) has minimal witnesses
+    of 2, 3 and 4 members; one of each is a class, and every other vertex
+    has a color of its own."""
+    h = build_conflict_hypergraph(GroundParams(6, 3, 4))
+    colors = [0, 1, 1, 2, 7, 8, 1, 10, 11, 12, 13, 14, 2, 16, 2, 2, 19, 20, 21, 0]
     rep = verify_coloring(h, colors)
-    assert not rep.ok and rep.stats == {"edges": 7}
+    assert not rep.ok and rep.stats == {"edges": 325}
     assert rep.violations == (
-        Violation("monochromatic_edge", (0, 1),
-                  "edge 0 = [0, 1] is monochromatic in color 0"),
-        Violation("monochromatic_edge", (2, 3, 4),
-                  "edge 1 = [2, 3, 4] is monochromatic in color 1"),
-        Violation("monochromatic_edge", (5, 6, 7, 8),
-                  "edge 2 = [5, 6, 7, 8] is monochromatic in color 2"),
-        Violation("monochromatic_edge", (1, 9),
-                  "edge 6 = [1, 9] is monochromatic in color 0"),
+        Violation("monochromatic_edge", (0, 19),
+                  "edge 48 = [0, 19] is monochromatic in color 0"),
+        Violation("monochromatic_edge", (1, 2, 6),
+                  "edge 49 = [1, 2, 6] is monochromatic in color 1"),
+        Violation("monochromatic_edge", (3, 12, 14, 15),
+                  "edge 171 = [3, 12, 14, 15] is monochromatic in color 2"),
     )
-    with pytest.raises(LengthMismatch, match="9 colors for 10 vertices"):
+    # the first member alone differs, then the last alone
+    assert {(0, 14, 15), (1, 6, 7)} <= set(h.edges)
+    with pytest.raises(LengthMismatch, match="19 colors for 20 vertices"):
         verify_coloring(h, colors[:-1])
 
 
