@@ -104,7 +104,7 @@ class Hypergraph:
     stability: int | None
     parts: PartSpec | None
     cells: tuple[int, ...] = field(repr=False, compare=False)
-    rule: _Rule = field(repr=False, compare=False)
+    rule: _Rule = field(repr=False)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:

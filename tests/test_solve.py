@@ -739,7 +739,8 @@ def test_stable_instances_get_no_cells():
 
 def test_hypergraph_is_made_only_by_builders():
     """A Hypergraph has no public constructor: building one by hand, or
-    editing a builder's with dataclasses.replace, raises TypeError.  Its
+    editing a builder's with dataclasses.replace, raises TypeError, and two
+    compare equal only under the same rule.  Its
     cells are what the builder grants: KG(8,2) and the conflict instance
     (6,2,3) granted none search the plain tree.  Cells that are no symmetry
     give a wrong value: on the KG(6,2) vertices other than {1,4}, {1,5},
@@ -756,6 +757,11 @@ def test_hypergraph_is_made_only_by_builders():
         dataclasses.replace(kg)
     with pytest.raises(TypeError):
         dataclasses.replace(kg, edges=kg.edges[::2])
+    # the rule is part of the record: the conflict hypergraph (6,2,3) and
+    # KG^3(6,2) share their vertices and descriptor, not their edges
+    p = GroundParams(6, 2, 3)
+    assert build_kneser_hypergraph(p) == build_kneser_hypergraph(p)
+    assert build_conflict_hypergraph(p) != build_kneser_hypergraph(p)
     cases = [
         (rule_instance(kg.vertices, kg.rule), 6, 56),
         (kg, 6, 35),
