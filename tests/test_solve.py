@@ -384,6 +384,48 @@ def test_bench_ladder_nodes_pinned(workload):
     assert [res.nodes for res in results] == BENCH_LADDER_NODES[workload]
 
 
+def shuffled(h, seed):
+    """h rebuilt from its builder's fields, with its listed edges and the
+    members of each edge in a seeded random order."""
+    rng = random.Random(seed)
+    edges = [tuple(rng.sample(e, len(e))) for e in h.edges]
+    rng.shuffle(edges)
+    out = kneser._granted(h.vertices, h.cells, h.params, h.rule, h.stability,
+                          h.parts)
+    out.__dict__["edges"] = tuple(edges)
+    return out
+
+
+SHUFFLE_CASES = {
+    "conflict(9,2,3)": (lambda: build_conflict_hypergraph(GroundParams(9, 2, 3)), 1101),
+    "conflict(7,3,4)": (lambda: build_conflict_hypergraph(GroundParams(7, 3, 4)), 1910),
+    "conflict(7,4,5)": (lambda: build_conflict_hypergraph(GroundParams(7, 4, 5)), 3073),
+    "KG^3(11,3)": (lambda: build_kneser_hypergraph(GroundParams(11, 3, 3)), 748),
+    "parts(10,2,3)": (lambda: build_partition_constrained(
+        GroundParams(10, 2, 3), PartSpec(((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)))),
+        1655),
+    "SG(10,3)": (lambda: build_stable_subhypergraph(GroundParams(10, 3, 2), 2), 29646),
+}
+
+
+@pytest.mark.parametrize("name", SHUFFLE_CASES)
+def test_search_does_not_depend_on_edge_order(name):
+    """The engine reads the rule, never the listed edges: with the edges
+    and the members of each edge shuffled, the search walks the same tree
+    to the same colors, and those colors are proper on the shuffled list.
+    The conflict hypergraphs hold triples, and (7,3,4) and (7,4,5) also
+    witnesses of 4 and 5 members."""
+    build, nodes = SHUFFLE_CASES[name]
+    h = build()
+    want = _search(h, SolveBudget(), time.monotonic())
+    mixed = shuffled(h, name)
+    assert mixed == h and sorted(map(sorted, mixed.edges)) == sorted(map(list, h.edges))
+    got = _search(mixed, SolveBudget(), time.monotonic())
+    assert want.status == EXACT and want.nodes == nodes
+    assert (got.status, got.nodes, got.colors) == (EXACT, nodes, want.colors)
+    assert verify_coloring(mixed, got.colors).ok
+
+
 def test_branching_weights_are_per_solve():
     """The failure weights live in one engine: a second solve of the same
     instance searches the same tree, and relabelling the vertices changes
@@ -737,15 +779,11 @@ def test_stable_instances_get_no_cells():
     assert (res.status, res.upper, res.nodes) == (EXACT, 6, 95)
 
 
-def test_hypergraph_is_made_only_by_builders():
-    """A Hypergraph has no public constructor: building one by hand, or
-    editing a builder's with dataclasses.replace, raises TypeError, and two
-    compare equal only under the same rule.  Its
-    cells are what the builder grants: KG(8,2) and the conflict instance
-    (6,2,3) granted none search the plain tree.  Cells that are no symmetry
-    give a wrong value: on the KG(6,2) vertices other than {1,4}, {1,5},
-    {1,6} and {2,6}, which some transposition breaks, the cells of [6]
-    refute the 3 colors a proper coloring uses."""
+def test_hand_built_hypergraph_gets_no_cells():
+    """Cells and descriptors come only from the builders: a Hypergraph has
+    no public constructor, so building one by hand raises TypeError, and
+    two compare equal only under the same rule.  KG(8,2) and the conflict
+    instance (6,2,3) granted no cells search the plain tree."""
     kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
     ch = build_conflict_hypergraph(GroundParams(6, 2, 3))
     with pytest.raises(TypeError):
@@ -753,10 +791,6 @@ def test_hypergraph_is_made_only_by_builders():
     for name in ("vertices", "params", "stability", "parts", "cells", "rule"):
         with pytest.raises(TypeError):
             Hypergraph(**{name: getattr(kg, name)})
-    with pytest.raises(TypeError):
-        dataclasses.replace(kg)
-    with pytest.raises(TypeError):
-        dataclasses.replace(kg, edges=kg.edges[::2])
     # the rule is part of the record: the conflict hypergraph (6,2,3) and
     # KG^3(6,2) share their vertices and descriptor, not their edges
     p = GroundParams(6, 2, 3)
@@ -772,6 +806,18 @@ def test_hypergraph_is_made_only_by_builders():
         res = _search(h, SolveBudget(), time.monotonic())
         assert (res.status, res.upper, res.nodes) == (EXACT, value, nodes), i
 
+
+def test_edited_hypergraph_gets_no_cells():
+    """dataclasses.replace on a builder's Hypergraph raises TypeError, so
+    no edit keeps cells that the edited instance does not have.  Cells that
+    are no symmetry give a wrong value: on the KG(6,2) vertices other than
+    {1,4}, {1,5}, {1,6} and {2,6}, which some transposition breaks, the
+    cells of [6] refute the 3 colors a proper coloring uses."""
+    kg = build_kneser_hypergraph(GroundParams(8, 2, 2))
+    with pytest.raises(TypeError):
+        dataclasses.replace(kg)
+    with pytest.raises(TypeError):
+        dataclasses.replace(kg, edges=kg.edges[::2])
     kg6 = build_kneser_hypergraph(GroundParams(6, 2, 2))
     drop = {KSubset.from_elements(e, 6) for e in ((1, 4), (1, 5), (1, 6), (2, 6))}
     subset = [v for v in kg6.vertices if v not in drop]
